@@ -17,7 +17,8 @@ The package is organized around six building blocks:
 ``recovery``
     Everything that interrogates a sketch: attribute recovery (unique and
     path-disambiguated), frequency and summed/mean attribute statistics,
-    similarity, signature recovery, and erased-prefix variants.
+    similarity and signature recovery; each reads the erased prefix and
+    the signature mode from the sketch itself.
 ``dictlearn``
     Recovery of the random matrices and coefficient vectors from sketch
     samples alone, and the level-by-level unrolling that turns overall
@@ -32,9 +33,7 @@ The package is organized around six building blocks:
 from modsketch.block_random import (
     BlockParams,
     BlockRandomMatrix,
-    MatrixExpr,
     NoiseProfile,
-    apply,
     auto_params,
     decode_column_signature,
     encode_column_signature,
@@ -82,9 +81,7 @@ from modsketch.sketcher import (
 __all__ = [
     "BlockParams",
     "BlockRandomMatrix",
-    "MatrixExpr",
     "NoiseProfile",
-    "apply",
     "auto_params",
     "decode_column_signature",
     "encode_column_signature",

@@ -47,8 +47,6 @@ __all__ = [
     "IdentityMatrix",
     "sample_matrix",
     "sample_orthonormal",
-    "MatrixExpr",
-    "apply",
     "NoiseProfile",
     "measure_noise_profile",
 ]
@@ -431,84 +429,6 @@ def sample_orthonormal(d: int, seed_key: str) -> OrthonormalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Matrix expressions
-# ---------------------------------------------------------------------------
-
-FactorKind = Literal["plain", "transpose", "transparent", "transparent_transpose", "identity"]
-
-
-@dataclass(frozen=True)
-class _Factor:
-    kind: FactorKind
-    mat: AnyMatrix | None
-
-    @property
-    def d(self) -> int:
-        assert self.mat is not None
-        return self.mat.d
-
-
-@dataclass
-class MatrixExpr:
-    """An ordered product of matrix factors, applied right-to-left.
-
-    Transparent factors compute (x + Rx)/2, preserving an unrotated copy of
-    the input alongside the rotated one.
-    """
-
-    factors: list[_Factor]
-
-    @staticmethod
-    def of(*specs: tuple[FactorKind, AnyMatrix | None]) -> "MatrixExpr":
-        return MatrixExpr([_Factor(kind, mat) for kind, mat in specs])
-
-    @staticmethod
-    def plain(mat: AnyMatrix) -> "MatrixExpr":
-        return MatrixExpr.of(("plain", mat))
-
-    @staticmethod
-    def transparent(mat: AnyMatrix) -> "MatrixExpr":
-        return MatrixExpr.of(("transparent", mat))
-
-    def then(self, kind: FactorKind, mat: AnyMatrix | None = None) -> "MatrixExpr":
-        """Return the expression with one more factor applied *after* this one."""
-        return MatrixExpr([_Factor(kind, mat)] + self.factors)
-
-    @property
-    def d(self) -> int:
-        for f in self.factors:
-            if f.mat is not None:
-                return f.d
-        raise ParameterError("expression has no dimensioned factor")
-
-
-def _apply_factor(factor: _Factor, x: np.ndarray) -> np.ndarray:
-    if factor.kind == "identity":
-        return x
-    mat = factor.mat
-    assert mat is not None
-    if x.shape[0] != mat.d:
-        raise DimensionMismatchError(f"vector of length {x.shape[0]} vs matrix d={mat.d}")
-    if factor.kind == "plain":
-        return mat.matvec(x)
-    if factor.kind == "transpose":
-        return mat.rmatvec(x)
-    if factor.kind == "transparent":
-        return (x + mat.matvec(x)) * 0.5
-    if factor.kind == "transparent_transpose":
-        return (x + mat.rmatvec(x)) * 0.5
-    raise ParameterError(f"unknown factor kind {factor.kind}")
-
-
-def apply(expr: MatrixExpr, x: np.ndarray) -> np.ndarray:
-    """Evaluate the factor chain right-to-left on x."""
-    v = np.asarray(x, dtype=np.float64)
-    for factor in reversed(expr.factors):
-        v = _apply_factor(factor, v)
-    return v
-
-
-# ---------------------------------------------------------------------------
 # Noise measurement
 # ---------------------------------------------------------------------------
 
@@ -529,20 +449,40 @@ class NoiseProfile:
     quantile: float
 
 
+FactorKind = Literal["plain", "transpose", "transparent", "transparent_transpose", "identity"]
 TemplateSpec = Sequence[FactorKind]
+Factors = list[tuple[FactorKind, AnyMatrix | None]]
 
 
-def _build_expr(
+def _draw_factors(
     spec: TemplateSpec, params: BlockParams, trial: int, side: str, master_seed: int
-) -> MatrixExpr:
-    factors: list[_Factor] = []
-    for slot, kind in enumerate(spec):
-        if kind == "identity":
-            factors.append(_Factor("identity", None))
-            continue
-        key = f"noise:{master_seed}:{trial}:{side}:{slot}"
-        factors.append(_Factor(kind, sample_matrix(params, key)))
-    return MatrixExpr(factors)
+) -> Factors:
+    """One fresh matrix per non-identity slot of the template."""
+    return [
+        (kind, None if kind == "identity" else sample_matrix(params, f"noise:{master_seed}:{trial}:{side}:{slot}"))
+        for slot, kind in enumerate(spec)
+    ]
+
+
+def _apply_factors(factors: Factors, x: np.ndarray) -> np.ndarray:
+    """Evaluate the factor product right-to-left on x.
+
+    Transparent factors compute (x + Rx)/2, keeping an unrotated copy of the
+    input alongside the rotated one.
+    """
+    v = x
+    for kind, mat in reversed(factors):
+        if kind == "plain":
+            v = mat.matvec(v)
+        elif kind == "transpose":
+            v = mat.rmatvec(v)
+        elif kind == "transparent":
+            v = (v + mat.matvec(v)) * 0.5
+        elif kind == "transparent_transpose":
+            v = (v + mat.rmatvec(v)) * 0.5
+        elif kind != "identity":
+            raise ParameterError(f"unknown factor kind {kind}")
+    return v
 
 
 def measure_noise_profile(
@@ -587,16 +527,16 @@ def measure_noise_profile(
     pos = 0
     for trial in range(trials):
         rng = derive_rng(master_seed, "noise-vectors", trial)
-        expr = _build_expr(expr_family, params, trial, "L", master_seed)
-        expr_r = (
-            _build_expr(right_family, params, trial, "R", master_seed)
+        left = _draw_factors(expr_family, params, trial, "L", master_seed)
+        right = (
+            _draw_factors(right_family, params, trial, "R", master_seed)
             if right_family is not None
             else None
         )
         for _pair in range(pairs_per_trial):
             x = rng.standard_normal(d)
             x /= np.linalg.norm(x)
-            ex = apply(expr, x)
+            ex = _apply_factors(left, x)
             if want_iso:
                 iso_raw[pos] = float(ex @ ex)
             if want_des:
@@ -606,7 +546,7 @@ def measure_noise_profile(
                 perp -= (perp @ x) * x
                 perp /= np.linalg.norm(perp)
                 y = rho * x + math.sqrt(1.0 - rho * rho) * perp
-                y_side = apply(expr_r, y) if expr_r is not None else y
+                y_side = _apply_factors(right, y) if right is not None else y
                 des_raw[pos] = float(ex @ y_side)
                 des_ip[pos] = rho
             pos += 1

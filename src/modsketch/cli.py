@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from modsketch import recovery
 from modsketch._seeding import derive_rng
 from modsketch.block_random import (
     BlockParams,
@@ -46,12 +47,7 @@ from modsketch.network import (
 from modsketch.recovery import (
     PathStep,
     RecoveryError,
-    recover_attributes_by_path,
     recover_attributes_unique,
-    recover_frequency,
-    recover_mean_attributes,
-    recover_signature,
-    recover_summed_attributes,
     report_csv_header,
     report_csv_row,
     sketch_similarity,
@@ -226,31 +222,30 @@ def cmd_sketch(cfg: dict, seed: int, network_path: str, out_path: str) -> int:
     return EXIT_OK
 
 
+QUERY_KINDS = (
+    "attributes_unique", "attributes_by_path", "frequency", "summed_attributes", "mean_attributes", "signature"
+)
+
+
 def cmd_recover(cfg: dict, seed: int, sketch_path: str, out_path: str) -> int:
-    sk, _fp = load_sketch(sketch_path)
+    sk, fingerprint = load_sketch(sketch_path)
     cfg = dict(cfg)
     cfg.setdefault("params", {})
     registry = _registry_from_config(cfg, seed)
+    if fingerprint not in ("unknown", registry.seed_fingerprint()):
+        raise ParameterError(f"{sketch_path} was made under another seed or params (fingerprint {fingerprint})")
     query = _require(cfg, "query")
     kind = _require(query, "kind", "query")
-    module = query.get("module", "")
-    h = int(query.get("h", 2))
-    w = float(query.get("w", 1.0))
-    if kind == "attributes_unique":
-        rep = recover_attributes_unique(sk, module, h, w, registry)
-    elif kind == "attributes_by_path":
-        steps = [PathStep(int(p["position"]), str(p["module"])) for p in _require(query, "path", "query")]
-        rep = recover_attributes_by_path(sk, steps, registry, w=w)
-    elif kind == "frequency":
-        rep = recover_frequency(sk, module, h, w, registry)
-    elif kind == "summed_attributes":
-        rep = recover_summed_attributes(sk, module, h, w, registry)
-    elif kind == "mean_attributes":
-        rep = recover_mean_attributes(sk, module, h, w, registry)
-    elif kind == "signature":
-        rep = recover_signature(sk, module, h, w, registry)
-    else:
+    if kind not in QUERY_KINDS:
         raise ConfigError(f"unknown query kind {kind!r}")
+    # looked up at call time, so a wrapper installed on the module sees the call
+    recover = getattr(recovery, f"recover_{kind}")
+    w = float(query.get("w", 1.0))
+    if kind == "attributes_by_path":
+        steps = [PathStep(int(p["position"]), str(p["module"])) for p in _require(query, "path", "query")]
+        rep = recover(sk, steps, registry, w=w)
+    else:
+        rep = recover(sk, query.get("module", ""), int(query.get("h", 2)), w, registry)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report_csv_header() + "\n")
         fh.write(report_csv_row(rep, seed=str(seed)) + "\n")
@@ -264,8 +259,10 @@ def cmd_recover(cfg: dict, seed: int, sketch_path: str, out_path: str) -> int:
 
 
 def cmd_similarity(sketch_a: str, sketch_b: str, out_path: str | None) -> int:
-    a, _ = load_sketch(sketch_a)
-    b, _ = load_sketch(sketch_b)
+    a, fp_a = load_sketch(sketch_a)
+    b, fp_b = load_sketch(sketch_b)
+    if "unknown" not in (fp_a, fp_b) and fp_a != fp_b:
+        raise ParameterError(f"sketches were made under different seed fingerprints: {fp_a} vs {fp_b}")
     value = sketch_similarity(a, b)
     print(f"similarity: {value!r}")
     if out_path:
@@ -476,14 +473,7 @@ def cmd_repo(args: argparse.Namespace) -> int:
             print(f"{hit.entry.id}\t{hit.score!r}")
         return EXIT_OK
     if args.repo_command == "cluster":
-        # dimension comes from the first log record
-        import base64
-
-        with open(args.store, encoding="utf-8") as fh:
-            first = json.loads(fh.readline())
-        d = len(base64.b64decode(first["values"])) // 8
-        repo = SketchRepository(d, log_path=args.store)
-        result = repo.cluster(k=args.k, seed=args.seed)
+        result = SketchRepository.from_log(args.store).cluster(k=args.k)
         for idx, assign in enumerate(result.assignments):
             print(f"{idx}\t{assign}")
         return EXIT_OK
@@ -499,9 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config for the run")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config for the run")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p = sub.add_parser("calibrate", help="noise sweep and delta(d) fit")
@@ -550,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc = repo_sub.add_parser("cluster")
     pc.add_argument("--store", required=True)
     pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--seed", type=int, default=0)
     return parser
 
 

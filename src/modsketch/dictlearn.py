@@ -70,9 +70,7 @@ class DLConfig:
 
     The analysis prescribes the shapes (tau1 ~ eps/sqrt(qd), tau2 ~ eps^2,
     set floor (0.9)^3 qd/b, signature radius 0.01 b); the constants here were
-    fixed by the committed plant-and-recover calibration.  ``g`` and ``lam``
-    are the dominance/partition constants of the analysis, carried for
-    diagnostics; the algorithm itself consumes only the thresholds.
+    fixed by the committed plant-and-recover calibration.
     """
 
     params: BlockParams
@@ -82,8 +80,6 @@ class DLConfig:
     set_floor_frac: float = 0.9**3
     hamming_match_frac: float = 0.01
     sig_match_eps_factor: float = 10.0
-    g: float = 10.0
-    lam: float = 1.0
     eps_schedule: tuple[float, ...] = ()
 
     @property

@@ -6,7 +6,7 @@ exactly w * 2^-(4h-3): 3(h-1) transparent halvings on the walk down, (h-1)
 pair weights of 1/2, and the 1/2 in the attribute subsketch.  Recoveries
 therefore scale by
 
-    beta = 2^(4h-3) / w          (2/3 more, i.e. 3*2^(4h-4)/w, in
+    beta = 2^(4h-3) / w          (3/2 of that, i.e. 3*2^(4h-4)/w, in
                                   signature mode, whose attr coefficient
                                   is 1/3 instead of 1/2)
 
@@ -15,13 +15,15 @@ per column, est_j = beta * <col_j, s> / ||col_j||^2, which is the plain
 beta * (R^T s)_j in expectation but immune to the per-column norm
 fluctuation of the block-sparse family (sd ~ sqrt(b/(qd)), non-negligible at
 desk dimensions).  For erased sketches the normalizer is the column's
-surviving-prefix norm, which realizes the d/d' rescale exactly.
+surviving-prefix norm, which realizes the d/d' rescale exactly, so every
+recovery takes an erased sketch as it is.  Like the surviving prefix, the
+signature mode is read from the sketch itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,7 +46,6 @@ __all__ = [
     "recover_summed_attributes",
     "recover_mean_attributes",
     "recover_signature",
-    "recover_from_prefix",
     "sketch_similarity",
     "report_csv_header",
     "report_csv_row",
@@ -144,33 +145,39 @@ def _check_erasure(sk: Sketch, registry: MatrixRegistry) -> None:
         )
 
 
+def _scaled_contract(
+    sk: Sketch, module: str, slot: int, h: int, w: float, registry: MatrixRegistry, beta: float | None = None
+) -> tuple[float, np.ndarray]:
+    """beta (from the sketch's own mode unless given) and the beta-scaled
+    normalized contraction of the sketch with R_{module,slot}."""
+    _check_erasure(sk, registry)
+    if beta is None:
+        beta = beta_factor(h, w, sk.signature_mode)
+    return beta, beta * _column_contract(registry.module_matrix(module, slot), sk)
+
+
+def _report(sk: Sketch, registry: MatrixRegistry, h: int, w: float, **fields) -> RecoveryReport:
+    """A report on sk, with the noise bound of a depth-h, weight-w query."""
+    return RecoveryReport(
+        depth=h,
+        weight=w,
+        erased_prefix=sk.erased_prefix,
+        d=sk.d,
+        predicted_error=predicted_error(h, w, registry, sk.erased_prefix),
+        **fields,
+    )
+
+
 def recover_attributes_unique(
-    sk: Sketch,
-    module: str,
-    h: int,
-    w: float,
-    registry: MatrixRegistry,
-    signature_mode: bool = False,
+    sk: Sketch, module: str, h: int, w: float, registry: MatrixRegistry
 ) -> RecoveryReport:
     """Estimate the attribute vector of the module's single object.
 
     The caller asserts uniqueness (several objects of the module would
     superpose); the estimate is beta * normalized R_{M,1}^T contraction.
     """
-    _check_erasure(sk, registry)
-    beta = beta_factor(h, w, signature_mode)
-    est = beta * _column_contract(registry.module_matrix(module, 1), sk)
-    return RecoveryReport(
-        kind="attributes_unique",
-        estimate=est,
-        beta=beta,
-        module=module,
-        depth=h,
-        weight=w,
-        erased_prefix=sk.erased_prefix,
-        d=sk.d,
-        predicted_error=predicted_error(h, w, registry, sk.erased_prefix),
-    )
+    beta, est = _scaled_contract(sk, module, 1, h, w, registry)
+    return _report(sk, registry, h, w, kind="attributes_unique", estimate=est, beta=beta, module=module)
 
 
 @dataclass(frozen=True)
@@ -182,11 +189,7 @@ class PathStep:
 
 
 def recover_attributes_by_path(
-    sk: Sketch,
-    path: list[PathStep],
-    registry: MatrixRegistry,
-    w: float,
-    signature_mode: bool = False,
+    sk: Sketch, path: list[PathStep], registry: MatrixRegistry, w: float
 ) -> RecoveryReport:
     """Isolate one object by its input-index path, even under module reuse.
 
@@ -201,10 +204,6 @@ def recover_attributes_by_path(
     _check_erasure(sk, registry)
     h = len(path) + 1
     v = sk.values
-    rescale = 1.0
-    if sk.erased_prefix < sk.d:
-        # the first transpose sees only the surviving prefix
-        rescale = sk.d / sk.erased_prefix
     for i, step in enumerate(path):
         is_last = i == len(path) - 1
         v = registry.tuple_matrix(step.tuple_position, 2 * i + 1).rmatvec(v)
@@ -212,31 +211,19 @@ def recover_attributes_by_path(
         pair_pos = 1 if is_last else 2
         v = registry.tuple_matrix(pair_pos, 2 * i + 2).rmatvec(v)
     target = path[-1].module
-    beta = beta_factor(h, w, signature_mode)
-    dense = Sketch(values=v, kind=sk.kind, depth=sk.depth, erased_prefix=len(v))
-    est = rescale * beta * _column_contract(registry.module_matrix(target, 1), dense)
-    return RecoveryReport(
-        kind="attributes_by_path",
-        estimate=est,
-        beta=beta,
-        module=target,
-        depth=h,
-        weight=w,
-        erased_prefix=sk.erased_prefix,
-        d=sk.d,
-        predicted_error=predicted_error(h, w, registry, sk.erased_prefix),
+    dense = replace(sk, values=v, erased_prefix=len(v))
+    beta, est = _scaled_contract(dense, target, 1, h, w, registry)
+    if sk.erased_prefix < sk.d:
+        # the first transpose saw only the surviving prefix
+        est = (sk.d / sk.erased_prefix) * est
+    return _report(
+        sk, registry, h, w, kind="attributes_by_path", estimate=est, beta=beta, module=target,
         path=tuple(s.tuple_position for s in path),
     )
 
 
 def recover_frequency(
-    sk: Sketch,
-    module: str,
-    h: int,
-    w_star: float,
-    registry: MatrixRegistry,
-    signature_mode: bool = False,
-    beta: float | None = None,
+    sk: Sketch, module: str, h: int, w_star: float, registry: MatrixRegistry, beta: float | None = None
 ) -> RecoveryReport:
     """Estimate how many objects the module produced (all at weight w_star).
 
@@ -245,53 +232,32 @@ def recover_frequency(
     them; the count is exact whenever the noise stays below 1/2.  Pass
     ``beta`` to override the depth scaling (the flat prototype uses 4/w).
     """
-    _check_erasure(sk, registry)
-    b = beta if beta is not None else beta_factor(h, w_star, signature_mode)
-    est = b * _column_contract(registry.module_matrix(module, 2), sk)
+    beta, est = _scaled_contract(sk, module, 2, h, w_star, registry, beta)
     real = float(est[0])
-    return RecoveryReport(
-        kind="frequency",
-        estimate=real,
-        beta=b,
-        module=module,
-        depth=h,
-        weight=w_star,
-        erased_prefix=sk.erased_prefix,
-        d=sk.d,
-        predicted_error=predicted_error(h, w_star, registry, sk.erased_prefix),
-        rounded=int(round(real)),
-        low_confidence=abs(real - round(real)) > 0.4,
+    return _report(
+        sk, registry, h, w_star, kind="frequency", estimate=real, beta=beta, module=module,
+        rounded=int(round(real)), low_confidence=abs(real - round(real)) > 0.4,
     )
 
 
 def recover_summed_attributes(
-    sk: Sketch,
-    module: str,
-    h: int,
-    w_star: float,
-    registry: MatrixRegistry,
-    signature_mode: bool = False,
+    sk: Sketch, module: str, h: int, w_star: float, registry: MatrixRegistry
 ) -> RecoveryReport:
     """Estimate the sum of attribute vectors over the module's objects."""
-    report = recover_attributes_unique(sk, module, h, w_star, registry, signature_mode)
+    report = recover_attributes_unique(sk, module, h, w_star, registry)
     report.kind = "summed_attributes"
     return report
 
 
 def recover_mean_attributes(
-    sk: Sketch,
-    module: str,
-    h: int,
-    w_star: float,
-    registry: MatrixRegistry,
-    signature_mode: bool = False,
+    sk: Sketch, module: str, h: int, w_star: float, registry: MatrixRegistry
 ) -> RecoveryReport:
     """Summed attributes divided by the rounded recovered count."""
-    freq = recover_frequency(sk, module, h, w_star, registry, signature_mode)
+    freq = recover_frequency(sk, module, h, w_star, registry)
     count = freq.rounded or 0
     if count <= 0:
         raise EmptyClassError(f"module {module!r} has recovered count {count}")
-    summed = recover_summed_attributes(sk, module, h, w_star, registry, signature_mode)
+    summed = recover_summed_attributes(sk, module, h, w_star, registry)
     summed.kind = "mean_attributes"
     summed.estimate = summed.estimate / count
     summed.rounded = count
@@ -300,11 +266,7 @@ def recover_mean_attributes(
 
 
 def recover_signature(
-    sk: Sketch,
-    module: str,
-    h: int,
-    w: float,
-    registry: MatrixRegistry,
+    sk: Sketch, module: str, h: int, w: float, registry: MatrixRegistry
 ) -> RecoveryReport:
     """Recover an object's sparse signature and decide whether it is clean.
 
@@ -313,49 +275,18 @@ def recover_signature(
     residual stays below it, so a too-noisy sketch yields no-match rather
     than a wrong signature.
     """
-    if not getattr(sk, "signature_mode", False):
+    if not sk.signature_mode:
         raise ModeMismatchError("sketch was not built with the signature extension")
-    _check_erasure(sk, registry)
-    beta = beta_factor(h, w, signature_mode=True)
-    est = beta * _column_contract(registry.module_matrix(module, 3), sk)
+    beta, est = _scaled_contract(sk, module, 3, h, w, registry)
     n_ones = max(1, int(np.ceil(np.log2(max(2, registry.params.n_cap)))))
     level = 1.0 / math.sqrt(n_ones)
     quantized = np.where(est >= level / 2.0, level, 0.0)
     residual = float(np.max(np.abs(est - quantized)))
     matched = residual < level / 2.0
-    return RecoveryReport(
-        kind="signature",
-        estimate=quantized,
-        beta=beta,
-        module=module,
-        depth=h,
-        weight=w,
-        erased_prefix=sk.erased_prefix,
-        d=sk.d,
-        predicted_error=predicted_error(h, w, registry, sk.erased_prefix),
+    return _report(
+        sk, registry, h, w, kind="signature", estimate=quantized, beta=beta, module=module,
         extras={"residual": residual, "matched": matched, "raw": est, "level": level},
     )
-
-
-def recover_from_prefix(sk: Sketch, query: str, registry: MatrixRegistry, **kwargs) -> RecoveryReport:
-    """Run any recovery against an erased sketch.
-
-    All recoveries already contract only over the surviving prefix and
-    renormalize by the prefix column norms, so this is a thin dispatcher
-    that additionally validates the prefix length.
-    """
-    _check_erasure(sk, registry)
-    dispatch = {
-        "attributes_unique": recover_attributes_unique,
-        "attributes_by_path": recover_attributes_by_path,
-        "frequency": recover_frequency,
-        "summed_attributes": recover_summed_attributes,
-        "mean_attributes": recover_mean_attributes,
-        "signature": recover_signature,
-    }
-    if query not in dispatch:
-        raise RecoveryError(f"unknown recovery query {query!r}")
-    return dispatch[query](sk, registry=registry, **kwargs)
 
 
 def sketch_similarity(a: Sketch, b: Sketch) -> float:

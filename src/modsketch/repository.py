@@ -18,15 +18,15 @@ import base64
 import hashlib
 import json
 import os
-import struct
 import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from modsketch._seeding import derive_rng
 from modsketch.block_random import DimensionMismatchError, ParameterError
-from modsketch.sketcher import Sketch
+from modsketch.sketcher import Sketch, decode_values, encode_values
 
 __all__ = ["SketchEntry", "QueryHit", "ClusterResult", "SketchRepository"]
 
@@ -51,20 +51,32 @@ class ClusterResult:
     assignments: list[int]  # aligned with insert order of the clustered entries
 
 
+def _parse_record(line: bytes, d: int) -> tuple[Sketch, str, dict]:
+    rec = json.loads(line)
+    sk = Sketch(
+        values=decode_values(base64.b64decode(rec["values"]), d),
+        kind=rec["kind"],
+        depth=rec["depth"],
+        erased_prefix=rec["erased_prefix"],
+        signature_mode=rec.get("signature_mode", False),
+    )
+    return sk, rec["id"], rec["tags"]
+
+
 class SketchRepository:
     """In-memory sketch store with an optional append-only log file."""
 
     def __init__(self, d: int, log_path: str | None = None, lsh_planes: int = 16, seed: int = 0):
         self.d = d
-        self.log_path = log_path
+        self.log_path = None  # set after the replay, which must not log again
         self._entries: list[SketchEntry] = []
         self._write_lock = threading.Lock()
-        self._seed = seed
         rng = derive_rng(seed, "repository-hyperplanes")
         self._planes = rng.standard_normal((lsh_planes, d)) if lsh_planes > 0 else None
         self._buckets: dict[int, list[int]] = {}
         if log_path and os.path.exists(log_path):
             self._replay_log(log_path)
+        self.log_path = log_path
 
     # -- insertion ---------------------------------------------------------
 
@@ -88,37 +100,56 @@ class SketchRepository:
         return len(self._entries)
 
     def _log_line(self, entry: SketchEntry) -> str:
-        payload = base64.b64encode(
-            struct.pack(f"<{self.d}d", *entry.sketch.values)
-        ).decode("ascii")
-        return json.dumps(
-            {
-                "id": entry.id,
-                "tags": entry.tags,
-                "kind": entry.sketch.kind,
-                "depth": entry.sketch.depth,
-                "erased_prefix": entry.sketch.erased_prefix,
-                "values": payload,
-            },
-            sort_keys=True,
-        )
+        rec = {
+            "id": entry.id,
+            "tags": entry.tags,
+            "kind": entry.sketch.kind,
+            "depth": entry.sketch.depth,
+            "erased_prefix": entry.sketch.erased_prefix,
+            "values": base64.b64encode(encode_values(entry.sketch.values)).decode("ascii"),
+        }
+        if entry.sketch.signature_mode:
+            # written only when set, so logs of plain sketches keep their bytes
+            rec["signature_mode"] = True
+        return json.dumps(rec, sort_keys=True)
 
     def _replay_log(self, path: str) -> None:
-        with open(path, encoding="utf-8") as fh:
+        """Re-insert every logged record.
+
+        A record is committed by its newline.  A final line without one is a
+        torn append that ``insert`` never returned from: it is dropped with a
+        warning and cut from the file, so the next append starts on a clean
+        line.  A malformed line anywhere else is an error.
+        """
+        complete = 0
+        with open(path, "rb") as fh:
             for line in fh:
-                rec = json.loads(line)
-                values = np.array(struct.unpack(f"<{self.d}d", base64.b64decode(rec["values"])))
-                sk = Sketch(
-                    values=values,
-                    kind=rec["kind"],
-                    depth=rec["depth"],
-                    erased_prefix=rec["erased_prefix"],
-                )
-                saved_log, self.log_path = self.log_path, None
+                if not line.endswith(b"\n"):
+                    break
                 try:
-                    self.insert(sk, rec["id"], rec["tags"])
-                finally:
-                    self.log_path = saved_log
+                    sk, eid, tags = _parse_record(line, self.d)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ParameterError(f"{path}: malformed record at byte {complete}: {exc}") from None
+                self.insert(sk, eid, tags)
+                complete += len(line)
+        torn = os.path.getsize(path) - complete
+        if torn:
+            warnings.warn(f"{path}: dropped a torn final record of {torn} bytes", RuntimeWarning, stacklevel=3)
+            with open(path, "r+b") as fh:
+                fh.truncate(complete)
+
+    @classmethod
+    def from_log(cls, log_path: str) -> "SketchRepository":
+        """Reopen a logged store, taking d from its first record."""
+        try:
+            with open(log_path, "rb") as fh:
+                first = json.loads(fh.readline())
+            d = len(base64.b64decode(first["values"])) // 8
+        except FileNotFoundError:
+            raise ParameterError(f"no sketch store at {log_path}") from None
+        except (ValueError, KeyError, TypeError):
+            raise ParameterError(f"{log_path} does not start with a complete record") from None
+        return cls(d, log_path=log_path)
 
     # -- retrieval ----------------------------------------------------------
 
@@ -164,13 +195,11 @@ class SketchRepository:
 
     # -- clustering ----------------------------------------------------------
 
-    def cluster(self, k: int, iterations: int = 25, seed: int = 0) -> ClusterResult:
+    def cluster(self, k: int, iterations: int = 25) -> ClusterResult:
         """Deterministic k-means over the stored sketch vectors.
 
         Initialization orders entries by a content hash (not insert order),
-        so a reordering of the same entries yields the same clustering; the
-        seed is accepted for interface stability but the procedure is fully
-        deterministic without it.
+        so a reordering of the same entries yields the same clustering.
         """
         snapshot = self._entries[: len(self._entries)]
         n = len(snapshot)

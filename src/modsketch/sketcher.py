@@ -26,7 +26,6 @@ deterministic functions of the registry's master seed.
 from __future__ import annotations
 
 import hashlib
-import struct
 import threading
 from dataclasses import dataclass, replace
 from typing import Literal
@@ -366,10 +365,23 @@ def erase_to_prefix(sk: Sketch, d_prime: int) -> Sketch:
         return replace(sk, erased_prefix=min(sk.erased_prefix, d_prime))
     values = sk.values.copy()
     values[d_prime:] = 0.0
-    return Sketch(values=values, kind=sk.kind, depth=sk.depth, erased_prefix=d_prime)
+    return replace(sk, values=values, erased_prefix=d_prime)
 
 
 _SKETCH_MAGIC = "modsketch-sketch v1"
+
+
+def encode_values(values: np.ndarray) -> bytes:
+    """Little-endian float64 payload of a sketch vector."""
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+def decode_values(payload: bytes, d: int) -> np.ndarray:
+    """Inverse of :func:`encode_values`; a payload of the wrong length is
+    refused rather than read short."""
+    if len(payload) != 8 * d:
+        raise ParameterError(f"sketch payload holds {len(payload)} bytes, d={d} needs {8 * d}")
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
 
 
 def save_sketch(sk: Sketch, path: str, seed_fingerprint: str = "") -> None:
@@ -381,7 +393,7 @@ def save_sketch(sk: Sketch, path: str, seed_fingerprint: str = "") -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(struct.pack(f"<{sk.d}d", *sk.values))
+        fh.write(encode_values(sk.values))
 
 
 def load_sketch(path: str) -> tuple[Sketch, str]:
@@ -391,7 +403,7 @@ def load_sketch(path: str) -> tuple[Sketch, str]:
             raise ParameterError(f"not a sketch file: {path}")
         fields = dict(tok.split("=", 1) for tok in header[len(_SKETCH_MAGIC) :].split())
         d = int(fields["d"])
-        values = np.array(struct.unpack(f"<{d}d", fh.read(8 * d)))
+        values = decode_values(fh.read(8 * d), d)
     sk = Sketch(
         values=values,
         kind=fields["kind"],  # type: ignore[arg-type]

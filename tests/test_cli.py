@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from modsketch.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from modsketch.network import build_network, save_network
 
 
 def write_json(path, payload):
@@ -58,6 +61,43 @@ def test_gen_sketch_recover_pipeline(tmp_path):
     lines = rec_out.read_text().splitlines()
     assert lines[0].startswith("kind,module,depth")
     assert lines[1].startswith("attributes_unique,m0,2,")
+    # a registry under another seed does not match the sketch's fingerprint
+    other_seed = ["recover", "--config", rec_cfg, "--sketch", str(sk_path), "--out", str(rec_out), "--seed", "4"]
+    assert main(other_seed) == EXIT_VALIDATION
+    # a truncated payload is refused, not read short
+    sk_path.write_bytes(sk_path.read_bytes()[:-8])
+    assert main(["recover", "--config", rec_cfg, "--sketch", str(sk_path), "--out", str(rec_out)]) == EXIT_VALIDATION
+
+
+def test_recover_signature_sketch_at_full_scale(tmp_path, capsys):
+    params = {"d_request": 8192, "n_cap": 8}
+    net = build_network(
+        {
+            "modules": [{"id": "out", "output": True}, {"id": "leaf"}],
+            "objects": [
+                {"id": "root", "module": "out", "attributes": []},
+                {"id": "a", "module": "leaf", "attributes": [0.6, 0.0, 0.8]},
+            ],
+            "edges": [("root", "a", 1.0)],
+        },
+        d=8211,
+    )
+    net_path = tmp_path / "leaf.net"
+    save_network(net, str(net_path))
+    base = {"seed": 11, "allow_high_noise": True, "params": params}
+    sk_cfg = write_json(tmp_path / "sk.json", {**base, "signature": True})
+    sk_path = tmp_path / "leaf.sketch"
+    assert main(["sketch", "--config", sk_cfg, "--network", str(net_path), "--out", str(sk_path)]) == EXIT_OK
+    estimates = {}
+    for kind in ("frequency", "attributes_unique"):
+        cfg = write_json(tmp_path / f"{kind}.json", {**base, "query": {"kind": kind, "module": "leaf"}})
+        capsys.readouterr()
+        assert main(["recover", "--config", cfg, "--sketch", str(sk_path), "--out", str(tmp_path / "q.csv")]) == EXIT_OK
+        estimates[kind] = capsys.readouterr().out.splitlines()[0]
+    count = float(estimates["frequency"].split("estimate=")[1].split()[0])
+    assert abs(count - 1.0) < 0.2
+    attrs = [float(v) for v in estimates["attributes_unique"].split("=[")[1].split("]")[0].split(",")[:3]]
+    assert np.max(np.abs(np.array(attrs) - [0.6, 0.0, 0.8])) < 0.1
 
 
 def test_similarity_command(tmp_path):
@@ -75,6 +115,9 @@ def test_similarity_command(tmp_path):
     out = tmp_path / "sim.csv"
     assert main(["similarity", "--sketch-a", str(a), "--sketch-b", str(b), "--out", str(out)]) == EXIT_OK
     assert out.exists()
+    # sketches made under different seeds are not comparable
+    main(["sketch", "--config", sk_cfg, "--network", str(net_path), "--out", str(b), "--seed", "6"])
+    assert main(["similarity", "--sketch-a", str(a), "--sketch-b", str(b)]) == EXIT_VALIDATION
 
 
 def test_run_rerun_byte_identical(tmp_path):
@@ -137,6 +180,10 @@ def test_repo_commands(tmp_path):
     assert main(["repo", "insert", "--store", str(store), "--sketch", str(sk), "--id", "first"]) == EXIT_OK
     assert main(["repo", "query", "--store", str(store), "--sketch", str(sk), "--k", "1"]) == EXIT_OK
     assert main(["repo", "cluster", "--store", str(store), "--k", "1"]) == EXIT_OK
+    missing, empty = tmp_path / "missing.log", tmp_path / "empty.log"
+    empty.write_text("")
+    assert main(["repo", "cluster", "--store", str(missing), "--k", "1"]) == EXIT_VALIDATION
+    assert main(["repo", "cluster", "--store", str(empty), "--k", "1"]) == EXIT_VALIDATION
 
 
 def test_config_error_exit_code(tmp_path):
@@ -176,8 +223,6 @@ def test_calibrate_fitted_c_stable_under_trial_doubling(tmp_path):
 
 
 def test_learn_dict_files_mode(tmp_path):
-    import numpy as np
-
     from modsketch.block_random import BlockParams, sample_matrix
     from modsketch.sketcher import Sketch, save_sketch
 

@@ -18,7 +18,6 @@ from modsketch.recovery import (
     recover_attributes_by_path,
     recover_attributes_unique,
     recover_frequency,
-    recover_from_prefix,
     recover_mean_attributes,
     recover_signature,
     recover_summed_attributes,
@@ -372,6 +371,21 @@ def test_signature_roundtrip_large_d():
     np.testing.assert_array_equal(rep.estimate, truth)
 
 
+def test_signature_sketch_recoveries_read_mode_from_sketch():
+    # signature mode scales attribute terms by 1/3 instead of 1/2; every
+    # recovery must take that from the sketch, and erasure must keep it
+    reg = registry_for(8192, n_cap=8, seed=11)
+    net = leaf_net(reg.params.d)
+    sk = overall_sketch(net, reg, signature_mode=True)
+    assert recover_frequency(sk, "leaf", 2, 1.0, reg).estimate == pytest.approx(1.0, abs=0.2)
+    attrs = recover_attributes_unique(sk, "leaf", 2, 1.0, reg).estimate[:3]
+    assert np.max(np.abs(attrs - ATTRS)) < 0.1
+    rep = recover_signature(erase_to_prefix(sk, sk.d * 9 // 10), "leaf", h=2, w=1.0, registry=reg)
+    assert rep.extras["matched"]
+    truth = object_signature(net.objects["a"], reg.params.n_cap, reg.params.d)
+    np.testing.assert_array_equal(rep.estimate, truth)
+
+
 def test_signature_equal_attributes_equal_signature():
     net = leaf_net(64)
     sig1 = object_signature(net.objects["a"], 16, 64)
@@ -410,7 +424,7 @@ def test_prefix_full_is_identity():
     net = leaf_net(reg.params.d)
     sk = overall_sketch(net, reg)
     full = recover_attributes_unique(sk, "leaf", 2, 1.0, reg)
-    via = recover_from_prefix(sk, "attributes_unique", reg, module="leaf", h=2, w=1.0)
+    via = recover_attributes_unique(erase_to_prefix(sk, sk.d), "leaf", 2, 1.0, reg)
     np.testing.assert_array_equal(full.estimate, via.estimate)
 
 

@@ -159,8 +159,8 @@ def test_cluster_stable_under_reordering():
     repo2 = SketchRepository(D)
     for v in reversed(vecs):
         repo2.insert(make_sketch(v))
-    r1 = repo1.cluster(k=3, seed=7)
-    r2 = repo2.cluster(k=3, seed=7)
+    r1 = repo1.cluster(k=3)
+    r2 = repo2.cluster(k=3)
     np.testing.assert_allclose(np.sort(r1.centroids, axis=0), np.sort(r2.centroids, axis=0), atol=1e-9)
 
 
@@ -176,3 +176,60 @@ def test_log_roundtrip(tmp_path):
     hits = again.query_similar(sketches[2], k=1)
     assert hits[0].entry.id == "e2"
     assert hits[0].entry.tags == {"n": "2"}
+
+
+def test_log_replay_keeps_signature_mode(tmp_path):
+    log = tmp_path / "repo.log"
+    repo = SketchRepository(D, log_path=str(log))
+    rng = np.random.default_rng(6)
+    plain = rand_sketch(rng)
+    signed = rand_sketch(rng)
+    signed.signature_mode = True
+    repo.insert(plain, "plain")
+    repo.insert(signed, "signed")
+    # the field is written only when set, so plain records keep their bytes
+    assert ["signature_mode" in line for line in log.read_text().splitlines()] == [False, True]
+    again = SketchRepository.from_log(str(log))
+    assert again.d == D
+    modes = {h.entry.id: h.entry.sketch.signature_mode for h in again.query_similar(plain, k=2)}
+    assert modes == {"plain": False, "signed": True}
+
+
+def test_torn_final_record_is_dropped_and_cut(tmp_path):
+    log = tmp_path / "repo.log"
+    repo = SketchRepository(D, log_path=str(log))
+    rng = np.random.default_rng(7)
+    sketches = [rand_sketch(rng) for _ in range(3)]
+    for i, s in enumerate(sketches[:2]):
+        repo.insert(s, f"e{i}")
+    complete = log.read_bytes()
+    line = repo._log_line(repo._entries[0])
+    log.write_bytes(complete + line[: len(line) // 2].encode())  # a crash mid-append
+    with pytest.warns(RuntimeWarning, match="torn final record"):
+        again = SketchRepository(D, log_path=str(log))
+    assert len(again) == 2
+    assert log.read_bytes() == complete
+    again.insert(sketches[2], "e2")
+    third = SketchRepository(D, log_path=str(log))
+    assert [e.id for e in third._entries] == ["e0", "e1", "e2"]
+
+
+def test_malformed_record_before_the_end_is_an_error(tmp_path):
+    log = tmp_path / "repo.log"
+    repo = SketchRepository(D, log_path=str(log))
+    rng = np.random.default_rng(8)
+    repo.insert(rand_sketch(rng), "e0")
+    repo.insert(rand_sketch(rng), "e1")
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text(lines[0][:40] + "\n" + lines[1])
+    with pytest.raises(ParameterError, match="malformed record at byte 0"):
+        SketchRepository(D, log_path=str(log))
+
+
+def test_from_log_refuses_missing_or_empty_store(tmp_path):
+    with pytest.raises(ParameterError, match="no sketch store"):
+        SketchRepository.from_log(str(tmp_path / "absent.log"))
+    empty = tmp_path / "empty.log"
+    empty.write_text("")
+    with pytest.raises(ParameterError, match="complete record"):
+        SketchRepository.from_log(str(empty))
