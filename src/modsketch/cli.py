@@ -14,6 +14,7 @@ Exit codes: 0 ok, 2 config error, 3 validation error.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import math
 import os
@@ -40,6 +41,7 @@ from modsketch.dictlearn import (
 from modsketch.network import (
     NetworkValidationError,
     SyntheticProfile,
+    build_network,
     generate_synthetic,
     load_network,
     save_network,
@@ -266,11 +268,8 @@ def cmd_similarity(sketch_a: str, sketch_b: str, out_path: str | None) -> int:
     value = sketch_similarity(a, b)
     print(f"similarity: {value!r}")
     if out_path:
-        rows = [f"sim,,1,1.0,{a.d},{a.erased_prefix},0,,{value!r}"]
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report_csv_header() + "\n")
-            for r in rows:
-                fh.write(r + "\n")
+            fh.write(f"{report_csv_header()}\nsim,,1,1.0,{a.d},{a.erased_prefix},0,,{value!r}\n")
     return EXIT_OK
 
 
@@ -319,8 +318,6 @@ def cmd_run(cfg: dict, seed: int, out_path: str) -> int:
 
 
 def _single_leaf_network(d: int, attrs, module="leaf"):
-    from modsketch.network import build_network
-
     return build_network(
         {
             "modules": [{"id": "out", "output": True}, {"id": module}],
@@ -378,17 +375,13 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
             _result_row(run_id, seed, params, "all_within_criterion", int(report.all_within_criterion()))
         )
     elif mode == "files":
-        import glob
-
-        from modsketch.sketcher import load_sketch as _load
-
         samples_dir = _require(cfg, "samples_dir")
         paths = sorted(glob.glob(os.path.join(samples_dir, "*.sketch")))
         if not paths:
             raise ConfigError(f"no .sketch files under {samples_dir!r}")
         vectors = []
         for path in paths:
-            sk, _fp = _load(path)
+            sk, _fp = load_sketch(path)
             if sk.d != params.d:
                 raise ConfigError(f"{path}: dimension {sk.d} != params d {params.d}")
             vectors.append(sk.values)
@@ -408,8 +401,6 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
         n_sketches = int(teacher.get("n_sketches", 500))
         attrs_a = teacher.get("attrs_a", [0.6, 0.0, 0.8])
         attrs_b = teacher.get("attrs_b", [0.0, 1.0])
-        from modsketch.network import build_network
-
         net = build_network(
             {
                 "modules": [{"id": "out", "output": True}, {"id": "A"}, {"id": "B"}],

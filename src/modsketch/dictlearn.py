@@ -64,6 +64,9 @@ def default_eps_schedule(eps_final: float, levels: int) -> tuple[float, ...]:
     return tuple(eps_final / (2.0 ** (levels - h)) for h in range(1, levels + 1))
 
 
+HAMMING_MATCH_FRAC = 0.01  # signature match radius, as a fraction of b
+
+
 @dataclass
 class DLConfig:
     """Thresholds of the block-scanning recovery.
@@ -75,12 +78,8 @@ class DLConfig:
 
     params: BlockParams
     eps_recover: float = 0.1
-    tau1: float | None = None
-    tau2: float | None = None
     set_floor_frac: float = 0.9**3
-    hamming_match_frac: float = 0.01
     sig_match_eps_factor: float = 10.0
-    eps_schedule: tuple[float, ...] = ()
 
     @property
     def scale(self) -> float:
@@ -88,14 +87,10 @@ class DLConfig:
 
     @property
     def tau1_value(self) -> float:
-        if self.tau1 is not None:
-            return self.tau1
         return 0.5 * self.eps_recover * self.scale
 
     @property
     def tau2_value(self) -> float:
-        if self.tau2 is not None:
-            return self.tau2
         return self.eps_recover**2
 
     @property
@@ -109,7 +104,7 @@ class DLConfig:
 
     @property
     def hamming_radius(self) -> int:
-        return int(self.hamming_match_frac * self.params.b)
+        return int(HAMMING_MATCH_FRAC * self.params.b)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +139,6 @@ class LearnedDictionary:
         for (i, j), val in self.coefficients[k].items():
             out.setdefault(i, np.zeros(d))[j - 1] = val
         return out
-
-
-def _sym_linf(a: np.ndarray, b: np.ndarray) -> float:
-    return min(float(np.max(np.abs(a - b))), float(np.max(np.abs(a + b))))
 
 
 def _sym_hamming(a: np.ndarray, b: np.ndarray) -> int:

@@ -14,6 +14,7 @@ one common depth, so modules have well-defined depths too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -108,28 +109,6 @@ class ModularNetwork:
     def recursion_budget(self) -> int:
         """H = 3 x maximum depth, the unrolling horizon used downstream."""
         return 3 * self.max_depth
-
-    def reachable_ids(self) -> list[str]:
-        """Objects reachable from the output pseudo-object, preorder."""
-        seen: list[str] = []
-        visited: set[str] = set()
-        stack = [self.output_object_id]
-        while stack:
-            oid = stack.pop()
-            if oid in visited:
-                continue
-            visited.add(oid)
-            seen.append(oid)
-            stack.extend(cid for cid, _ in reversed(self.objects[oid].inputs))
-        return seen
-
-    def module_objects(self, module_id: str) -> list[ObjectNode]:
-        reach = set(self.reachable_ids())
-        return [
-            o
-            for o in self.objects.values()
-            if o.producer == module_id and o.id in reach and o.id != self.output_object_id
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -235,35 +214,45 @@ def build_network(
 
 
 def _assign_depths(net: ModularNetwork) -> None:
-    """Depth-label reachable objects; detect cycles and depth conflicts."""
+    """Depth-label reachable objects; detect cycles and depth conflicts.
+
+    A depth-first walk from the output pseudo-object in edge order, on an
+    explicit stack of (object id, depth, remaining children) frames, so the
+    depth of a network is not bounded by Python's recursion limit.
+    """
     depths: dict[str, int] = {}
     module_depth: dict[str, int] = {}
     on_path: set[str] = set()
-
-    def visit(oid: str, depth: int) -> None:
+    stack: list[tuple[str, int, Iterator[tuple[str, float]]]] = []
+    oid, depth = net.output_object_id, 1
+    while True:
         if oid in on_path:
             raise CycleError(f"cycle through object {oid!r}")
         prev = depths.get(oid)
-        if prev is not None:
-            if prev != depth:
+        if prev is None:
+            obj = net.objects[oid]
+            mod_prev = module_depth.get(obj.producer)
+            if mod_prev is not None and mod_prev != depth:
                 raise DepthConsistencyError(
-                    f"object {oid!r} reachable at depths {prev} and {depth}"
+                    f"module {obj.producer!r} has objects at depths {mod_prev} and {depth}"
                 )
-            return
-        obj = net.objects[oid]
-        mod_prev = module_depth.get(obj.producer)
-        if mod_prev is not None and mod_prev != depth:
-            raise DepthConsistencyError(
-                f"module {obj.producer!r} has objects at depths {mod_prev} and {depth}"
-            )
-        module_depth[obj.producer] = depth
-        depths[oid] = depth
-        on_path.add(oid)
-        for child, _ in obj.inputs:
-            visit(child, depth + 1)
-        on_path.discard(oid)
-
-    visit(net.output_object_id, 1)
+            module_depth[obj.producer] = depth
+            depths[oid] = depth
+            on_path.add(oid)
+            stack.append((oid, depth, iter(obj.inputs)))
+        elif prev != depth:
+            raise DepthConsistencyError(f"object {oid!r} reachable at depths {prev} and {depth}")
+        # next child of the innermost unfinished object; finished ones leave the path
+        while stack:
+            parent, parent_depth, children = stack[-1]
+            child = next(children, None)
+            if child is not None:
+                oid, depth = child[0], parent_depth + 1
+                break
+            stack.pop()
+            on_path.discard(parent)
+        else:
+            break
     for oid, depth in depths.items():
         net.objects[oid].depth = depth
     # Unreachable objects keep depth 0 and are excluded from sketches.
@@ -312,6 +301,11 @@ class SyntheticProfile:
     def __post_init__(self) -> None:
         if self.n_modules < 1 or self.depth < 2 or self.fan_in < 1:
             raise NetworkValidationError("infeasible synthetic profile")
+        if self.n_modules < self.depth - 1:
+            raise NetworkValidationError(
+                f"{self.n_modules} modules cannot cover {self.depth - 1} object levels "
+                "(each level needs a module of its own)"
+            )
         if self.weight_scheme not in ("uniform", "random"):
             raise NetworkValidationError(f"unknown weight scheme {self.weight_scheme!r}")
 
@@ -348,23 +342,28 @@ def generate_synthetic(profile: SyntheticProfile, seed: int, d: int) -> ModularN
 
     counter = 0
 
-    def grow(parent_id: str, level: int) -> None:
+    def grow(parent_id: str, level: int) -> Iterator[tuple[str, int]]:
+        # Adds parent's children one at a time, yielding each so the caller
+        # grows its subtree before the next sibling (and its draws) is made.
         nonlocal counter
-        if level >= levels:
-            return
-        k = profile.fan_in
-        ws = weights(k)
+        ws = weights(profile.fan_in)
         mods = per_level[level]
-        for i in range(k):
+        for i in range(profile.fan_in):
             oid = f"o{counter}"
             counter += 1
             objects.append(
                 {"id": oid, "module": mods[(counter + i) % len(mods)], "attributes": make_attrs()}
             )
             edges.append((parent_id, oid, ws[i]))
-            grow(oid, level + 1)
+            yield oid, level + 1
 
-    grow("root", 0)
+    stack = [grow("root", 0)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif child[1] < levels:
+            stack.append(grow(*child))
     return build_network(
         {"modules": modules, "objects": objects, "edges": edges},
         d=d,
@@ -485,21 +484,3 @@ def load_network(path: str) -> ModularNetwork:
         n_multiplier=int(meta.get("n_multiplier", "3")),
         n_cap=int(meta["n_cap"]) if "n_cap" in meta else None,
     )
-
-
-def networks_equal(a: ModularNetwork, b: ModularNetwork) -> bool:
-    """Structural equality, used by roundtrip tests."""
-    if a.d != b.d or a.n_cap != b.n_cap or a.output_object_id != b.output_object_id:
-        return False
-    if set(a.modules) != set(b.modules) or set(a.objects) != set(b.objects):
-        return False
-    for mid, mod in a.modules.items():
-        if b.modules[mid].is_output != mod.is_output:
-            return False
-    for oid, obj in a.objects.items():
-        other = b.objects[oid]
-        if obj.producer != other.producer or obj.inputs != other.inputs:
-            return False
-        if not np.array_equal(obj.attributes, other.attributes):
-            return False
-    return True

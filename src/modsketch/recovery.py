@@ -23,13 +23,14 @@ signature mode is read from the sketch itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from modsketch.block_random import AnyMatrix, ParameterError
 from modsketch.calibrated import PREDICTED_ERROR_COEFF, delta_desync_fit
-from modsketch.sketcher import MatrixRegistry, Sketch
+from modsketch.sketcher import MatrixRegistry, Sketch, input_tuple_depth, pair_tuple_depth
 
 __all__ = [
     "RecoveryError",
@@ -38,7 +39,6 @@ __all__ = [
     "RecoveryReport",
     "beta_factor",
     "predicted_error",
-    "signal_threshold",
     "recover_attributes_unique",
     "PathStep",
     "recover_attributes_by_path",
@@ -94,31 +94,31 @@ def beta_factor(h: int, w: float, signature_mode: bool = False) -> float:
         raise RecoveryError(f"recoverable objects sit at depth >= 2, got {h}")
     if w <= 0:
         raise RecoveryError("effective weight must be positive")
+    if 4 * h - 4 >= sys.float_info.max_exp:
+        raise RecoveryError(f"beta = 2^{4 * h - 3}/w at depth {h} overflows a float")
     coeff = 3.0 if signature_mode else 2.0
     return coeff * float(2 ** (4 * h - 4)) / w
 
 
-def predicted_error(
-    h: int, w: float, registry: MatrixRegistry, erased_prefix: int | None = None
-) -> float:
-    """Calibrated noise scale for a depth-h, weight-w recovery.
-
-    The form mirrors the analysis bound O(2^{3h} h delta / w): the fitted
-    desynchronization deviation, amplified by beta and by the number of
-    accumulation steps h, inflated by sqrt(d/d') on an erased prefix.
-    """
+def _noise_bound(beta: float, h: int, registry: MatrixRegistry, erased_prefix: int | None) -> float:
     p = registry.params
-    delta = delta_desync_fit(p.d, p.b, p.n_cap)
-    scale = beta_factor(h, w) * h * delta * PREDICTED_ERROR_COEFF
+    scale = beta * h * delta_desync_fit(p.d, p.b, p.n_cap) * PREDICTED_ERROR_COEFF
     if erased_prefix is not None and erased_prefix < p.d:
         scale *= math.sqrt(p.d / erased_prefix)
     return scale
 
 
-def signal_threshold(h: int, w: float, registry: MatrixRegistry, erased_prefix=None) -> float:
-    """Default decision level for "is this coordinate real signal": 3x the
-    calibrated query noise."""
-    return 3.0 * predicted_error(h, w, registry, erased_prefix)
+def predicted_error(
+    h: int, w: float, registry: MatrixRegistry, erased_prefix: int | None = None
+) -> float:
+    """Calibrated noise scale for a depth-h, weight-w recovery of a plain
+    sketch (a report on a signature sketch scales it by that mode's beta).
+
+    The form mirrors the analysis bound O(2^{3h} h delta / w): the fitted
+    desynchronization deviation, amplified by beta and by the number of
+    accumulation steps h, inflated by sqrt(d/d') on an erased prefix.
+    """
+    return _noise_bound(beta_factor(h, w), h, registry, erased_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def _report(sk: Sketch, registry: MatrixRegistry, h: int, w: float, **fields) ->
         weight=w,
         erased_prefix=sk.erased_prefix,
         d=sk.d,
-        predicted_error=predicted_error(h, w, registry, sk.erased_prefix),
+        predicted_error=_noise_bound(beta_factor(h, w, sk.signature_mode), h, registry, sk.erased_prefix),
         **fields,
     )
 
@@ -204,12 +204,13 @@ def recover_attributes_by_path(
     _check_erasure(sk, registry)
     h = len(path) + 1
     v = sk.values
-    for i, step in enumerate(path):
-        is_last = i == len(path) - 1
-        v = registry.tuple_matrix(step.tuple_position, 2 * i + 1).rmatvec(v)
+    for parent_depth, step in enumerate(path, start=1):
+        # descend from a depth-k object into its child at depth k+1
+        is_last = parent_depth == len(path)
+        v = registry.tuple_matrix(step.tuple_position, input_tuple_depth(parent_depth)).rmatvec(v)
         v = registry.module_matrix(step.module, 0).rmatvec(v)
         pair_pos = 1 if is_last else 2
-        v = registry.tuple_matrix(pair_pos, 2 * i + 2).rmatvec(v)
+        v = registry.tuple_matrix(pair_pos, pair_tuple_depth(parent_depth + 1)).rmatvec(v)
     target = path[-1].module
     dense = replace(sk, values=v, erased_prefix=len(v))
     beta, est = _scaled_contract(dense, target, 1, h, w, registry)

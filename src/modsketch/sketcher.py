@@ -1,7 +1,9 @@
 """The recursive sketch construction.
 
-Sketching walks the network from the output pseudo-object down.  The
-building block is the tuple sketch
+The sketch is defined recursively from the output pseudo-object down, and
+computed in one pass the other way: objects are visited deepest first, so
+every object's children are sketched before it is.  The building block is
+the tuple sketch
 
     tuple(s_1..s_k; w_1..w_k) = sum_i w_i * (I + R_i)/2 * s_i
 
@@ -13,13 +15,14 @@ contributes
     input(theta)  = tuple(object(child_1), ..., object(child_k); w_1..w_k)
     object(theta) = (I + R_{M,0})/2 * tuple(attr, input; 1/2, 1/2)
 
-and the overall sketch is the *input* subsketch of the output pseudo-object
+and the overall sketch is the *input* tuple of the output pseudo-object
 (not its object sketch, which would inject a shared R_{out,2} e_1 term into
 every sketch and ruin dissimilarity of unrelated inputs).
 
 Tuple matrices are drawn per (position, tuple depth), where tuple depth
 starts at 1 for the overall sketch and increases every time a tuple sketch
-is taken; module matrices are drawn per (module, slot).  All draws are
+is taken (``input_tuple_depth``/``pair_tuple_depth``, which path recovery
+reads too); module matrices are drawn per (module, slot).  All draws are
 deterministic functions of the registry's master seed.
 """
 
@@ -51,8 +54,7 @@ __all__ = [
     "PrototypeScopeError",
     "tuple_sketch",
     "attribute_subsketch",
-    "input_subsketch",
-    "object_sketch",
+    "object_sketches",
     "overall_sketch",
     "prototype_a_overall",
     "prototype_b_overall",
@@ -88,9 +90,6 @@ class Sketch:
     @property
     def d(self) -> int:
         return len(self.values)
-
-    def copy_with(self, values: np.ndarray) -> "Sketch":
-        return replace(self, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,6 @@ def tuple_sketch(
     weights: list[float],
     tuple_depth: int,
     registry: MatrixRegistry,
-    depth: int = 1,
 ) -> Sketch:
     """Weighted sum of transparent-matrix applications; empty input -> zero."""
     if len(sketches) != len(weights):
@@ -203,7 +201,7 @@ def tuple_sketch(
             continue
         mat = registry.tuple_matrix(pos, tuple_depth)
         acc += w * _transparent(mat, sk.values)
-    return Sketch(values=acc, kind="tuple", depth=depth, erased_prefix=d)
+    return Sketch(values=acc, kind="tuple", depth=1, erased_prefix=d)
 
 
 def object_signature(obj: ObjectNode, n_cap: int, d: int) -> np.ndarray:
@@ -248,58 +246,46 @@ def attribute_subsketch(
     return Sketch(values=values, kind="attribute", depth=obj.depth, erased_prefix=d)
 
 
-def _pair_tuple_depth(object_depth: int) -> int:
-    # attr/input pair of a depth-k object
-    return 2 * (object_depth - 1)
-
-
-def _input_tuple_depth(object_depth: int) -> int:
-    # input tuple of a depth-k object (the overall sketch is k=1 -> depth 1)
+def input_tuple_depth(object_depth: int) -> int:
+    """Tuple depth of a depth-k object's input tuple (the overall sketch is
+    the output pseudo-object's, k=1 -> 1)."""
     return 2 * object_depth - 1
 
 
-def input_subsketch(
-    net: ModularNetwork,
-    obj: ObjectNode,
-    registry: MatrixRegistry,
-    signature_mode: bool = False,
-    _memo: dict[str, Sketch] | None = None,
-) -> Sketch:
-    memo = {} if _memo is None else _memo
-    children = [
-        object_sketch(net, net.objects[cid], registry, signature_mode, memo)
-        for cid, _ in obj.inputs
-    ]
+def pair_tuple_depth(object_depth: int) -> int:
+    """Tuple depth of a depth-k object's attr/input pair."""
+    return 2 * (object_depth - 1)
+
+
+def _input_tuple(obj: ObjectNode, objects: dict[str, Sketch], registry: MatrixRegistry) -> Sketch:
+    children = [objects[cid] for cid, _ in obj.inputs]
     weights = [w for _, w in obj.inputs]
-    sk = tuple_sketch(children, weights, _input_tuple_depth(obj.depth), registry, obj.depth)
-    return replace(sk, kind="input", signature_mode=signature_mode)
+    return tuple_sketch(children, weights, input_tuple_depth(obj.depth), registry)
 
 
-def object_sketch(
+def object_sketches(
     net: ModularNetwork,
-    obj: ObjectNode,
     registry: MatrixRegistry,
     signature_mode: bool = False,
-    _memo: dict[str, Sketch] | None = None,
-) -> Sketch:
-    memo = {} if _memo is None else _memo
-    hit = memo.get(obj.id)
-    if hit is not None:
-        return hit
-    attr = attribute_subsketch(obj, registry, signature_mode, net.n_cap)
-    inp = input_subsketch(net, obj, registry, signature_mode, memo)
-    pair = tuple_sketch(
-        [attr, inp], [0.5, 0.5], _pair_tuple_depth(obj.depth), registry, obj.depth
-    )
-    r0 = registry.module_matrix(obj.producer, 0)
-    sk = Sketch(
-        values=_transparent(r0, pair.values),
-        kind="object",
-        depth=obj.depth,
-        erased_prefix=registry.d,
-    )
-    memo[obj.id] = sk
-    return sk
+) -> dict[str, Sketch]:
+    """Object sketch of every reachable real object (depth >= 2), by id.
+
+    Every edge runs from depth k to k+1, so visiting objects deepest first
+    finds each object's children already sketched.
+    """
+    out: dict[str, Sketch] = {}
+    for obj in sorted((o for o in net.objects.values() if o.depth >= 2), key=lambda o: -o.depth):
+        attr = attribute_subsketch(obj, registry, signature_mode, net.n_cap)
+        inp = _input_tuple(obj, out, registry)
+        pair = tuple_sketch([attr, inp], [0.5, 0.5], pair_tuple_depth(obj.depth), registry)
+        r0 = registry.module_matrix(obj.producer, 0)
+        out[obj.id] = Sketch(
+            values=_transparent(r0, pair.values),
+            kind="object",
+            depth=obj.depth,
+            erased_prefix=registry.d,
+        )
+    return out
 
 
 def overall_sketch(
@@ -307,12 +293,12 @@ def overall_sketch(
     registry: MatrixRegistry,
     signature_mode: bool = False,
 ) -> Sketch:
-    """Input subsketch of the output pseudo-object."""
+    """Input tuple of the output pseudo-object."""
     if net.d != registry.d:
         raise ParameterError(f"network dimension {net.d} != registry dimension {registry.d}")
     registry.check_dimension_floor(net.recursion_budget)
     root = net.objects[net.output_object_id]
-    sk = input_subsketch(net, root, registry, signature_mode, {})
+    sk = _input_tuple(root, object_sketches(net, registry, signature_mode), registry)
     return replace(sk, kind="overall", signature_mode=signature_mode)
 
 
@@ -398,20 +384,19 @@ def save_sketch(sk: Sketch, path: str, seed_fingerprint: str = "") -> None:
 
 def load_sketch(path: str) -> tuple[Sketch, str]:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
+        header = fh.readline().decode("ascii", errors="replace").strip()
         if not header.startswith(_SKETCH_MAGIC):
             raise ParameterError(f"not a sketch file: {path}")
-        fields = dict(tok.split("=", 1) for tok in header[len(_SKETCH_MAGIC) :].split())
-        d = int(fields["d"])
+        try:
+            fields = dict(tok.split("=", 1) for tok in header[len(_SKETCH_MAGIC) :].split())
+            d, depth, erased_prefix = (int(fields[k]) for k in ("d", "depth", "erased_prefix"))
+            sig = int(fields.get("sig", "0"))
+            kind, seed = fields["kind"], fields["seed"]
+        except (KeyError, ValueError) as exc:
+            # a missing field, a token without "=", or a non-integer value
+            raise ParameterError(f"{path}: malformed sketch header ({exc!r})") from None
         values = decode_values(fh.read(8 * d), d)
-    sk = Sketch(
-        values=values,
-        kind=fields["kind"],  # type: ignore[arg-type]
-        depth=int(fields["depth"]),
-        erased_prefix=int(fields["erased_prefix"]),
-        signature_mode=bool(int(fields.get("sig", "0"))),
-    )
-    return sk, fields["seed"]
+    return Sketch(values, kind, depth, erased_prefix, bool(sig)), seed  # type: ignore[arg-type]
 
 
 def export_sketch_csv(sk: Sketch, path: str) -> None:

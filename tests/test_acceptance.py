@@ -279,7 +279,7 @@ def frequency_results():
     absent-module case (count 0) queries a module that never fired against
     the count-5 sketch.
     """
-    from modsketch.sketcher import Sketch, object_sketch
+    from modsketch.sketcher import Sketch, object_sketches
 
     t0 = time.time()
     params = auto_params(8192, 64, q=0.06)
@@ -293,11 +293,11 @@ def frequency_results():
     for seed in range(n_seeds):
         reg = MatrixRegistry(params, master_seed=seed, allow_high_noise=True)
         net5 = counting_net(d, 5)
-        memo = {}
+        objs = object_sketches(net5, reg)
         acc = np.zeros(d)
         prefix = {}
         for i in range(5):
-            osk = object_sketch(net5, net5.objects[f"o{i}"], reg, _memo=memo)
+            osk = objs[f"o{i}"]
             mat = reg.tuple_matrix(i + 1, 1)
             acc += (osk.values + mat.matvec(osk.values)) * 0.5
             prefix[i + 1] = acc.copy()

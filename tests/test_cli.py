@@ -6,8 +6,10 @@ import json
 
 import numpy as np
 
+from modsketch.block_random import auto_params
 from modsketch.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from modsketch.network import build_network, save_network
+from modsketch.sketcher import Sketch, save_sketch
 
 
 def write_json(path, payload):
@@ -204,6 +206,61 @@ def test_validation_error_exit_code(tmp_path):
     sk_cfg = write_json(tmp_path / "sk.json", {"seed": 8, "allow_high_noise": False})
     rc = main(["sketch", "--config", sk_cfg, "--network", str(net), "--out", str(tmp_path / "s")])
     assert rc == EXIT_VALIDATION
+
+
+def recover_config(tmp_path, h=2):
+    return write_json(
+        tmp_path / "rec.json",
+        {
+            "seed": 0,
+            "allow_high_noise": True,
+            "params": {"d_request": 1014, "n_cap": 6},
+            "query": {"kind": "frequency", "module": "m0", "h": h, "w": 1.0},
+        },
+    )
+
+
+def test_malformed_sketch_header_exit_code(tmp_path):
+    rec_cfg = recover_config(tmp_path)
+    sk_path = tmp_path / "bad.sketch"
+    for header in (
+        "modsketch-sketch v1 d=2 kind=overall",  # missing fields
+        "modsketch-sketch v1 d=2 kind=overall depth=1 erased_prefix=2 seed=unknown junk",
+        "modsketch-sketch v1 d=two kind=overall depth=1 erased_prefix=2 seed=unknown",
+        "modsketch-sketch v1 d=2 kind=overall depth=1 erased_prefix=2.5 seed=unknown",
+    ):
+        sk_path.write_bytes(header.encode() + b"\n" + bytes(16))
+        rc = main(["recover", "--config", rec_cfg, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")])
+        assert rc == EXIT_VALIDATION, header
+
+
+def test_recover_beyond_float_depth_exit_code(tmp_path):
+    # beta = 2^(4h-3)/w leaves float range at h = 257
+    d = auto_params(1014, 6).d
+    sk_path = tmp_path / "zero.sketch"
+    save_sketch(Sketch(values=np.zeros(d), kind="overall", depth=1, erased_prefix=d), str(sk_path))
+    argv = ["recover", "--config", recover_config(tmp_path, h=257), "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_VALIDATION
+
+
+def test_gen_network_too_few_modules_exit_code(tmp_path):
+    # every object level below the output needs a module of its own
+    cfg = write_json(
+        tmp_path / "gen.json",
+        {"seed": 0, "dimension": 64, "profile": {"n_modules": 3, "depth": 5, "fan_in": 1}},
+    )
+    assert main(["gen-network", "--config", cfg, "--out", str(tmp_path / "net.txt")]) == EXIT_VALIDATION
+
+
+def test_gen_network_deep_chain(tmp_path):
+    # generation and validation walk the graph without recursing per level
+    cfg = write_json(
+        tmp_path / "gen.json",
+        {"seed": 0, "dimension": 64, "profile": {"n_modules": 1499, "depth": 1500, "fan_in": 1}},
+    )
+    out = tmp_path / "net.txt"
+    assert main(["gen-network", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert sum(line.startswith("object ") for line in out.read_text().splitlines()) == 1500
 
 
 def test_calibrate_fitted_c_stable_under_trial_doubling(tmp_path):

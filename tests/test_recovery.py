@@ -3,6 +3,8 @@ signatures, and erased-prefix variants."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,10 @@ def test_beta_values():
     assert beta_factor(2, 1.0, signature_mode=True) == 48.0
     with pytest.raises(RecoveryError):
         beta_factor(1, 1.0)
+    # 2^(4h-4) leaves float range at h = 257
+    assert beta_factor(256, 1.0) == 2.0**1021
+    with pytest.raises(RecoveryError):
+        beta_factor(257, 1.0)
 
 
 def test_depth2_scaling_orthonormal():
@@ -171,7 +177,7 @@ def test_recovery_linear_in_sketch():
     net = leaf_net(reg.params.d)
     s1 = overall_sketch(net, reg)
     s2 = overall_sketch(leaf_net(reg.params.d, attrs=[1.0]), reg)
-    mix = s1.copy_with(0.3 * s1.values + 0.6 * s2.values)
+    mix = replace(s1, values=0.3 * s1.values + 0.6 * s2.values)
     r1 = recover_attributes_unique(s1, "leaf", 2, 1.0, reg).estimate
     r2 = recover_attributes_unique(s2, "leaf", 2, 1.0, reg).estimate
     rmix = recover_attributes_unique(mix, "leaf", 2, 1.0, reg).estimate
@@ -352,7 +358,7 @@ def test_similarity_symmetric_bilinear():
     s1 = overall_sketch(leaf_net(reg.params.d), reg)
     s2 = overall_sketch(leaf_net(reg.params.d, attrs=[1.0]), reg)
     assert sketch_similarity(s1, s2) == pytest.approx(sketch_similarity(s2, s1))
-    mix = s1.copy_with(2.0 * s1.values)
+    mix = replace(s1, values=2.0 * s1.values)
     assert sketch_similarity(mix, s2) == pytest.approx(2 * sketch_similarity(s1, s2))
 
 
@@ -487,6 +493,17 @@ def test_predicted_error_scales():
     assert predicted_error(2, 1.0, reg, erased_prefix=reg.params.d // 2) == pytest.approx(
         base * np.sqrt(2)
     )
+
+
+def test_signature_report_bound_scales_with_its_beta():
+    # a signature sketch's beta is 3/2 of a plain one's, and so is its bound
+    reg = registry_for(1024, seed=3)
+    net = leaf_net(reg.params.d)
+    plain = recover_frequency(overall_sketch(net, reg), "leaf", 2, 1.0, reg)
+    sig = recover_frequency(overall_sketch(net, reg, signature_mode=True), "leaf", 2, 1.0, reg)
+    assert (plain.beta, sig.beta) == (32.0, 48.0)
+    assert plain.predicted_error == pytest.approx(predicted_error(2, 1.0, reg))
+    assert sig.predicted_error == pytest.approx(1.5 * plain.predicted_error)
 
 
 def test_similarity_invariant_under_object_relabeling():

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from modsketch.block_random import BlockParams, ParameterError, auto_params
-from modsketch.network import build_network, generate_synthetic, SyntheticProfile
+from modsketch.network import (
+    SyntheticProfile,
+    build_network,
+    generate_synthetic,
+    load_network,
+    save_network,
+)
 from modsketch.sketcher import (
     DimensionFloorError,
     MatrixRegistry,
@@ -17,10 +23,9 @@ from modsketch.sketcher import (
     attribute_subsketch,
     erase_to_prefix,
     export_sketch_csv,
-    input_subsketch,
     load_sketch,
-    object_sketch,
     object_signature,
+    object_sketches,
     overall_sketch,
     prototype_a_overall,
     prototype_b_overall,
@@ -147,7 +152,7 @@ def test_object_signature_deterministic_and_sparse():
 def test_single_leaf_identity_object_and_overall():
     net = single_leaf()
     reg = identity_registry()
-    obj = object_sketch(net, net.objects["a"], reg)
+    obj = object_sketches(net, reg)["a"]
     want = np.zeros(reg.d)
     want[:3] = [0.15, 0.0, 0.2]  # x/4
     want[0] += 0.25  # e1/4
@@ -155,13 +160,6 @@ def test_single_leaf_identity_object_and_overall():
     top = overall_sketch(net, reg)
     np.testing.assert_allclose(top.values, want)
     assert top.kind == "overall"
-
-
-def test_leaf_input_subsketch_zero():
-    net = single_leaf()
-    reg = identity_registry()
-    sk = input_subsketch(net, net.objects["a"], reg)
-    assert np.all(sk.values == 0)
 
 
 def test_empty_network_overall_zero():
@@ -175,6 +173,31 @@ def test_empty_network_overall_zero():
     )
     reg = identity_registry()
     assert np.all(overall_sketch(net, reg).values == 0)
+
+
+def test_deep_chain_builds_roundtrips_and_sketches(tmp_path):
+    # Neither validation nor sketching recurses over depth: a 5000-deep chain
+    # (one module per level) goes through the whole pipeline.
+    n = 5000
+    spec = {
+        "modules": [{"id": "out", "output": True}] + [{"id": f"m{i}"} for i in range(n)],
+        "objects": [{"id": "root", "module": "out", "attributes": []}]
+        + [{"id": f"o{i}", "module": f"m{i}", "attributes": [0.0, 1.0]} for i in range(n)],
+        "edges": [("root", "o0", 1.0)] + [(f"o{i}", f"o{i + 1}", 1.0) for i in range(n - 1)],
+    }
+    net = build_network(spec, d=24)
+    assert net.max_depth == n + 1
+    path = tmp_path / "chain.txt"
+    save_network(net, str(path))
+    again = load_network(str(path))
+    save_network(again, str(tmp_path / "chain2.txt"))
+    assert (tmp_path / "chain2.txt").read_text() == path.read_text()
+    # identity mode: object(h) = attr/2 + object(h+1)/2, so the overall
+    # sketch is attr = (e1 + e2)/2 up to a 2^-5000 remainder
+    sk = overall_sketch(again, identity_registry())
+    want = np.zeros(24)
+    want[:2] = 0.5
+    np.testing.assert_allclose(sk.values, want)
 
 
 def test_identical_subtrees_identical_object_sketches():
@@ -191,9 +214,8 @@ def test_identical_subtrees_identical_object_sketches():
         d=PARAMS_MED.d,
     )
     reg = MatrixRegistry(PARAMS_MED, master_seed=7, allow_high_noise=True)
-    sa = object_sketch(net, net.objects["a"], reg)
-    sb = object_sketch(net, net.objects["b"], reg)
-    np.testing.assert_array_equal(sa.values, sb.values)
+    sketches = object_sketches(net, reg)
+    np.testing.assert_array_equal(sketches["a"].values, sketches["b"].values)
 
 
 def test_overall_determinism_and_seed_sensitivity():
