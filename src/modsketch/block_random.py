@@ -45,7 +45,10 @@ __all__ = [
     "BlockRandomMatrix",
     "OrthonormalMatrix",
     "IdentityMatrix",
+    "FirstColumn",
+    "MatrixFirstColumn",
     "sample_matrix",
+    "sample_first_column",
     "sample_orthonormal",
     "NoiseProfile",
     "measure_noise_profile",
@@ -181,7 +184,8 @@ def _index_code_table(d: int, sub_block: int) -> np.ndarray:
 
     Layout per row: a leading +1, the MSB-first binary of j-1 mapped
     0 -> -1 / 1 -> +1, two +1 placeholders for the parity bits, and +1
-    padding out to b/3 entries.
+    padding out to b/3 entries.  The table is shared by every caller, so it
+    is read-only.
     """
     t = _ceil_log2(d)
     if sub_block < t + 3:
@@ -191,6 +195,7 @@ def _index_code_table(d: int, sub_block: int) -> np.ndarray:
     for k in range(t):
         bits = (j >> (t - 1 - k)) & 1
         table[:, 1 + k] = 2 * bits.astype(np.int8) - 1
+    table.flags.writeable = False
     return table
 
 
@@ -281,10 +286,22 @@ class BlockRandomMatrix:
         return np.nonzero(self.eta[:, j - 1])[0]
 
     def prefix_col_sq_norms(self, d_prime: int) -> np.ndarray:
-        """Per-column squared norms restricted to the first d_prime rows."""
-        contrib = (self.csc.data**2) * (self.csc.indices < d_prime)
-        running = np.concatenate([[0.0], np.cumsum(contrib)])
-        return np.diff(running[self.csc.indptr])
+        """Per-column squared norms restricted to the first d_prime rows.
+
+        Every entry squares to the same s^2, so the running sum of squares
+        over the CSC entries, taken left to right from +0.0, is T[n] after n
+        in-prefix entries (out-of-prefix ones add +0.0, which changes
+        nothing).  Counting each column's in-prefix entries from ``eta``
+        gives both ends of its range in that sum.
+        """
+        b = self.params.b
+        full, part = divmod(max(d_prime, 0), b)
+        counts = b * self.eta[:full].sum(axis=0)
+        if part and full < self.params.n_blocks:
+            counts += part * self.eta[full]
+        ends = np.concatenate([[0], np.cumsum(counts)])
+        n = int(ends[-1])
+        return np.diff(_sq_sum_table(self.params, 1 << n.bit_length())[ends])
 
 
 @dataclass
@@ -348,6 +365,89 @@ class IdentityMatrix:
 AnyMatrix = BlockRandomMatrix | OrthonormalMatrix | IdentityMatrix
 
 
+def _scale(params: BlockParams) -> float:
+    """The entry scale, or 0 for q = 0 (which activates no block)."""
+    return params.entry_scale if params.q > 0 else 0.0
+
+
+@lru_cache(maxsize=4)
+def _sq_sum_table(params: BlockParams, length: int) -> np.ndarray:
+    """T[n] = s^2 + ... + s^2 (n terms, added left to right from +0.0) for
+    n < length, s the entry scale; read-only, like the code table.
+
+    Callers round length up to a power of two, so repeated prefixes share a
+    table of at most twice the entries they read (4 MB for a half prefix at
+    d=2070)."""
+    s = _scale(params)
+    table = np.zeros(length)
+    np.cumsum(np.full(length - 1, s * s), out=table[1:])
+    table.flags.writeable = False
+    return table
+
+
+def _draw(params: BlockParams, seed_key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The random part of a draw: int8 signs of sigma_m (b/3,) and sigma_s
+    (d, b/3), int8 flips (3, n_blocks, d) and bool eta (n_blocks, d).
+
+    Draw order is part of the format (v1): sigma_m, sigma_s, flips, eta.
+    """
+    params.require_alignment()
+    d, m, n_blocks = params.d, params.sub_block, params.n_blocks
+    rng = derive_rng(0, "block-matrix", seed_key, params.b, params.q, d)
+    sign_m = rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1
+    sign_s = rng.integers(0, 2, size=(d, m), dtype=np.int8) * 2 - 1
+    flips = rng.integers(0, 2, size=(3, n_blocks, d), dtype=np.int8)
+    flips += flips
+    flips -= 1
+    eta = rng.random(size=(n_blocks, d)) < params.q
+    return sign_m, sign_s, flips, eta
+
+
+# (f_s, f_c, f_m) of sign pattern k: -1 where bit 2, 1 or 0 of k is set
+_PATTERN_FLIPS = 1 - 2 * ((np.arange(8, dtype=np.int8)[:, None] >> np.array([2, 1, 0], dtype=np.int8)) & 1)
+
+
+def _assemble(
+    params: BlockParams, sign_m: np.ndarray, sign_s: np.ndarray, flips: np.ndarray, eta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC data, indices and indptr of the draw's leading eta.shape[1]
+    columns.
+
+    Each active block is built as an int8 sign product and scaled once:
+    every entry is +-1 times +-scale, which is exact, so the floats equal
+    those of assembling in float64.
+    """
+    d, b, m, t = params.d, params.b, params.sub_block, params.index_bits
+    n_blocks, n_cols = eta.shape
+    # column-major (column, block) pairs, so the CSC arrays come out sorted
+    ja, ia = np.divmod(np.flatnonzero(eta.T), n_blocks)
+    fs, fc, fm = np.take(flips.reshape(3, -1), ia * d + ja, axis=1)
+
+    # A block of column j is one of 8 sign patterns, one per (f_s, f_c, f_m):
+    # build each column's 8, then gather one row per active block.
+    f = _PATTERN_FLIPS
+    sign_s = sign_s[:n_cols]
+    patterns = np.empty((n_cols, 8, b), dtype=np.int8)
+    np.multiply(f[None, :, 0, None], sign_s[:, None, :], out=patterns[:, :, :m])
+    code = patterns[:, :, m : 2 * m]
+    code[:] = _index_code_table(d, m)[:n_cols, None, :]
+    code[:, :, t + 1] = f[:, 2] * sign_m[0]
+    code[:, :, t + 2] = f[None, :, 0] * sign_s[:, :1]
+    code *= f[None, :, 1, None]
+    np.multiply(f[:, 2, None], sign_m, out=patterns[:, :, 2 * m :])
+    which = ja * 8 + 4 * (fs < 0) + 2 * (fc < 0) + (fm < 0)
+    block = patterns.reshape(-1, b)[which]
+
+    data = block.ravel() * _scale(params)
+    indices = np.arange(d, dtype=np.int32).reshape(-1, b)[ia].ravel()
+    counts = eta.sum(axis=0).astype(np.int64) * b
+    return data, indices, np.concatenate([[0], np.cumsum(counts)])
+
+
+def _col_sq_norms(params: BlockParams, eta: np.ndarray) -> np.ndarray:
+    return eta.sum(axis=0).astype(np.float64) * params.b * (_scale(params) ** 2)
+
+
 def sample_matrix(params: BlockParams, seed_key: str) -> BlockRandomMatrix:
     """Draw a matrix from D(b, q, d), deterministically given seed_key.
 
@@ -357,66 +457,82 @@ def sample_matrix(params: BlockParams, seed_key: str) -> BlockRandomMatrix:
     column signature Enc(j, f'_m, f'_s), and a Bernoulli(q) activation.  The
     active block of the column is f_s*sigma_s_j || f_c*sigma_c || f_m*sigma_m.
     """
-    params.require_alignment()
-    d, b, q = params.d, params.b, params.q
-    m = params.sub_block
-    n_blocks = params.n_blocks
-    scale = params.entry_scale if q > 0 else 0.0
-
-    rng = derive_rng(0, "block-matrix", seed_key, b, q, d)
-    # Draw order is part of the format: sigma_m, sigma_s, flips, eta.
-    sigma_m = (rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1).astype(np.float64) * scale
-    sigma_s = (rng.integers(0, 2, size=(d, m), dtype=np.int8) * 2 - 1).astype(np.float64) * scale
-    flips = rng.integers(0, 2, size=(3, n_blocks, d), dtype=np.int8)
-    flips += flips
-    flips -= 1
-    eta = rng.random(size=(n_blocks, d)) < q
-
-    # Assemble active blocks column-major so the CSC arrays come out sorted.
-    ja, ia = np.nonzero(eta.T)
-    npair = len(ja)
-    t = params.index_bits
-
-    if npair:
-        fs = flips[0, ia, ja].astype(np.float64)
-        fc = flips[1, ia, ja].astype(np.float64)
-        fm = flips[2, ia, ja].astype(np.float64)
-        sign_m0 = 1.0 if sigma_m[0] > 0 else -1.0
-        sign_s0 = np.where(sigma_s[ja, 0] > 0, 1.0, -1.0)
-
-        enc = _index_code_table(d, m)[ja].astype(np.float64)
-        enc[:, t + 1] = fm * sign_m0
-        enc[:, t + 2] = fs * sign_s0
-        enc *= scale
-
-        block = np.empty((npair, b))
-        block[:, :m] = fs[:, None] * sigma_s[ja]
-        block[:, m : 2 * m] = fc[:, None] * enc
-        block[:, 2 * m :] = fm[:, None] * sigma_m[None, :]
-
-        data = block.ravel()
-        indices = (
-            ia[:, None].astype(np.int32) * b + np.arange(b, dtype=np.int32)[None, :]
-        ).ravel()
-    else:
-        data = np.empty(0)
-        indices = np.empty(0, dtype=np.int32)
-
-    counts = eta.sum(axis=0).astype(np.int64) * b
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    csc = sp.csc_matrix((data, indices, indptr), shape=(d, d))
-    col_sq = eta.sum(axis=0).astype(np.float64) * b * (scale**2)
-
+    sign_m, sign_s, flips, eta = _draw(params, seed_key)
+    d, scale = params.d, _scale(params)
+    csc = sp.csc_matrix(_assemble(params, sign_m, sign_s, flips, eta), shape=(d, d))
     return BlockRandomMatrix(
         params=params,
         seed_key=seed_key,
-        sigma_m=sigma_m,
-        sigma_s=sigma_s,
+        sigma_m=sign_m.astype(np.float64) * scale,
+        sigma_s=sign_s.astype(np.float64) * scale,
         flips=flips,
         eta=eta,
         csc=csc,
-        col_sq_norms=col_sq,
+        col_sq_norms=_col_sq_norms(params, eta),
     )
+
+
+@dataclass(frozen=True)
+class FirstColumn:
+    """Column 1 of a block-random matrix: its nonzero rows (ascending), their
+    values and its squared norm, equal bit for bit to the same column of
+    the full draw and to what its CSC products read of it."""
+
+    d: int
+    rows: np.ndarray
+    values: np.ndarray
+    sq_norm: float
+
+    def dense(self) -> np.ndarray:
+        """The column as a d-vector, which is what ``matvec(e_1)`` returns."""
+        out = np.zeros(self.d)
+        out[self.rows] = self.values
+        return out
+
+    def contract(self, x: np.ndarray) -> float:
+        """<column, x> summed in row order from +0.0, as ``rmatvec(x)[0]``."""
+        return float(np.cumsum(np.concatenate([[0.0], self.values * x[self.rows]]))[-1])
+
+    def prefix_sq_norm(self, d_prime: int) -> float:
+        """Squared norm of the column's first d_prime rows, as
+        ``prefix_col_sq_norms(d_prime)[0]``."""
+        return float(np.cumsum(np.concatenate([[0.0], self.values[self.rows < d_prime] ** 2]))[-1])
+
+
+@dataclass(frozen=True)
+class MatrixFirstColumn:
+    """Column 1 of a materialized matrix, read through the matrix's own
+    products (the orthonormal and identity modes' stand-in for
+    :class:`FirstColumn`)."""
+
+    mat: AnyMatrix
+
+    def dense(self) -> np.ndarray:
+        e1 = np.zeros(self.mat.d)
+        e1[0] = 1.0
+        return self.mat.matvec(e1)
+
+    def contract(self, x: np.ndarray) -> float:
+        return float(self.mat.rmatvec(x)[0])
+
+    @property
+    def sq_norm(self) -> float:
+        return float(self.mat.col_sq_norms[0])
+
+    def prefix_sq_norm(self, d_prime: int) -> float:
+        return float(self.mat.prefix_col_sq_norms(d_prime)[0])
+
+
+AnyFirstColumn = FirstColumn | MatrixFirstColumn
+
+
+def sample_first_column(params: BlockParams, seed_key: str) -> FirstColumn:
+    """Column 1 of ``sample_matrix(params, seed_key)`` without assembling the
+    others (the whole draw still runs, since the format interleaves it)."""
+    sign_m, sign_s, flips, eta = _draw(params, seed_key)
+    eta = eta[:, :1]
+    data, indices, _ = _assemble(params, sign_m, sign_s, flips, eta)
+    return FirstColumn(params.d, indices, data, float(_col_sq_norms(params, eta)[0]))
 
 
 def sample_orthonormal(d: int, seed_key: str) -> OrthonormalMatrix:

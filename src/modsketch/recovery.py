@@ -23,7 +23,6 @@ signature mode is read from the sketch itself.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -94,10 +93,14 @@ def beta_factor(h: int, w: float, signature_mode: bool = False) -> float:
         raise RecoveryError(f"recoverable objects sit at depth >= 2, got {h}")
     if w <= 0:
         raise RecoveryError("effective weight must be positive")
-    if 4 * h - 4 >= sys.float_info.max_exp:
-        raise RecoveryError(f"beta = 2^{4 * h - 3}/w at depth {h} overflows a float")
     coeff = 3.0 if signature_mode else 2.0
-    return coeff * float(2 ** (4 * h - 4)) / w
+    try:
+        beta = coeff * float(2 ** (4 * h - 4)) / w
+    except OverflowError:
+        beta = math.inf
+    if not math.isfinite(beta):
+        raise RecoveryError(f"beta = 2^{4 * h - 3}/w at depth {h}, weight {w} overflows a float")
+    return beta
 
 
 def _noise_bound(beta: float, h: int, registry: MatrixRegistry, erased_prefix: int | None) -> float:
@@ -105,6 +108,8 @@ def _noise_bound(beta: float, h: int, registry: MatrixRegistry, erased_prefix: i
     scale = beta * h * delta_desync_fit(p.d, p.b, p.n_cap) * PREDICTED_ERROR_COEFF
     if erased_prefix is not None and erased_prefix < p.d:
         scale *= math.sqrt(p.d / erased_prefix)
+    if not math.isfinite(scale):
+        raise RecoveryError(f"the noise bound of a depth-{h} query with beta {beta:.3g} overflows a float")
     return scale
 
 
@@ -146,13 +151,12 @@ def _check_erasure(sk: Sketch, registry: MatrixRegistry) -> None:
 
 
 def _scaled_contract(
-    sk: Sketch, module: str, slot: int, h: int, w: float, registry: MatrixRegistry, beta: float | None = None
+    sk: Sketch, module: str, slot: int, h: int, w: float, registry: MatrixRegistry
 ) -> tuple[float, np.ndarray]:
-    """beta (from the sketch's own mode unless given) and the beta-scaled
-    normalized contraction of the sketch with R_{module,slot}."""
+    """beta (from the sketch's own mode) and the beta-scaled normalized
+    contraction of the sketch with R_{module,slot}."""
     _check_erasure(sk, registry)
-    if beta is None:
-        beta = beta_factor(h, w, sk.signature_mode)
+    beta = beta_factor(h, w, sk.signature_mode)
     return beta, beta * _column_contract(registry.module_matrix(module, slot), sk)
 
 
@@ -230,11 +234,16 @@ def recover_frequency(
 
     Every object contributes one unit through the e_1 slot of its attribute
     subsketch, so the first coordinate of the R_{M,2} contraction counts
-    them; the count is exact whenever the noise stays below 1/2.  Pass
+    them; the count is exact whenever the noise stays below 1/2.  Only that
+    coordinate is read, so only column 1 of R_{M,2} is contracted.  Pass
     ``beta`` to override the depth scaling (the flat prototype uses 4/w).
     """
-    beta, est = _scaled_contract(sk, module, 2, h, w_star, registry, beta)
-    real = float(est[0])
+    _check_erasure(sk, registry)
+    if beta is None:
+        beta = beta_factor(h, w_star, sk.signature_mode)
+    col = registry.module_first_column(module)
+    den = col.prefix_sq_norm(sk.erased_prefix) if sk.erased_prefix < sk.d else col.sq_norm
+    real = beta * (col.contract(sk.values) / den if den > 1e-12 else 0.0)
     return _report(
         sk, registry, h, w_star, kind="frequency", estimate=real, beta=beta, module=module,
         rounded=int(round(real)), low_confidence=abs(real - round(real)) > 0.4,

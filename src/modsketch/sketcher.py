@@ -37,10 +37,14 @@ import numpy as np
 
 from modsketch._seeding import derive_rng
 from modsketch.block_random import (
+    AnyFirstColumn,
     AnyMatrix,
     BlockParams,
+    FirstColumn,
     IdentityMatrix,
+    MatrixFirstColumn,
     ParameterError,
+    sample_first_column,
     sample_matrix,
     sample_orthonormal,
 )
@@ -102,7 +106,10 @@ class MatrixRegistry:
 
     Knowing (master_seed, params, mode) is knowing every matrix: each key
     maps to exactly one matrix, sampled on first use and cached.  Keys
-    serialize as ``m:<module>:<slot>`` and ``t:<index>:<depth>``.
+    serialize as ``m:<module>:<slot>`` and ``t:<index>:<depth>``.  Slot 2
+    is only ever read as its first column, ``R_{M,2} e_1``, so
+    :meth:`module_first_column` serves it, and in block-random mode draws
+    only that column.
     """
 
     def __init__(
@@ -117,7 +124,7 @@ class MatrixRegistry:
         self.master_seed = master_seed
         self.mode = mode
         self.allow_high_noise = allow_high_noise
-        self._cache: dict[str, AnyMatrix] = {}
+        self._cache: dict[str, AnyMatrix | FirstColumn] = {}
         self._lock = threading.Lock()
 
     @property
@@ -145,25 +152,37 @@ class MatrixRegistry:
                 "increase d or pass allow_high_noise=True"
             )
 
-    def _get(self, key: str) -> AnyMatrix:
+    def _get(self, key: str, first_column: bool = False) -> AnyMatrix | FirstColumn:
+        """The matrix of key in the registry's mode, or (block-random mode
+        only) its first column alone, cached under ``<key>:e1``."""
+        cache_key = f"{key}:e1" if first_column else key
         with self._lock:
-            hit = self._cache.get(key)
+            hit = self._cache.get(cache_key)
             if hit is not None:
                 return hit
         seed_key = f"s{self.master_seed}/{key}"
-        if self.mode == "identity":
-            mat: AnyMatrix = IdentityMatrix(self.params.d, seed_key)
+        if first_column:
+            made: AnyMatrix | FirstColumn = sample_first_column(self.params, seed_key)
+        elif self.mode == "identity":
+            made = IdentityMatrix(self.params.d, seed_key)
         elif self.mode == "orthonormal":
-            mat = sample_orthonormal(self.params.d, seed_key)
+            made = sample_orthonormal(self.params.d, seed_key)
         else:
-            mat = sample_matrix(self.params, seed_key)
+            made = sample_matrix(self.params, seed_key)
         with self._lock:
-            return self._cache.setdefault(key, mat)
+            return self._cache.setdefault(cache_key, made)
 
     def module_matrix(self, module_id: str, slot: int) -> AnyMatrix:
         if slot not in (0, 1, 2, 3):
             raise ParameterError(f"module matrix slot must be 0..3, got {slot}")
         return self._get(f"m:{module_id}:{slot}")
+
+    def module_first_column(self, module_id: str) -> AnyFirstColumn:
+        """Column 1 of R_{module,2}, bit-identical to what the full matrix's
+        products read of it."""
+        if self.mode != "block-random":
+            return MatrixFirstColumn(self.module_matrix(module_id, 2))
+        return self._get(f"m:{module_id}:2", first_column=True)
 
     def tuple_matrix(self, position: int, tuple_depth: int) -> AnyMatrix:
         if position < 1 or tuple_depth < 1:
@@ -233,16 +252,14 @@ def attribute_subsketch(
     """1/2 R_{M,1} x + 1/2 R_{M,2} e_1 (thirds, plus a signature term, when
     signature_mode is on)."""
     d = registry.d
-    e1 = np.zeros(d)
-    e1[0] = 1.0
     r1 = registry.module_matrix(obj.producer, 1)
-    r2 = registry.module_matrix(obj.producer, 2)
+    r2_e1 = registry.module_first_column(obj.producer).dense()
     if signature_mode:
         r3 = registry.module_matrix(obj.producer, 3)
         sig = object_signature(obj, n_cap or registry.params.n_cap, d)
-        values = (r1.matvec(obj.attributes) + r2.matvec(e1) + r3.matvec(sig)) / 3.0
+        values = (r1.matvec(obj.attributes) + r2_e1 + r3.matvec(sig)) / 3.0
     else:
-        values = 0.5 * r1.matvec(obj.attributes) + 0.5 * r2.matvec(e1)
+        values = 0.5 * r1.matvec(obj.attributes) + 0.5 * r2_e1
     return Sketch(values=values, kind="attribute", depth=obj.depth, erased_prefix=d)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,10 +14,12 @@ from modsketch.block_random import (
     IdentityMatrix,
     ParameterError,
     _apply_factors,
+    _index_code_table,
     auto_params,
     decode_column_signature,
     encode_column_signature,
     measure_noise_profile,
+    sample_first_column,
     sample_matrix,
     sample_orthonormal,
 )
@@ -176,6 +179,106 @@ def test_prefix_col_sq_norms():
     want = np.sum(mat.csc.toarray()[:d_half, :] ** 2, axis=0)
     np.testing.assert_allclose(mat.prefix_col_sq_norms(d_half), want, atol=1e-12)
     np.testing.assert_allclose(mat.prefix_col_sq_norms(P1014.d), mat.col_sq_norms)
+
+
+# ---------------------------------------------------------------------------
+# Draw format v1: golden digests and bitwise oracles
+# ---------------------------------------------------------------------------
+
+# Parameters of the golden grid: q = 0 and q = 1 at the edges, P1014, the
+# learner's d=1440 point, and auto_params at two benchmark dimensions.
+GOLDEN_PARAMS = {
+    "d936-q0": BlockParams(b=39, q=0.0, d=936, n_cap=64),
+    "d936-q1": BlockParams(b=39, q=1.0, d=936, n_cap=64),
+    "d1014": P1014,
+    "b45-q0.5-d1440": BlockParams(b=45, q=0.5, d=1440, n_cap=64),
+    "d2070": auto_params(2070, 64),
+    "d4176": auto_params(4176, 64),
+}
+GOLDEN_SEED_KEYS = ("golden:0", "golden:1", "golden:2")
+# blake2b digests of (csc.data, csc.indices, csc.indptr, col_sq_norms),
+# recorded from the float64 assembly that defined draw format v1.
+GOLDEN_V1 = {
+    ("d936-q0", "golden:0"): "9f9cb092bcd9b3b7eb526c30411fe065",
+    ("d936-q0", "golden:1"): "9f9cb092bcd9b3b7eb526c30411fe065",
+    ("d936-q0", "golden:2"): "9f9cb092bcd9b3b7eb526c30411fe065",
+    ("d936-q1", "golden:0"): "59732a06c94ddd9dc4bbc800791afc6a",
+    ("d936-q1", "golden:1"): "a761e35556b199dfff9166e2ec31391f",
+    ("d936-q1", "golden:2"): "85aeb885d1fc373cb88e193e4339c0fd",
+    ("d1014", "golden:0"): "c9e41eb9d61985baa8551f7aff54551e",
+    ("d1014", "golden:1"): "3b194edd869a1bfc58893095f57f3d3c",
+    ("d1014", "golden:2"): "e6ab1b4cbabc9e28424ba89eae710fcf",
+    ("b45-q0.5-d1440", "golden:0"): "9427e409c8503da31ceb9fbe0f363217",
+    ("b45-q0.5-d1440", "golden:1"): "96e80bce7689c3dbb6def35c22675a0b",
+    ("b45-q0.5-d1440", "golden:2"): "388e35c7bf87065e7df156ef7ddb0055",
+    ("d2070", "golden:0"): "27cd98234b49402645b7e39d26301d04",
+    ("d2070", "golden:1"): "f7c6b7f3d6390404925b8475afcc7d75",
+    ("d2070", "golden:2"): "d02312a899339ab1e80b28d2db4cc783",
+    ("d4176", "golden:0"): "a7c4149bbbb8a27f1a298c057ea01e55",
+    ("d4176", "golden:1"): "b08ab7329eacb60bf5f2b379c04eb722",
+    ("d4176", "golden:2"): "bc43cc2cef86e60d7dddeb9c9bb00b25",
+}
+
+
+def draw_digest(mat) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for a in (mat.csc.data, mat.csc.indices, mat.csc.indptr, mat.col_sq_norms):
+        h.update(a.dtype.str.encode() + repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def cumsum_prefix_norms(mat, d_prime):
+    """The running-sum definition of prefix column norms over the CSC entries."""
+    contrib = (mat.csc.data**2) * (mat.csc.indices < d_prime)
+    running = np.concatenate([[0.0], np.cumsum(contrib)])
+    return np.diff(running[mat.csc.indptr])
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PARAMS))
+def test_draw_format_v1_golden(name):
+    for key in GOLDEN_SEED_KEYS:
+        assert draw_digest(sample_matrix(GOLDEN_PARAMS[name], key)) == GOLDEN_V1[(name, key)], key
+
+
+@pytest.mark.parametrize("name", ["d936-q0", "d936-q1", "d1014", "b45-q0.5-d1440", "d2070"])
+def test_prefix_col_sq_norms_bitwise_cumsum_oracle(name):
+    params = GOLDEN_PARAMS[name]
+    d, b = params.d, params.b
+    for key in GOLDEN_SEED_KEYS[:2]:
+        mat = sample_matrix(params, key)
+        for d_prime in (b, b + 1, d // 3, d // 2, d // 2 + 7, d - 1, d):
+            got = mat.prefix_col_sq_norms(d_prime)
+            assert got.tobytes() == cumsum_prefix_norms(mat, d_prime).tobytes(), (key, d_prime)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PARAMS))
+def test_sample_first_column_bitwise_full_draw(name):
+    params = GOLDEN_PARAMS[name]
+    d = params.d
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    x = np.random.default_rng(5).standard_normal(d)
+    for key in GOLDEN_SEED_KEYS:
+        mat = sample_matrix(params, key)
+        col = sample_first_column(params, key)
+        lo, hi = mat.csc.indptr[0], mat.csc.indptr[1]
+        assert col.rows.tobytes() == mat.csc.indices[lo:hi].tobytes()
+        assert col.values.tobytes() == mat.csc.data[lo:hi].tobytes()
+        assert col.dense().tobytes() == mat.matvec(e1).tobytes()
+        assert col.dense().tobytes() == mat.column(1).tobytes()
+        assert col.sq_norm == mat.col_sq_norms[0]
+        assert col.contract(x) == mat.rmatvec(x)[0]
+        for d_prime in (params.b, d // 2, d - 1):
+            assert col.prefix_sq_norm(d_prime) == mat.prefix_col_sq_norms(d_prime)[0]
+
+
+def test_index_code_table_is_read_only():
+    table = _index_code_table(P1014.d, P1014.sub_block)
+    with pytest.raises(ValueError):
+        table[0, 0] = -1
+    # draws and encodings work on copies, so they still see the pristine table
+    assert encode_column_signature(1, 1, 1, P1014)[0] == P1014.entry_scale
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,15 @@ def test_recover_beyond_float_depth_exit_code(tmp_path):
     assert main(argv) == EXIT_VALIDATION
 
 
+def test_recover_infinite_noise_bound_exit_code(tmp_path):
+    # beta = 2^1021 at h = 256 is finite, but the query's noise bound is not
+    d = auto_params(1014, 6).d
+    sk_path = tmp_path / "zero.sketch"
+    save_sketch(Sketch(values=np.zeros(d), kind="overall", depth=1, erased_prefix=d), str(sk_path))
+    argv = ["recover", "--config", recover_config(tmp_path, h=256), "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_VALIDATION
+
+
 def test_gen_network_too_few_modules_exit_code(tmp_path):
     # every object level below the output needs a module of its own
     cfg = write_json(

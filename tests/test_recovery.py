@@ -26,6 +26,7 @@ from modsketch.recovery import (
     report_csv_header,
     report_csv_row,
     sketch_similarity,
+    _column_contract,
 )
 from modsketch.sketcher import (
     MatrixRegistry,
@@ -87,6 +88,27 @@ def test_beta_values():
     assert beta_factor(256, 1.0) == 2.0**1021
     with pytest.raises(RecoveryError):
         beta_factor(257, 1.0)
+
+
+def test_beta_beyond_float_range_is_an_error():
+    # 2^796 / 1e-300 is past the largest float
+    with pytest.raises(RecoveryError):
+        beta_factor(200, 1e-300)
+
+
+def test_predicted_error_of_a_tiny_weight_is_an_error():
+    with pytest.raises(RecoveryError):
+        predicted_error(200, 1e-300, registry_for(1014))
+
+
+def test_predicted_error_beyond_float_range_is_an_error():
+    # beta = 2^1021 is finite, but beta * h * delta * coefficient is not
+    reg = registry_for(1014)
+    with pytest.raises(RecoveryError):
+        predicted_error(256, 1.0, reg)
+    sk = overall_sketch(leaf_net(reg.params.d), reg)
+    with pytest.raises(RecoveryError):
+        recover_frequency(sk, "leaf", 256, 1.0, reg)
 
 
 def test_depth2_scaling_orthonormal():
@@ -467,6 +489,35 @@ def test_prefix_frequency_still_counts():
         rep = recover_frequency(sk, "m", h=2, w_star=0.5, registry=reg)
         exact += int(rep.rounded == 2)
     assert exact >= 3
+
+
+@pytest.mark.parametrize("mode", ["block-random", "orthonormal", "identity"])
+def test_frequency_reads_first_column_bitwise(mode):
+    # the first-column contraction equals coordinate 0 of the full R_{M,2}
+    # contraction, on plain, signature and erased sketches
+    d = 512 if mode == "orthonormal" else 1014
+    reg = registry_for(d, seed=8, mode=mode)
+    full = registry_for(d, seed=8, mode=mode)  # holds the full slot-2 matrices
+    net = counting_net(reg.params.d, 3)
+    plain = overall_sketch(net, reg)
+    sketches = [plain, overall_sketch(net, reg, signature_mode=True), erase_to_prefix(plain, reg.params.d // 2)]
+    for sk in sketches:
+        for beta in (None, 7.5):
+            rep = recover_frequency(sk, "m", 2, 1.0 / 3.0, reg, beta=beta)
+            want_beta = beta_factor(2, 1.0 / 3.0, sk.signature_mode) if beta is None else beta
+            want = want_beta * _column_contract(full.module_matrix("m", 2), sk)
+            assert rep.estimate == float(want[0])
+            assert np.float64(rep.estimate).tobytes() == want[0].tobytes()
+
+
+def test_registry_never_draws_full_slot2_for_sketch_and_frequency():
+    reg = registry_for(1014, seed=9)
+    net = counting_net(reg.params.d, 2)
+    sk = overall_sketch(net, reg, signature_mode=True)
+    recover_frequency(sk, "m", 2, 0.5, reg)
+    recover_frequency(erase_to_prefix(sk, reg.params.d // 2), "m", 2, 0.5, reg)
+    assert "m:m:2:e1" in reg._cache
+    assert not [key for key in reg._cache if key.startswith("m:") and key.endswith(":2")]
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,25 @@ def test_signature_mode_differs_only_by_third_term():
     np.testing.assert_allclose(diff, r3.matvec(sig) / 3.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["block-random", "orthonormal", "identity"])
+def test_attribute_subsketch_bitwise_full_slot2(mode):
+    # the cached first column stands in for R_{M,2} e_1 bit for bit
+    params = PARAMS_MED if mode != "orthonormal" else BlockParams(b=39, q=0.3, d=546, n_cap=64)
+    net = single_leaf(d=params.d)
+    obj = net.objects["a"]
+    reg = MatrixRegistry(params, master_seed=5, mode=mode, allow_high_noise=True)
+    full = MatrixRegistry(params, master_seed=5, mode=mode, allow_high_noise=True)
+    e1 = np.zeros(params.d)
+    e1[0] = 1.0
+    r1, r2, r3 = (full.module_matrix("leaf", slot) for slot in (1, 2, 3))
+    plain = 0.5 * r1.matvec(obj.attributes) + 0.5 * r2.matvec(e1)
+    sig = object_signature(obj, net.n_cap, params.d)
+    signed = (r1.matvec(obj.attributes) + r2.matvec(e1) + r3.matvec(sig)) / 3.0
+    assert attribute_subsketch(obj, reg).values.tobytes() == plain.tobytes()
+    got = attribute_subsketch(obj, reg, signature_mode=True, n_cap=net.n_cap)
+    assert got.values.tobytes() == signed.tobytes()
+
+
 def test_object_signature_deterministic_and_sparse():
     net = single_leaf()
     sig1 = object_signature(net.objects["a"], 12, 64)
