@@ -26,6 +26,7 @@ from modsketch import recovery
 from modsketch._seeding import derive_rng
 from modsketch.block_random import (
     BlockParams,
+    DimensionMismatchError,
     ParameterError,
     auto_params,
     measure_noise_profile,
@@ -79,17 +80,41 @@ class ConfigError(ValueError):
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
-def _require(cfg: dict, key: str, path="config"):
+_KIND_NAMES = {int: "an integer", float: "a number", dict: "an object"}
+
+
+def _require(cfg: dict, key: str, path="config", kind=None):
+    """Read a required field, converted to ``kind`` when one is given; a
+    ``dict`` field must already be a JSON object."""
     if key not in cfg:
         raise ConfigError(f"{path}: missing required field {key!r}")
-    return cfg[key]
+    value = cfg[key]
+    if kind is None:
+        return value
+    if kind is dict:
+        if isinstance(value, dict):
+            return value
+    else:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{path}: field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _optional(cfg: dict, key: str, default, kind, path="config"):
+    """Read a field that may be absent or null, as :func:`_require` does."""
+    return default if cfg.get(key) is None else _require(cfg, key, path, kind)
 
 
 def _result_row(run_id, seed, params, metric, value, depth=0, weight=0.0, d_prime=0) -> str:
@@ -108,14 +133,18 @@ def _write_results(path: str, rows: list[str]) -> None:
 
 
 def _registry_from_config(cfg: dict, seed: int) -> MatrixRegistry:
-    pcfg = _require(cfg, "params")
-    n_cap = int(_require(pcfg, "n_cap", "params"))
+    pcfg = _require(cfg, "params", kind=dict)
+    n_cap = _require(pcfg, "n_cap", "params", int)
     if "b" in pcfg:
         params = BlockParams(
-            b=int(pcfg["b"]), q=float(_require(pcfg, "q", "params")), d=int(_require(pcfg, "d", "params")), n_cap=n_cap
+            b=_require(pcfg, "b", "params", int),
+            q=_require(pcfg, "q", "params", float),
+            d=_require(pcfg, "d", "params", int),
+            n_cap=n_cap,
         )
     else:
-        params = auto_params(int(_require(pcfg, "d_request", "params")), n_cap, q=pcfg.get("q"))
+        d_request = _require(pcfg, "d_request", "params", int)
+        params = auto_params(d_request, n_cap, q=_optional(pcfg, "q", None, float, "params"))
     return MatrixRegistry(
         params,
         master_seed=seed,
@@ -132,11 +161,11 @@ def _registry_from_config(cfg: dict, seed: int) -> MatrixRegistry:
 def cmd_calibrate(cfg: dict, seed: int, out_dir: str) -> int:
     """Noise sweep over dimensions; fits delta(d) = c*sqrt(b*log2(N)/d)."""
     run_id = cfg.get("run_id", "calibrate")
-    n_cap = int(cfg.get("n_cap", 64))
+    n_cap = _optional(cfg, "n_cap", 64, int)
     dims = cfg.get("dims", [512, 1024, 2048, 4096, 8192])
-    trials = int(cfg.get("trials", 200))
-    pairs = int(cfg.get("pairs", 1))
-    quantile = float(cfg.get("quantile", 0.99))
+    trials = _optional(cfg, "trials", 200, int)
+    pairs = _optional(cfg, "pairs", 1, int)
+    quantile = _optional(cfg, "quantile", 0.99, float)
     os.makedirs(out_dir, exist_ok=True)
 
     rows: list[str] = []
@@ -188,16 +217,16 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: str) -> int:
 
 
 def cmd_gen_network(cfg: dict, seed: int, out_path: str) -> int:
-    profile_cfg = _require(cfg, "profile")
+    profile_cfg = _require(cfg, "profile", kind=dict)
     profile = SyntheticProfile(
-        n_modules=int(_require(profile_cfg, "n_modules", "profile")),
-        depth=int(_require(profile_cfg, "depth", "profile")),
-        fan_in=int(_require(profile_cfg, "fan_in", "profile")),
+        n_modules=_require(profile_cfg, "n_modules", "profile", int),
+        depth=_require(profile_cfg, "depth", "profile", int),
+        fan_in=_require(profile_cfg, "fan_in", "profile", int),
         weight_scheme=profile_cfg.get("weight_scheme", "uniform"),
-        attr_sparsity=int(profile_cfg.get("attr_sparsity", 3)),
-        attr_span=profile_cfg.get("attr_span"),
+        attr_sparsity=_optional(profile_cfg, "attr_sparsity", 3, int, "profile"),
+        attr_span=_optional(profile_cfg, "attr_span", None, int, "profile"),
     )
-    net = generate_synthetic(profile, seed=seed, d=int(_require(cfg, "dimension")))
+    net = generate_synthetic(profile, seed=seed, d=_require(cfg, "dimension", kind=int))
     save_network(net, out_path)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -214,9 +243,9 @@ def cmd_sketch(cfg: dict, seed: int, network_path: str, out_path: str) -> int:
             "regenerate the network at the aligned dimension"
         )
     sk = overall_sketch(net, registry, signature_mode=bool(cfg.get("signature", False)))
-    erase_to = cfg.get("erase_to")
+    erase_to = _optional(cfg, "erase_to", None, int)
     if erase_to:
-        sk = erase_to_prefix(sk, int(erase_to))
+        sk = erase_to_prefix(sk, erase_to)
     save_sketch(sk, out_path, registry.seed_fingerprint())
     if cfg.get("csv"):
         export_sketch_csv(sk, out_path + ".csv")
@@ -236,18 +265,18 @@ def cmd_recover(cfg: dict, seed: int, sketch_path: str, out_path: str) -> int:
     registry = _registry_from_config(cfg, seed)
     if fingerprint not in ("unknown", registry.seed_fingerprint()):
         raise ParameterError(f"{sketch_path} was made under another seed or params (fingerprint {fingerprint})")
-    query = _require(cfg, "query")
+    query = _require(cfg, "query", kind=dict)
     kind = _require(query, "kind", "query")
     if kind not in QUERY_KINDS:
         raise ConfigError(f"unknown query kind {kind!r}")
     # looked up at call time, so a wrapper installed on the module sees the call
     recover = getattr(recovery, f"recover_{kind}")
-    w = float(query.get("w", 1.0))
+    w = _optional(query, "w", 1.0, float, "query")
     if kind == "attributes_by_path":
         steps = [PathStep(int(p["position"]), str(p["module"])) for p in _require(query, "path", "query")]
         rep = recover(sk, steps, registry, w=w)
     else:
-        rep = recover(sk, query.get("module", ""), int(query.get("h", 2)), w, registry)
+        rep = recover(sk, query.get("module", ""), _optional(query, "h", 2, int, "query"), w, registry)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report_csv_header() + "\n")
         fh.write(report_csv_row(rep, seed=str(seed)) + "\n")
@@ -280,8 +309,8 @@ def cmd_run(cfg: dict, seed: int, out_path: str) -> int:
     rows: list[str] = []
     if experiment == "attr-error-vs-d":
         dims = cfg.get("dims", [512, 1024, 2048])
-        n_seeds = int(cfg.get("seeds", 20))
-        n_cap = int(cfg.get("n_cap", 32))
+        n_seeds = _optional(cfg, "seeds", 20, int)
+        n_cap = _optional(cfg, "n_cap", 32, int)
         attrs = cfg.get("attributes", [0.6, 0.0, 0.8])
         for d_req in dims:
             params = auto_params(int(d_req), n_cap)
@@ -299,8 +328,8 @@ def cmd_run(cfg: dict, seed: int, out_path: str) -> int:
                 _result_row(run_id, seed, params, "attr_linf_median", float(np.median(errors)), depth=2, weight=1.0)
             )
     elif experiment == "similarity-pairs":
-        n_seeds = int(cfg.get("seeds", 20))
-        params = auto_params(int(cfg.get("d", 1024)), int(cfg.get("n_cap", 32)))
+        n_seeds = _optional(cfg, "seeds", 20, int)
+        params = auto_params(_optional(cfg, "d", 1024, int), _optional(cfg, "n_cap", 32, int))
         for trial in range(n_seeds):
             reg = MatrixRegistry(params, master_seed=seed * 10007 + trial, allow_high_noise=True)
             s1 = overall_sketch(_single_leaf_network(params.d, [1.0], module="m1"), reg)
@@ -336,20 +365,20 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
     """Dictionary-learning experiments: planted instances or teacher unrolling."""
     mode = cfg.get("learn_mode", "plant")
     os.makedirs(out_dir, exist_ok=True)
-    pcfg = _require(cfg, "params")
+    pcfg = _require(cfg, "params", kind=dict)
     params = BlockParams(
-        b=int(_require(pcfg, "b", "params")),
-        q=float(_require(pcfg, "q", "params")),
-        d=int(_require(pcfg, "d", "params")),
-        n_cap=int(_require(pcfg, "n_cap", "params")),
+        b=_require(pcfg, "b", "params", int),
+        q=_require(pcfg, "q", "params", float),
+        d=_require(pcfg, "d", "params", int),
+        n_cap=_require(pcfg, "n_cap", "params", int),
     )
     rows: list[str] = []
     run_id = cfg.get("run_id", "learn-dict")
 
     if mode == "plant":
-        n_matrices = int(cfg.get("n_matrices", 2))
-        n_samples = int(cfg.get("n_samples", 200))
-        dominant = float(cfg.get("dominant", 0.9))
+        n_matrices = _optional(cfg, "n_matrices", 2, int)
+        n_samples = _optional(cfg, "n_samples", 200, int)
+        dominant = _optional(cfg, "dominant", 0.9, float)
         rng = derive_rng(seed, "cli-plant")
         mats = [sample_matrix(params, f"cli-plant:{seed}:{i}") for i in range(n_matrices)]
         ys = np.zeros((n_samples, params.d))
@@ -361,7 +390,7 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
             x = np.zeros(params.d)
             x[j - 1] = dominant
             ys[k] = mats[i].matvec(x)
-        learned = learn_dictionary(ys, DLConfig(params=params, eps_recover=float(cfg.get("eps", 0.1))))
+        learned = learn_dictionary(ys, DLConfig(params=params, eps_recover=_optional(cfg, "eps", 0.1, float)))
         report = match_permutation(learned, mats)
         save_dictionary_artifacts(learned, out_dir, report)
         inv = {v: k for k, v in report.permutation.items()}
@@ -386,7 +415,7 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
                 raise ConfigError(f"{path}: dimension {sk.d} != params d {params.d}")
             vectors.append(sk.values)
         learned = learn_dictionary(
-            np.array(vectors), DLConfig(params=params, eps_recover=float(cfg.get("eps", 0.1)))
+            np.array(vectors), DLConfig(params=params, eps_recover=_optional(cfg, "eps", 0.1, float))
         )
         save_dictionary_artifacts(learned, out_dir)
         rows.append(_result_row(run_id, seed, params, "atoms_found", learned.n_atoms))
@@ -395,10 +424,10 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
             _result_row(run_id, seed, params, "samples_read", len(vectors))
         )
     elif mode == "unroll":
-        teacher = _require(cfg, "teacher")
-        depth = int(teacher.get("depth", 2))
-        w = float(teacher.get("w", 0.5))
-        n_sketches = int(teacher.get("n_sketches", 500))
+        teacher = _require(cfg, "teacher", kind=dict)
+        depth = _optional(teacher, "depth", 2, int, "teacher")
+        w = _optional(teacher, "w", 0.5, float, "teacher")
+        n_sketches = _optional(teacher, "n_sketches", 500, int, "teacher")
         attrs_a = teacher.get("attrs_a", [0.6, 0.0, 0.8])
         attrs_b = teacher.get("attrs_b", [0.0, 1.0])
         net = build_network(
@@ -430,7 +459,7 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
             params,
             w_goal=w,
             recursion_budget=3 * depth,
-            eps_final=float(cfg.get("eps", 0.05)),
+            eps_final=_optional(cfg, "eps", 0.05, float),
         )
         rows.append(_result_row(run_id, seed, params, "modules_recovered", result.n_modules))
         rows.append(_result_row(run_id, seed, params, "levels_run", result.levels_run))
@@ -444,17 +473,31 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _open_store(path: str, sketch) -> SketchRepository:
+    """Open a store at the d of its log, as ``SketchRepository.from_log``
+    does; a store with no complete record yet takes the sketch's d."""
+    try:
+        with open(path, "rb") as fh:
+            logged = fh.readline().endswith(b"\n")
+    except FileNotFoundError:
+        logged = False
+    repo = SketchRepository.from_log(path) if logged else SketchRepository(sketch.d, log_path=path)
+    if sketch.d != repo.d:
+        raise DimensionMismatchError(f"sketch d={sketch.d}, store d={repo.d}")
+    return repo
+
+
 def cmd_repo(args: argparse.Namespace) -> int:
     if args.repo_command == "insert":
         sk, _ = load_sketch(args.sketch)
-        repo = SketchRepository(sk.d, log_path=args.store)
+        repo = _open_store(args.store, sk)
         tags = dict(kv.split("=", 1) for kv in (args.tag or []))
         eid = repo.insert(sk, args.id, tags)
         print(f"inserted {eid} (store size {len(repo)})")
         return EXIT_OK
     if args.repo_command == "query":
         probe, _ = load_sketch(args.sketch)
-        repo = SketchRepository(probe.d, log_path=args.store)
+        repo = _open_store(args.store, probe)
         if args.bucketed:
             hits, recall = repo.query_similar(probe, args.k, bucketed=True)
             print(f"recall={recall!r}")
@@ -542,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "similarity":
             return cmd_similarity(args.sketch_a, args.sketch_b, args.out)
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else _optional(cfg, "seed", 0, int)
         if args.command == "calibrate":
             return cmd_calibrate(cfg, seed, args.out)
         if args.command == "gen-network":
@@ -559,7 +602,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NetworkValidationError, ParameterError, RecoveryError, DimensionFloorError) as exc:
+    except (
+        NetworkValidationError, ParameterError, RecoveryError, DimensionFloorError, DimensionMismatchError
+    ) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -150,6 +150,44 @@ def _sym_hamming(a: np.ndarray, b: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _modal_row(bits: np.ndarray) -> np.ndarray:
+    """Most frequent row of a boolean matrix, the lexicographically smallest
+    among ties (the row ``np.unique(axis=0)`` ranks first).
+
+    Rows are packed most significant bit first, so byte order is row order.
+    """
+    packed = np.packbits(bits, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return bits[first[np.argmax(counts)]]
+
+
+def _parse_matching_set(z_members: np.ndarray, p: BlockParams) -> tuple | None:
+    """Round a matching set to the hypercube and read its column.
+
+    Returns ``(j, s_x, rounded, modal_m, modal_m_pattern)``, or None when the
+    modal column codeword is corrupt.  The sign s_x is a parity vote over the
+    member rows, each decoded as :func:`decode_column_signature` does
+    (normalized by the sign of coordinate 0, index bits MSB first, parity bit
+    at t+1); a row whose index exceeds d does not vote.
+    """
+    m, t, scale = p.sub_block, p.index_bits, p.entry_scale
+    rounded = np.where(z_members >= 0, scale, -scale)  # (n_members, b)
+    bits = rounded > 0
+    modal_bits = np.concatenate([_modal_row(bits[:, lo : lo + m]) for lo in (0, m, 2 * m)])
+    modal = np.where(modal_bits, scale, -scale)
+    try:
+        j, _f_modal = decode_column_signature(modal[m : 2 * m], p)
+    except CorruptCodewordError:
+        return None
+    code = bits[:, m : 2 * m] ^ ~bits[:, m : m + 1]
+    rows_j = code[:, 1 : t + 1] @ (1 << np.arange(t - 1, -1, -1, dtype=np.int64)) + 1
+    votes = np.where(bits[:, 2 * m], 1, -1) * np.where(code[:, t + 1], 1, -1)
+    s_x = 1.0 if votes[rows_j <= p.d].sum() >= 0 else -1.0
+    modal_m = modal[2 * m :]
+    return j, s_x, rounded, modal_m, np.where(modal_m > 0, 1, -1).astype(np.int8)
+
+
 def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary:
     """Scan all blocks of all samples and collect identifiable columns.
 
@@ -195,6 +233,7 @@ def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary
         zs_s = zs[:, :m]
         # seed blocks additionally pass the hypercube closeness test
         hyper_dev = np.max(np.abs(np.abs(zs_s) - scale), axis=1)
+        set_cache: dict[bytes, tuple | None] = {}
         for seed_pos in np.nonzero(hyper_dev <= tau2)[0]:
             z_seed_s = zs_s[seed_pos]
             # matching set: symmetric l-inf closeness on the random-string third
@@ -203,29 +242,14 @@ def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary
             members = np.nonzero(np.minimum(d_plus, d_minus) <= 2 * tau2)[0]
             if len(members) < floor:
                 continue
-            rounded = np.where(zs[members] >= 0, scale, -scale)  # (n_members, b)
-            patterns = (rounded > 0).astype(np.int8)
-            modal = np.empty(b)
-            for lo, hi in ((0, m), (m, 2 * m), (2 * m, b)):
-                uniq, counts = np.unique(patterns[:, lo:hi], axis=0, return_counts=True)
-                best = uniq[np.argmax(counts)]
-                modal[lo:hi] = np.where(best > 0, scale, -scale)
-            try:
-                j, _f_modal = decode_column_signature(modal[m : 2 * m], p)
-            except CorruptCodewordError:
+            # every seed of one dominant column finds the same set: parse it once
+            set_key = members.tobytes()
+            if set_key not in set_cache:
+                set_cache[set_key] = _parse_matching_set(zs[members], p)
+            parsed = set_cache[set_key]
+            if parsed is None:  # corrupt modal codeword
                 continue
-            # per-member parity vote for the global sign of the coefficient
-            votes = 0
-            for row in rounded:
-                try:
-                    _, f_row = decode_column_signature(row[m : 2 * m], p)
-                except CorruptCodewordError:
-                    continue
-                votes += (1 if row[2 * m] > 0 else -1) * f_row
-            s_x = 1.0 if votes >= 0 else -1.0
-
-            modal_m = modal[2 * m :]
-            modal_m_pattern = np.where(modal_m > 0, 1, -1).astype(np.int8)
+            j, s_x, rounded, modal_m, modal_m_pattern = parsed
             cluster = -1
             for i, sig in enumerate(sig_patterns):
                 if _sym_hamming(sig, modal_m_pattern) <= config.hamming_radius:

@@ -316,3 +316,56 @@ def test_learn_dict_files_mode(tmp_path):
     metrics = {r.split(",")[8]: float(r.split(",")[9]) for r in rows}
     assert metrics["samples_read"] == 10.0
     assert metrics["atoms_found"] == 1.0
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert main(["gen-network", "--config", str(cfg), "--out", str(tmp_path / "net.txt")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: config must be a JSON object, got list\n"
+
+
+def test_typed_config_fields_exit_code(tmp_path, capsys):
+    profile = {"n_modules": 1, "depth": 2, "fan_in": 1}
+    for cfg in (
+        {"seed": 0, "dimension": "abc", "profile": profile},
+        {"seed": 0, "dimension": 64, "profile": {**profile, "fan_in": [1]}},
+        {"seed": 0, "dimension": 64, "profile": 5},
+        {"seed": "x", "dimension": 64, "profile": profile},
+    ):
+        path = write_json(tmp_path / "gen.json", cfg)
+        assert main(["gen-network", "--config", path, "--out", str(tmp_path / "net.txt")]) == EXIT_CONFIG, cfg
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+    # optional fields of the other commands read through the same reader
+    cal = write_json(tmp_path / "cal.json", {"dims": [512], "trials": "many"})
+    assert main(["calibrate", "--config", cal, "--out", str(tmp_path / "cal")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: config: field 'trials' must be an integer, got 'many'\n"
+    # the registry's params read through the same typed fields
+    d = auto_params(1014, 6).d
+    sk_path = tmp_path / "zero.sketch"
+    save_sketch(Sketch(values=np.zeros(d), kind="overall", depth=1, erased_prefix=d), str(sk_path))
+    for params in ({"d_request": "big", "n_cap": 6}, {"d_request": 1014, "n_cap": 6, "q": "half"}, [1014]):
+        rec = write_json(tmp_path / "rec.json", {"params": params, "query": {"kind": "frequency", "module": "m0"}})
+        assert main(["recover", "--config", rec, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "params" in err and err.count("\n") == 1, err
+
+
+def test_repo_dimension_mismatch_names_both_dimensions(tmp_path, capsys):
+    store = tmp_path / "s.log"
+    for d in (8, 12):
+        save_sketch(Sketch(values=np.arange(float(d)), kind="overall", depth=1, erased_prefix=d), str(tmp_path / f"s{d}.sketch"))
+    assert main(["repo", "insert", "--store", str(store), "--sketch", str(tmp_path / "s8.sketch")]) == EXIT_OK
+    logged = store.read_bytes()
+    capsys.readouterr()
+    for command in ("insert", "query"):
+        argv = ["repo", command, "--store", str(store), "--sketch", str(tmp_path / "s12.sketch")]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: sketch d=12, store d=8\n"
+    assert store.read_bytes() == logged
+    # a store with no complete record yet takes the sketch's d
+    fresh = tmp_path / "fresh.log"
+    fresh.write_text("")
+    assert main(["repo", "insert", "--store", str(fresh), "--sketch", str(tmp_path / "s12.sketch")]) == EXIT_OK
+    assert main(["repo", "query", "--store", str(fresh), "--sketch", str(tmp_path / "s12.sketch"), "--k", "1"]) == EXIT_OK

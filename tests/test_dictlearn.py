@@ -12,9 +12,17 @@ import math
 import numpy as np
 import pytest
 
-from modsketch.block_random import BlockParams, sample_matrix
+from modsketch.block_random import (
+    BlockParams,
+    CorruptCodewordError,
+    decode_column_signature,
+    sample_matrix,
+)
 from modsketch.dictlearn import (
     DLConfig,
+    LearnedDictionary,
+    _modal_row,
+    _sym_hamming,
     classify_recovered_vectors,
     default_eps_schedule,
     learn_dictionary,
@@ -223,6 +231,200 @@ def test_artifacts_roundtrip_layout(tmp_path):
     assert len(atoms) == len(learned.columns)
     header = (tmp_path / "coefficients.csv").read_text().splitlines()[0]
     assert header == "sample,cluster,column,value"
+
+
+# ---------------------------------------------------------------------------
+# Bit-exactness against the per-seed learner
+# ---------------------------------------------------------------------------
+
+
+def reference_learn(samples, config):
+    """The learner as it was before matching sets were parsed once each: every
+    seed rounds and parses its set again, takes the modal sub-blocks with
+    ``np.unique(axis=0)`` and decodes every member row on its own."""
+    p = config.params
+    d, b, q = p.d, p.b, p.q
+    m = p.sub_block
+    y = np.ascontiguousarray(np.atleast_2d(np.asarray(samples, dtype=np.float64)))
+    n_samples = y.shape[0]
+    scale, tau1, tau2 = config.scale, config.tau1_value, config.tau2_value
+    blocks = y.reshape(n_samples, p.n_blocks, b)
+    abs_blocks = np.abs(blocks)
+    weights = abs_blocks.sum(axis=2) * math.sqrt(q * d) / b
+    in_window = (
+        (weights > 0)
+        & (abs_blocks.min(axis=2) >= tau1)
+        & (abs_blocks.max(axis=2) <= config.upper_value)
+    )
+    signatures, sig_patterns, columns = [], [], {}
+    coefficients = [dict() for _ in range(n_samples)]
+    for k in range(n_samples):
+        window_idx = np.nonzero(in_window[k])[0]
+        if len(window_idx) == 0:
+            continue
+        zs = blocks[k, window_idx] / weights[k, window_idx, None]
+        zs_s = zs[:, :m]
+        hyper_dev = np.max(np.abs(np.abs(zs_s) - scale), axis=1)
+        for seed_pos in np.nonzero(hyper_dev <= tau2)[0]:
+            z_seed_s = zs_s[seed_pos]
+            d_plus = np.max(np.abs(zs_s - z_seed_s), axis=1)
+            d_minus = np.max(np.abs(zs_s + z_seed_s), axis=1)
+            members = np.nonzero(np.minimum(d_plus, d_minus) <= 2 * tau2)[0]
+            if len(members) < config.set_floor:
+                continue
+            rounded = np.where(zs[members] >= 0, scale, -scale)
+            patterns = (rounded > 0).astype(np.int8)
+            modal = np.empty(b)
+            for lo, hi in ((0, m), (m, 2 * m), (2 * m, b)):
+                uniq, counts = np.unique(patterns[:, lo:hi], axis=0, return_counts=True)
+                modal[lo:hi] = np.where(uniq[np.argmax(counts)] > 0, scale, -scale)
+            try:
+                j, _f_modal = decode_column_signature(modal[m : 2 * m], p)
+            except CorruptCodewordError:
+                continue
+            votes = 0
+            for row in rounded:
+                try:
+                    _, f_row = decode_column_signature(row[m : 2 * m], p)
+                except CorruptCodewordError:
+                    continue
+                votes += (1 if row[2 * m] > 0 else -1) * f_row
+            s_x = 1.0 if votes >= 0 else -1.0
+            modal_m = modal[2 * m :]
+            modal_m_pattern = np.where(modal_m > 0, 1, -1).astype(np.int8)
+            cluster = -1
+            for i, sig in enumerate(sig_patterns):
+                if _sym_hamming(sig, modal_m_pattern) <= config.hamming_radius:
+                    cluster = i
+                    break
+            if cluster < 0:
+                cluster = len(signatures)
+                signatures.append(modal_m.copy())
+                sig_patterns.append(modal_m_pattern)
+            key = (cluster, j)
+            if key not in columns:
+                col = np.zeros(d)
+                for row, blk in zip(rounded, window_idx[members]):
+                    col[blk * b : (blk + 1) * b] = s_x * row
+                columns[key] = col
+            coefficients[k][key] = s_x * float(weights[k, window_idx[seed_pos]])
+    return LearnedDictionary(config, len(signatures), signatures, columns, coefficients)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.n_atoms == want.n_atoms
+    assert [(s.dtype, s.tobytes()) for s in got.signatures] == [
+        (s.dtype, s.tobytes()) for s in want.signatures
+    ]
+    assert list(got.columns) == list(want.columns)  # discovery order too
+    for key, col in want.columns.items():
+        assert (got.columns[key].dtype, got.columns[key].tobytes()) == (col.dtype, col.tobytes()), key
+    hexed = lambda coeffs: [[(key, float(v).hex()) for key, v in c.items()] for c in coeffs]
+    assert hexed(got.coefficients) == hexed(want.coefficients)
+
+
+def codeword(j, b_m, params=PLANT):
+    """Scaled column-signature codeword of index j, also for j beyond d."""
+    t = params.index_bits
+    word = np.ones(params.sub_block)
+    word[1 : t + 1] = [1 if ((j - 1) >> (t - 1 - i)) & 1 else -1 for i in range(t)]
+    word[t + 1] = b_m
+    return word * params.entry_scale
+
+
+def crafted_codeword_batch(seed=8):
+    """A planted batch plus four samples, each one column at 0.9 whose
+    column-signature thirds are rewritten:
+
+    - corrupt: every block encodes an index beyond d, so the modal codeword
+      is corrupt and the set is skipped;
+    - vote: six agreeing blocks are the only decodable ones, and the corrupt
+      rest would flip the parity vote if they voted;
+    - tie: the blocks split evenly between two valid codewords;
+    - overlap: as tie, plus one block Z for the second codeword.  Z sits
+      inside every seed's matching set but one: seed Y, whose random-string
+      third has the same signs as seed X's, but is nudged the other way.  So
+      X's set decodes the second codeword and Y's set the first.
+    """
+    params = PLANT
+    m = params.sub_block
+    mats, _xs, ys, _planted = plant_instance(seed=seed, n_samples=30)
+    wide = [j for j in range(1, params.d + 1) if len(mats[0].active_blocks(j)) >= 14]
+    even = next(j for j in wide[2:] if len(mats[0].active_blocks(j)) % 2 == 0)
+    odd = next(j for j in wide[2:] if len(mats[0].active_blocks(j)) % 2 == 1)
+    out = {}
+    for name, j in zip(("corrupt", "vote", "tie", "overlap"), (wide[0], wide[1], even, odd)):
+        col = mats[0].column(j)
+        blks = [int(blk) for blk in mats[0].active_blocks(j)]
+        if name == "overlap":
+            z_blk, y_blk = blks.pop(0), blks[-1]
+            x_blk = next(blk for blk in blks[-2::-1] if col[blk * params.b] == col[y_blk * params.b])
+            for blk, nudge in ((x_blk, 0.2), (y_blk, -0.2), (z_blk, 0.5)):
+                col[blk * params.b : blk * params.b + 2] *= (1 + nudge, 1 - nudge)
+            col[z_blk * params.b + m : z_blk * params.b + 2 * m] = codeword(params.d - j, 1)
+        for n, blk in enumerate(blks):
+            lo = blk * params.b + m
+            agree = 1 if col[lo + m] > 0 else -1  # this row's vote is agree * b_m
+            if name == "corrupt":
+                word = codeword(params.d + 1 + n, agree)
+            elif name == "vote":
+                word = codeword(j, agree) if n < 6 else codeword(params.d + 1 + n, -agree)
+            else:
+                word = codeword(j if n < len(blks) // 2 else params.d - j, 1)
+            col[lo : lo + m] = word
+        out[name] = (j, len(ys))
+        ys = np.vstack([ys, 0.9 * col])
+    return ys, out
+
+
+def plant_batch(name):
+    if name == "crafted-codewords":
+        return crafted_codeword_batch()[0]
+    if name == "l1-spike":
+        ys = plant_instance(seed=6, n_samples=60)[2].copy()
+        ys[:, 7 * PLANT.b : 8 * PLANT.b] += math.sqrt(PLANT.d) / PLANT.b
+        return ys
+    kwargs = {
+        "plain": dict(seed=0),
+        "negative-sign": dict(seed=2, dominant_sign=-1),
+        "one-matrix": dict(seed=3, n_matrices=1),
+        "three-matrices": dict(seed=9, n_matrices=3),
+    }[name]
+    return plant_instance(n_samples=60, **kwargs)[2]
+
+
+@pytest.mark.parametrize(
+    "name", ["plain", "negative-sign", "l1-spike", "one-matrix", "three-matrices", "crafted-codewords"]
+)
+def test_learner_bitwise_per_seed_oracle(name):
+    ys = plant_batch(name)
+    got = learn_dictionary(ys, config_for())
+    assert got.columns
+    assert_bitwise_equal(got, reference_learn(ys, config_for()))
+
+
+def test_crafted_codewords_exercise_the_decode_rules():
+    ys, rows = crafted_codeword_batch()
+    learned = learn_dictionary(ys, config_for())
+    _j, k = rows["corrupt"]
+    assert learned.coefficients[k] == {}  # corrupt modal codeword: skipped
+    j, k = rows["vote"]
+    [(key, val)] = learned.coefficients[k].items()
+    assert key[1] == j and val > 0  # only the six decodable rows voted
+    j, k = rows["tie"]  # j - 1 < d - j - 1, so j's codeword is the smaller pattern
+    assert [key[1] for key in learned.coefficients[k]] == [j]
+    j, k = rows["overlap"]
+    assert sorted(key[1] for key in learned.coefficients[k]) == [j, PLANT.d - j]
+
+
+def test_modal_row_matches_unique_tie_rule():
+    rng = np.random.default_rng(0)
+    for width in (1, 7, 8, 9, 15, 64, 65, 70):
+        for _ in range(200):
+            pool = rng.integers(0, 2, size=(int(rng.integers(1, 5)), width)).astype(bool)
+            bits = pool[rng.integers(0, len(pool), size=int(rng.integers(1, 20)))]
+            uniq, counts = np.unique(bits.astype(np.int8), axis=0, return_counts=True)
+            np.testing.assert_array_equal(_modal_row(bits), uniq[np.argmax(counts)] > 0)
 
 
 # ---------------------------------------------------------------------------
