@@ -24,8 +24,8 @@ The package is organized around six building blocks:
     samples alone, and the level-by-level unrolling that turns overall
     sketches into per-module input/output pairs.
 ``repository``
-    An in-memory sketch store with similarity retrieval (brute force or
-    hyperplane-bucketed) and seeded k-means clustering.
+    A sketch store held in one contiguous array, with similarity retrieval
+    (brute force or hyperplane-bucketed) and seeded k-means clustering.
 
 ``cli`` wires the above into the ``modsketch`` command.
 """

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from typing import get_args
 
 import numpy as np
 
@@ -90,26 +91,34 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", dict: "an object"}
+_KIND_NAMES = {int: "an integer", float: "a number", dict: "an object", list[int]: "a non-empty list of integers",
+               list[float]: "a non-empty list of numbers", list[dict]: "a non-empty list of objects"}
+
+
+def _convert(value, kind):
+    """``value`` as ``kind``; a ``dict`` or ``list`` must already be one in the JSON."""
+    if kind is dict:
+        if not isinstance(value, dict):
+            raise TypeError(value)
+        return value
+    if kind in (int, float):
+        return kind(value)
+    if not (isinstance(value, list) and value):
+        raise TypeError(value)
+    return [_convert(item, get_args(kind)[0]) for item in value]
 
 
 def _require(cfg: dict, key: str, path="config", kind=None):
-    """Read a required field, converted to ``kind`` when one is given; a
-    ``dict`` field must already be a JSON object."""
+    """Read a required field, converted to ``kind`` (a key of
+    ``_KIND_NAMES``) when one is given."""
     if key not in cfg:
         raise ConfigError(f"{path}: missing required field {key!r}")
-    value = cfg[key]
     if kind is None:
-        return value
-    if kind is dict:
-        if isinstance(value, dict):
-            return value
-    else:
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ConfigError(f"{path}: field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+        return cfg[key]
+    try:
+        return _convert(cfg[key], kind)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}: field {key!r} must be {_KIND_NAMES[kind]}, got {cfg[key]!r}") from None
 
 
 def _optional(cfg: dict, key: str, default, kind, path="config"):
@@ -162,7 +171,7 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: str) -> int:
     """Noise sweep over dimensions; fits delta(d) = c*sqrt(b*log2(N)/d)."""
     run_id = cfg.get("run_id", "calibrate")
     n_cap = _optional(cfg, "n_cap", 64, int)
-    dims = cfg.get("dims", [512, 1024, 2048, 4096, 8192])
+    dims = _optional(cfg, "dims", [512, 1024, 2048, 4096, 8192], list[int])
     trials = _optional(cfg, "trials", 200, int)
     pairs = _optional(cfg, "pairs", 1, int)
     quantile = _optional(cfg, "quantile", 0.99, float)
@@ -172,7 +181,7 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: str) -> int:
     deltas_iso: list[tuple[int, int, float]] = []
     deltas_des: list[tuple[int, int, float]] = []
     for d_req in dims:
-        params = auto_params(int(d_req), n_cap)
+        params = auto_params(d_req, n_cap)
         prof = measure_noise_profile(
             ("plain",), "both", trials, params, quantile=quantile, master_seed=seed,
             pairs_per_trial=pairs,
@@ -184,7 +193,7 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: str) -> int:
         deltas_des.append((params.d, params.b, prof.delta_desync))
 
     if cfg.get("transparent", True):
-        params = auto_params(int(dims[min(1, len(dims) - 1)]), n_cap)
+        params = auto_params(dims[min(1, len(dims) - 1)], n_cap)
         tprof = measure_noise_profile(
             ("transparent",), "isometry", trials, params, quantile=quantile, master_seed=seed,
             pairs_per_trial=pairs,
@@ -273,7 +282,10 @@ def cmd_recover(cfg: dict, seed: int, sketch_path: str, out_path: str) -> int:
     recover = getattr(recovery, f"recover_{kind}")
     w = _optional(query, "w", 1.0, float, "query")
     if kind == "attributes_by_path":
-        steps = [PathStep(int(p["position"]), str(p["module"])) for p in _require(query, "path", "query")]
+        steps = [
+            PathStep(_require(p, "position", "query path step", int), str(_require(p, "module", "query path step")))
+            for p in _require(query, "path", "query", list[dict])
+        ]
         rep = recover(sk, steps, registry, w=w)
     else:
         rep = recover(sk, query.get("module", ""), _optional(query, "h", 2, int, "query"), w, registry)
@@ -308,12 +320,12 @@ def cmd_run(cfg: dict, seed: int, out_path: str) -> int:
     run_id = cfg.get("run_id", experiment)
     rows: list[str] = []
     if experiment == "attr-error-vs-d":
-        dims = cfg.get("dims", [512, 1024, 2048])
+        dims = _optional(cfg, "dims", [512, 1024, 2048], list[int])
         n_seeds = _optional(cfg, "seeds", 20, int)
         n_cap = _optional(cfg, "n_cap", 32, int)
-        attrs = cfg.get("attributes", [0.6, 0.0, 0.8])
+        attrs = _optional(cfg, "attributes", [0.6, 0.0, 0.8], list[float])
         for d_req in dims:
-            params = auto_params(int(d_req), n_cap)
+            params = auto_params(d_req, n_cap)
             errors = []
             for trial in range(n_seeds):
                 reg = MatrixRegistry(
@@ -428,8 +440,8 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
         depth = _optional(teacher, "depth", 2, int, "teacher")
         w = _optional(teacher, "w", 0.5, float, "teacher")
         n_sketches = _optional(teacher, "n_sketches", 500, int, "teacher")
-        attrs_a = teacher.get("attrs_a", [0.6, 0.0, 0.8])
-        attrs_b = teacher.get("attrs_b", [0.0, 1.0])
+        attrs_a = _optional(teacher, "attrs_a", [0.6, 0.0, 0.8], list[float], "teacher")
+        attrs_b = _optional(teacher, "attrs_b", [0.0, 1.0], list[float], "teacher")
         net = build_network(
             {
                 "modules": [{"id": "out", "output": True}, {"id": "A"}, {"id": "B"}],
@@ -473,31 +485,20 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _open_store(path: str, sketch) -> SketchRepository:
-    """Open a store at the d of its log, as ``SketchRepository.from_log``
-    does; a store with no complete record yet takes the sketch's d."""
-    try:
-        with open(path, "rb") as fh:
-            logged = fh.readline().endswith(b"\n")
-    except FileNotFoundError:
-        logged = False
-    repo = SketchRepository.from_log(path) if logged else SketchRepository(sketch.d, log_path=path)
-    if sketch.d != repo.d:
-        raise DimensionMismatchError(f"sketch d={sketch.d}, store d={repo.d}")
-    return repo
-
-
 def cmd_repo(args: argparse.Namespace) -> int:
     if args.repo_command == "insert":
         sk, _ = load_sketch(args.sketch)
-        repo = _open_store(args.store, sk)
-        tags = dict(kv.split("=", 1) for kv in (args.tag or []))
+        bad = [kv for kv in args.tag or [] if "=" not in kv]
+        if bad:
+            raise ConfigError(f"--tag {bad[0]!r} is not of the form key=value")
+        tags = dict(kv.split("=", 1) for kv in args.tag or [])
+        repo = SketchRepository.from_log(args.store, sk.d)
         eid = repo.insert(sk, args.id, tags)
         print(f"inserted {eid} (store size {len(repo)})")
         return EXIT_OK
     if args.repo_command == "query":
         probe, _ = load_sketch(args.sketch)
-        repo = _open_store(args.store, probe)
+        repo = SketchRepository.from_log(args.store, probe.d)
         if args.bucketed:
             hits, recall = repo.query_similar(probe, args.k, bucketed=True)
             print(f"recall={recall!r}")

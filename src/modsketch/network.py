@@ -418,7 +418,11 @@ def load_network(path: str) -> ModularNetwork:
     edges: list[tuple[str, str, float]] = []
     sparse_attrs: dict[str, list[tuple[int, float]]] = {}
 
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise NetworkValidationError(f"cannot read network file {path}: {exc.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

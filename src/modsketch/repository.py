@@ -4,12 +4,13 @@ Because unrelated sketches have near-zero inner product while sketches
 sharing heavy same-module objects correlate, a plain inner-product top-k over
 the store retrieves related computations, and k-means over sketch vectors
 surfaces candidate new modules as clusters.  Retrieval is exact brute force
-by default with an optional random-hyperplane bucketing that trades recall
-for speed (and reports the recall it achieved).
+by default with an optional bucketing by 16 constant random hyperplanes that
+trades recall for speed (and reports the recall it achieved).
 
-The store is in-memory with an optional append-only log; many readers may
-query concurrently while one writer inserts (queries see a consistent prefix
-of the insert sequence).
+The vectors live in one contiguous ``(n, d)`` array, grown by doubling, with
+one bucket code per row, and an optional append-only log that only this
+module reads.  Many readers may query concurrently while one writer inserts
+(queries see a consistent prefix of the insert sequence).
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ import numpy as np
 
 from modsketch._seeding import derive_rng
 from modsketch.block_random import DimensionMismatchError, ParameterError
-from modsketch.sketcher import Sketch, decode_values, encode_values
+from modsketch.sketcher import Sketch, decode_values, encode_values, sketch_from_metadata
 
 __all__ = ["SketchEntry", "QueryHit", "ClusterResult", "SketchRepository"]
+
+# a bucket code's bits, one per hyperplane, the first plane's the most significant
+_PLANE_BITS = 1 << np.arange(15, -1, -1, dtype=np.int64)
 
 
 @dataclass
@@ -51,29 +55,48 @@ class ClusterResult:
     assignments: list[int]  # aligned with insert order of the clustered entries
 
 
+def _log_line(eid: str, tags: dict, sketch: Sketch) -> str:
+    rec = {
+        "id": eid,
+        "tags": tags,
+        "kind": sketch.kind,
+        "depth": sketch.depth,
+        "erased_prefix": sketch.erased_prefix,
+        "values": base64.b64encode(encode_values(sketch.values)).decode("ascii"),
+    }
+    if sketch.signature_mode:
+        # written only when set, so logs of plain sketches keep their bytes
+        rec["signature_mode"] = True
+    return json.dumps(rec, sort_keys=True)
+
+
 def _parse_record(line: bytes, d: int) -> tuple[Sketch, str, dict]:
     rec = json.loads(line)
-    sk = Sketch(
-        values=decode_values(base64.b64decode(rec["values"]), d),
-        kind=rec["kind"],
-        depth=rec["depth"],
-        erased_prefix=rec["erased_prefix"],
-        signature_mode=rec.get("signature_mode", False),
+    tags = rec["tags"]
+    if not (isinstance(tags, dict) and all(isinstance(v, str) for v in tags.values())):
+        raise ParameterError(f"tags must map strings to strings, got {tags!r}")
+    sk = sketch_from_metadata(
+        decode_values(base64.b64decode(rec["values"]), d),
+        rec["kind"],
+        rec["depth"],
+        rec["erased_prefix"],
+        rec.get("signature_mode", False),
     )
-    return sk, rec["id"], rec["tags"]
+    return sk, rec["id"], tags
 
 
 class SketchRepository:
     """In-memory sketch store with an optional append-only log file."""
 
-    def __init__(self, d: int, log_path: str | None = None, lsh_planes: int = 16, seed: int = 0):
+    def __init__(self, d: int, log_path: str | None = None):
         self.d = d
         self.log_path = None  # set after the replay, which must not log again
-        self._entries: list[SketchEntry] = []
+        self._n = 0
+        self._vectors = np.empty((0, d))
+        self._codes = np.empty(0, dtype=np.int64)
+        self._meta: list[tuple] = []  # (id, tags, kind, depth, erased_prefix, signature_mode) per row
         self._write_lock = threading.Lock()
-        rng = derive_rng(seed, "repository-hyperplanes")
-        self._planes = rng.standard_normal((lsh_planes, d)) if lsh_planes > 0 else None
-        self._buckets: dict[int, list[int]] = {}
+        self._planes = derive_rng(0, "repository-hyperplanes").standard_normal((len(_PLANE_BITS), d))
         if log_path and os.path.exists(log_path):
             self._replay_log(log_path)
         self.log_path = log_path
@@ -82,36 +105,30 @@ class SketchRepository:
 
     def insert(self, sketch: Sketch, entry_id: str | None = None, tags: dict | None = None) -> str:
         if sketch.d != self.d:
-            raise DimensionMismatchError(f"sketch d={sketch.d}, repository d={self.d}")
+            raise DimensionMismatchError(f"sketch d={sketch.d}, store d={self.d}")
         with self._write_lock:
-            seq = len(self._entries)
-            eid = entry_id if entry_id is not None else f"sketch-{seq}"
-            entry = SketchEntry(id=eid, sketch=sketch, tags=dict(tags or {}), seq=seq)
-            if self._planes is not None:
-                self._buckets.setdefault(self._bucket_of(sketch.values), []).append(seq)
+            n = self._n
+            eid = entry_id if entry_id is not None else f"sketch-{n}"
+            tags = dict(tags or {})
             if self.log_path:
                 with open(self.log_path, "a", encoding="utf-8") as fh:
-                    fh.write(self._log_line(entry) + "\n")
-            # append is atomic w.r.t. snapshot readers
-            self._entries.append(entry)
+                    fh.write(_log_line(eid, tags, sketch) + "\n")
+            # readers take _n before the arrays, so publish new arrays only once
+            # they hold every committed row, and count a row only once it is written
+            if n == len(self._vectors):
+                vectors = np.empty((max(1, 2 * n), self.d))
+                vectors[:n] = self._vectors[:n]
+                codes = np.empty(len(vectors), dtype=np.int64)
+                codes[:n] = self._codes[:n]
+                self._vectors, self._codes = vectors, codes
+            self._vectors[n] = sketch.values
+            self._codes[n] = self._bucket_of(sketch.values)
+            self._meta.append((eid, tags, sketch.kind, sketch.depth, sketch.erased_prefix, sketch.signature_mode))
+            self._n = n + 1
             return eid
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def _log_line(self, entry: SketchEntry) -> str:
-        rec = {
-            "id": entry.id,
-            "tags": entry.tags,
-            "kind": entry.sketch.kind,
-            "depth": entry.sketch.depth,
-            "erased_prefix": entry.sketch.erased_prefix,
-            "values": base64.b64encode(encode_values(entry.sketch.values)).decode("ascii"),
-        }
-        if entry.sketch.signature_mode:
-            # written only when set, so logs of plain sketches keep their bytes
-            rec["signature_mode"] = True
-        return json.dumps(rec, sort_keys=True)
+        return self._n
 
     def _replay_log(self, path: str) -> None:
         """Re-insert every logged record.
@@ -139,14 +156,17 @@ class SketchRepository:
                 fh.truncate(complete)
 
     @classmethod
-    def from_log(cls, log_path: str) -> "SketchRepository":
-        """Reopen a logged store, taking d from its first record."""
+    def from_log(cls, log_path: str, d: int | None = None) -> "SketchRepository":
+        """Reopen a logged store at the d of its first record; a store with no
+        complete record yet opens empty at ``d``, or is refused without one."""
         try:
             with open(log_path, "rb") as fh:
-                first = json.loads(fh.readline())
-            d = len(base64.b64decode(first["values"])) // 8
+                first = fh.readline()
+            if first.endswith(b"\n") or d is None:
+                d = len(base64.b64decode(json.loads(first)["values"])) // 8
         except FileNotFoundError:
-            raise ParameterError(f"no sketch store at {log_path}") from None
+            if d is None:
+                raise ParameterError(f"no sketch store at {log_path}") from None
         except (ValueError, KeyError, TypeError):
             raise ParameterError(f"{log_path} does not start with a complete record") from None
         return cls(d, log_path=log_path)
@@ -154,44 +174,41 @@ class SketchRepository:
     # -- retrieval ----------------------------------------------------------
 
     def _bucket_of(self, values: np.ndarray) -> int:
-        assert self._planes is not None
-        bits = (self._planes @ values) >= 0
-        code = 0
-        for bit in bits:
-            code = (code << 1) | int(bit)
-        return code
+        return int(((self._planes @ values) >= 0) @ _PLANE_BITS)
 
     def query_similar(self, probe: Sketch, k: int, bucketed: bool = False):
         """Top-k entries by inner product with the probe.
 
         Brute force is exact (ties broken by insert sequence).  Bucketed mode
-        scores only the probe's hyperplane bucket and additionally reports
+        ranks only the probe's hyperplane bucket and additionally reports
         the recall it achieved against brute force on this probe.
         """
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
         if probe.d != self.d:
-            raise DimensionMismatchError(f"probe d={probe.d}, repository d={self.d}")
-        snapshot = self._entries[: len(self._entries)]
-        if not snapshot:
+            raise DimensionMismatchError(f"sketch d={probe.d}, store d={self.d}")
+        n = self._n
+        vectors, codes, meta = self._vectors, self._codes, self._meta
+        if not n:
             return ([], 1.0) if bucketed else []
+        # one dot per row, not a matrix product: the printed scores are the
+        # per-row dots, and a gemv differs from them in the last bits
+        scores = np.array([row @ probe.values for row in vectors[:n]])
 
-        def top(entries):
-            scored = [QueryHit(e, float(e.sketch.values @ probe.values)) for e in entries]
-            scored.sort(key=lambda h: (-h.score, h.entry.seq))
-            return scored[:k]
+        def top(rows: np.ndarray) -> list[QueryHit]:
+            hits = []
+            for i in rows[np.argsort(-scores[rows], kind="stable")[:k]]:
+                eid, tags, *fields = meta[i]
+                # a copy, not a view: a view would keep a doubled-away buffer alive
+                hits.append(QueryHit(SketchEntry(eid, Sketch(vectors[i].copy(), *fields), tags, int(i)), float(scores[i])))
+            return hits
 
-        exact = top(snapshot)
+        exact = top(np.arange(n))
         if not bucketed:
             return exact
-        if self._planes is None:
-            raise ParameterError("repository was built without hyperplanes")
-        candidate_seqs = self._buckets.get(self._bucket_of(probe.values), [])
-        candidates = [snapshot[s] for s in candidate_seqs if s < len(snapshot)]
-        approx = top(candidates)
-        exact_ids = {h.entry.seq for h in exact}
-        recall = (
-            len([h for h in approx if h.entry.seq in exact_ids]) / len(exact) if exact else 1.0
-        )
-        return approx, recall
+        approx = top(np.flatnonzero(codes[:n] == self._bucket_of(probe.values)))
+        exact_seqs = {h.entry.seq for h in exact}
+        return approx, sum(h.entry.seq in exact_seqs for h in approx) / len(exact)
 
     # -- clustering ----------------------------------------------------------
 
@@ -201,35 +218,24 @@ class SketchRepository:
         Initialization orders entries by a content hash (not insert order),
         so a reordering of the same entries yields the same clustering.
         """
-        snapshot = self._entries[: len(self._entries)]
-        n = len(snapshot)
+        n = self._n
+        data = self._vectors[:n]
         if k < 1:
             raise ParameterError("k must be >= 1")
         if k > n:
             raise ParameterError(f"k={k} exceeds repository size {n}")
-        data = np.stack([e.sketch.values for e in snapshot])
-
-        def content_key(vec: np.ndarray) -> str:
-            return hashlib.blake2b(np.round(vec, 9).tobytes(), digest_size=8).hexdigest()
-
-        order = sorted(range(n), key=lambda i: (content_key(data[i]), i))
-        # first k content-distinct vectors seed the centroids
-        centroids = []
-        seen: set[str] = set()
-        for i in order:
-            key = content_key(data[i])
-            if key not in seen:
-                seen.add(key)
-                centroids.append(data[i])
-            if len(centroids) == k:
-                break
-        while len(centroids) < k:
-            centroids.append(centroids[0])
-        centers = np.stack(centroids)
+        keys = [hashlib.blake2b(np.round(row, 9).tobytes(), digest_size=8).hexdigest() for row in data]
+        # the first k content-distinct vectors, in content-key order, seed the centroids
+        first: dict[str, int] = {}
+        for i in sorted(range(n), key=lambda i: (keys[i], i)):
+            first.setdefault(keys[i], i)
+        seeds = list(first.values())[:k]
+        centers = data[seeds + seeds[:1] * (k - len(seeds))]
 
         assign = np.full(n, -1, dtype=np.int64)
         for _ in range(iterations):
-            dists = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            # one centre at a time, so the largest temporary is (n, d), not (n, k, d)
+            dists = np.stack([((data - center) ** 2).sum(axis=1) for center in centers], axis=1)
             new_assign = np.argmin(dists, axis=1)
             for c in range(k):
                 members = data[new_assign == c]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -399,21 +399,40 @@ def save_sketch(sk: Sketch, path: str, seed_fingerprint: str = "") -> None:
         fh.write(encode_values(sk.values))
 
 
+def sketch_from_metadata(values: np.ndarray, kind, depth, erased_prefix, signature_mode) -> Sketch:
+    """A sketch from metadata read from outside the program (a ``.sketch``
+    header or a store's log record), refused unless every field is well-typed
+    and in range."""
+    if kind not in get_args(SketchKind):
+        raise ParameterError(f"unknown sketch kind {kind!r}")
+    if type(depth) is not int:
+        raise ParameterError(f"sketch depth must be an integer, got {depth!r}")
+    if not (type(erased_prefix) is int and 1 <= erased_prefix <= len(values)):
+        raise ParameterError(f"erased prefix must be an integer in [1, {len(values)}], got {erased_prefix!r}")
+    if type(signature_mode) is not bool:
+        raise ParameterError(f"signature mode must be a boolean, got {signature_mode!r}")
+    return Sketch(values, kind, depth, erased_prefix, signature_mode)
+
+
 def load_sketch(path: str) -> tuple[Sketch, str]:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ParameterError(f"cannot read sketch file {path}: {exc.strerror}") from None
+    with fh:
         header = fh.readline().decode("ascii", errors="replace").strip()
         if not header.startswith(_SKETCH_MAGIC):
             raise ParameterError(f"not a sketch file: {path}")
         try:
             fields = dict(tok.split("=", 1) for tok in header[len(_SKETCH_MAGIC) :].split())
             d, depth, erased_prefix = (int(fields[k]) for k in ("d", "depth", "erased_prefix"))
-            sig = int(fields.get("sig", "0"))
+            sig = fields.get("sig", "0")
             kind, seed = fields["kind"], fields["seed"]
         except (KeyError, ValueError) as exc:
             # a missing field, a token without "=", or a non-integer value
             raise ParameterError(f"{path}: malformed sketch header ({exc!r})") from None
         values = decode_values(fh.read(8 * d), d)
-    return Sketch(values, kind, depth, erased_prefix, bool(sig)), seed  # type: ignore[arg-type]
+    return sketch_from_metadata(values, kind, depth, erased_prefix, {"0": False, "1": True}.get(sig, sig)), seed
 
 
 def export_sketch_csv(sk: Sketch, path: str) -> None:

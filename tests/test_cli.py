@@ -228,10 +228,14 @@ def test_malformed_sketch_header_exit_code(tmp_path):
         "modsketch-sketch v1 d=2 kind=overall depth=1 erased_prefix=2 seed=unknown junk",
         "modsketch-sketch v1 d=two kind=overall depth=1 erased_prefix=2 seed=unknown",
         "modsketch-sketch v1 d=2 kind=overall depth=1 erased_prefix=2.5 seed=unknown",
+        "modsketch-sketch v1 d=2 kind=weird depth=1 erased_prefix=2 seed=unknown",
+        "modsketch-sketch v1 d=2 kind=overall depth=1 erased_prefix=3 seed=unknown",
+        "modsketch-sketch v1 d=2 kind=overall depth=1 erased_prefix=2 sig=2 seed=unknown",
     ):
         sk_path.write_bytes(header.encode() + b"\n" + bytes(16))
         rc = main(["recover", "--config", rec_cfg, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")])
         assert rc == EXIT_VALIDATION, header
+        assert main(["similarity", "--sketch-a", str(sk_path), "--sketch-b", str(sk_path)]) == EXIT_VALIDATION, header
 
 
 def test_recover_beyond_float_depth_exit_code(tmp_path):
@@ -350,6 +354,26 @@ def test_typed_config_fields_exit_code(tmp_path, capsys):
         assert main(["recover", "--config", rec, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "params" in err and err.count("\n") == 1, err
+    # and so do the list fields
+    ld_params = {"b": 45, "q": 0.5, "d": 1440, "n_cap": 6}
+    for command, cfg in (
+        ("calibrate", {"dims": ["abc"]}),
+        ("calibrate", {"dims": []}),
+        ("run", {"experiment": "attr-error-vs-d", "dims": 5}),
+        ("run", {"experiment": "attr-error-vs-d", "attributes": [0.5, "x"]}),
+        ("learn-dict", {"learn_mode": "unroll", "params": ld_params, "teacher": {"attrs_a": {"a": 1}}}),
+        ("learn-dict", {"learn_mode": "unroll", "params": ld_params, "teacher": {"attrs_b": "ab"}}),
+    ):
+        path = write_json(tmp_path / "list.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG, cfg
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+    for path_steps in (5, [{"module": "m0"}], [{"position": "first", "module": "m0"}], ["m0"]):
+        query = {"kind": "attributes_by_path", "path": path_steps}
+        rec = write_json(tmp_path / "rec.json", {"params": {"d_request": 1014, "n_cap": 6}, "query": query})
+        assert main(["recover", "--config", rec, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_repo_dimension_mismatch_names_both_dimensions(tmp_path, capsys):
@@ -369,3 +393,59 @@ def test_repo_dimension_mismatch_names_both_dimensions(tmp_path, capsys):
     fresh.write_text("")
     assert main(["repo", "insert", "--store", str(fresh), "--sketch", str(tmp_path / "s12.sketch")]) == EXIT_OK
     assert main(["repo", "query", "--store", str(fresh), "--sketch", str(tmp_path / "s12.sketch"), "--k", "1"]) == EXIT_OK
+
+
+def test_repo_input_errors_exit_codes(tmp_path, capsys):
+    sk = tmp_path / "s.sketch"
+    save_sketch(Sketch(values=np.arange(8.0), kind="overall", depth=1, erased_prefix=8), str(sk))
+    store = tmp_path / "s.log"
+    insert = ["repo", "insert", "--store", str(store), "--sketch", str(sk)]
+    assert main(insert + ["--tag", "foo"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --tag 'foo' is not of the form key=value\n"
+    assert not store.exists()
+    for _ in range(3):
+        assert main(insert + ["--tag", "a=b=c"]) == EXIT_OK
+    capsys.readouterr()
+    for k in ("0", "-1"):
+        assert main(["repo", "query", "--store", str(store), "--sketch", str(sk), "--k", k]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"validation error: k must be >= 1, got {k}\n")
+
+
+def test_missing_input_file_exit_code(tmp_path, capsys):
+    absent = str(tmp_path / "absent")
+    out = str(tmp_path / "out")
+    sk_cfg = write_json(tmp_path / "sk.json", {"seed": 0, "allow_high_noise": True})
+    for argv in (
+        ["repo", "insert", "--store", str(tmp_path / "s.log"), "--sketch", absent],
+        ["repo", "query", "--store", str(tmp_path / "s.log"), "--sketch", absent],
+        ["similarity", "--sketch-a", absent, "--sketch-b", absent],
+        ["recover", "--config", recover_config(tmp_path), "--sketch", absent, "--out", out],
+        ["sketch", "--config", sk_cfg, "--network", absent, "--out", out],
+    ):
+        assert main(argv) == EXIT_VALIDATION, argv
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: cannot read ") and absent in err and err.count("\n") == 1, err
+
+
+def test_malformed_log_record_metadata_exit_code(tmp_path, capsys):
+    sk = tmp_path / "s.sketch"
+    save_sketch(Sketch(values=np.arange(8.0), kind="overall", depth=1, erased_prefix=8), str(sk))
+    store = tmp_path / "s.log"
+    assert main(["repo", "insert", "--store", str(store), "--sketch", str(sk)]) == EXIT_OK
+    record = json.loads(store.read_text())
+    capsys.readouterr()
+    for change in (
+        {"tags": "x"},
+        {"tags": {"n": 1}},
+        {"depth": "deep", "kind": 7, "erased_prefix": -4},
+        {"depth": 1.0},
+        {"kind": "weird"},
+        {"erased_prefix": 0},
+        {"erased_prefix": 9},
+        {"signature_mode": 1},
+    ):
+        store.write_text(json.dumps({**record, **change}, sort_keys=True) + "\n")
+        assert main(["repo", "cluster", "--store", str(store), "--k", "1"]) == EXIT_VALIDATION, change
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "malformed record at byte 0" in err, err
+        assert err.count("\n") == 1, err

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from modsketch._seeding import derive_rng
 from modsketch.block_random import DimensionMismatchError, ParameterError, auto_params
 from modsketch.network import build_network
-from modsketch.repository import SketchRepository
-from modsketch.sketcher import MatrixRegistry, Sketch, overall_sketch
+from modsketch.repository import QueryHit, SketchEntry, SketchRepository
+from modsketch.sketcher import MatrixRegistry, Sketch, erase_to_prefix, overall_sketch
 
 D = 64
 
@@ -56,7 +61,7 @@ def test_dimension_mismatch():
 
 
 def test_bucketed_mode_reports_recall_and_dimension_safety():
-    repo = SketchRepository(D, lsh_planes=8)
+    repo = SketchRepository(D)
     rng = np.random.default_rng(1)
     for _ in range(40):
         repo.insert(rand_sketch(rng))
@@ -97,7 +102,7 @@ def test_shared_object_ranks_above_disjoint():
         shared_attrs = [0.25] * 16
         probe = overall_sketch(net("shared", shared_attrs), reg)
         related = overall_sketch(net("shared", shared_attrs), reg)
-        repo = SketchRepository(params.d, lsh_planes=0)
+        repo = SketchRepository(params.d)
         repo.insert(related, "related")
         for i in range(4):
             repo.insert(overall_sketch(net(f"other{i}", [0.5, 0.5], oid=f"y{i}"), reg), f"o{i}")
@@ -203,15 +208,16 @@ def test_torn_final_record_is_dropped_and_cut(tmp_path):
     for i, s in enumerate(sketches[:2]):
         repo.insert(s, f"e{i}")
     complete = log.read_bytes()
-    line = repo._log_line(repo._entries[0])
-    log.write_bytes(complete + line[: len(line) // 2].encode())  # a crash mid-append
+    line = complete.split(b"\n")[0]
+    log.write_bytes(complete + line[: len(line) // 2])  # a crash mid-append
     with pytest.warns(RuntimeWarning, match="torn final record"):
         again = SketchRepository(D, log_path=str(log))
     assert len(again) == 2
     assert log.read_bytes() == complete
     again.insert(sketches[2], "e2")
     third = SketchRepository(D, log_path=str(log))
-    assert [e.id for e in third._entries] == ["e0", "e1", "e2"]
+    # a zero probe ties every score, so the hits come in insert order
+    assert [h.entry.id for h in third.query_similar(make_sketch(np.zeros(D)), k=3)] == ["e0", "e1", "e2"]
 
 
 def test_malformed_record_before_the_end_is_an_error(tmp_path):
@@ -233,3 +239,114 @@ def test_from_log_refuses_missing_or_empty_store(tmp_path):
     empty.write_text("")
     with pytest.raises(ParameterError, match="complete record"):
         SketchRepository.from_log(str(empty))
+
+
+# -- reference: a store of one Sketch per entry -------------------------------
+# Every entry scored and sorted on (-score, seq), bucket codes built bit by
+# bit, and k-means over an (n, k, d) broadcast.  The array-backed repository
+# must reproduce it bit for bit.
+
+
+def oracle_bucket(values: np.ndarray) -> int:
+    planes = derive_rng(0, "repository-hyperplanes").standard_normal((16, len(values)))
+    code = 0
+    for bit in (planes @ values) >= 0:
+        code = (code << 1) | int(bit)
+    return code
+
+
+def oracle_query(entries: list[SketchEntry], probe: Sketch, k: int, bucketed: bool = False):
+    def top(chosen):
+        scored = [QueryHit(e, float(e.sketch.values @ probe.values)) for e in chosen]
+        scored.sort(key=lambda h: (-h.score, h.entry.seq))
+        return scored[:k]
+
+    exact = top(entries)
+    if not bucketed:
+        return exact
+    code = oracle_bucket(probe.values)
+    approx = top([e for e in entries if oracle_bucket(e.sketch.values) == code])
+    exact_seqs = {h.entry.seq for h in exact}
+    return approx, len([h for h in approx if h.entry.seq in exact_seqs]) / len(exact)
+
+
+def oracle_cluster(entries: list[SketchEntry], k: int, iterations: int = 25):
+    data = np.stack([e.sketch.values for e in entries])
+    n = len(data)
+
+    def content_key(vec):
+        return hashlib.blake2b(np.round(vec, 9).tobytes(), digest_size=8).hexdigest()
+
+    centroids, seen = [], set()
+    for i in sorted(range(n), key=lambda i: (content_key(data[i]), i)):
+        if content_key(data[i]) not in seen:
+            seen.add(content_key(data[i]))
+            centroids.append(data[i])
+        if len(centroids) == k:
+            break
+    while len(centroids) < k:
+        centroids.append(centroids[0])
+    centers = np.stack(centroids)
+    assign = np.full(n, -1, dtype=np.int64)
+    for _ in range(iterations):
+        dists = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = np.argmin(dists, axis=1)
+        for c in range(k):
+            members = data[new_assign == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centers, [int(a) for a in assign]
+
+
+def hit_bits(hits):
+    return [
+        (h.entry.id, h.entry.seq, h.entry.tags, float.hex(h.score), h.entry.sketch.kind, h.entry.sketch.depth,
+         h.entry.sketch.erased_prefix, h.entry.sketch.signature_mode, h.entry.sketch.values.tobytes())
+        for h in hits
+    ]
+
+
+def test_array_store_matches_per_entry_oracle(tmp_path):
+    rng = np.random.default_rng(9)
+    base = [rand_sketch(rng) for _ in range(30)]
+    near = [make_sketch(s.values + 1e-3 * rng.standard_normal(D)) for s in base[:10]]  # shares buckets
+    signed = replace(rand_sketch(rng), signature_mode=True, kind="object", depth=3)
+    erased = erase_to_prefix(rand_sketch(rng), 20)
+    stored = base + near + base[:5] + [signed, erased]  # base[:5] twice: tied scores
+    log = tmp_path / "repo.log"
+    repo = SketchRepository(D, log_path=str(log))
+    entries = []
+    for seq, sk in enumerate(stored):
+        tags = {"n": str(seq)} if seq % 3 == 0 else {}
+        repo.insert(sk, f"e{seq}", tags)
+        entries.append(SketchEntry(f"e{seq}", sk, tags, seq))
+    probes = [base[0], base[7], near[2], signed, erased, make_sketch(np.zeros(D)), rand_sketch(rng)]
+    for store in (repo, SketchRepository(D, log_path=str(log))):  # as inserted, and replayed
+        for probe in probes:
+            for k in (1, 4, len(stored) + 3):
+                assert hit_bits(store.query_similar(probe, k)) == hit_bits(oracle_query(entries, probe, k))
+                approx, recall = store.query_similar(probe, k, bucketed=True)
+                want, want_recall = oracle_query(entries, probe, k, bucketed=True)
+                assert hit_bits(approx) == hit_bits(want) and float.hex(recall) == float.hex(want_recall)
+        for k in (1, 3, 8):
+            got = store.cluster(k)
+            centers, assignments = oracle_cluster(entries, k)
+            assert got.assignments == assignments
+            assert got.centroids.tobytes() == centers.tobytes()
+
+
+def test_cluster_peak_memory_stays_near_the_store_size():
+    n, d = 2000, 256
+    repo = SketchRepository(d)
+    for v in np.random.default_rng(10).standard_normal((n, d)):
+        repo.insert(make_sketch(v))
+    tracemalloc.start()
+    try:
+        repo.cluster(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * d * 8, f"cluster(8) peaked at {peak / (n * d * 8):.1f}x the stored vectors"
