@@ -91,14 +91,15 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", dict: "an object", list[int]: "a non-empty list of integers",
-               list[float]: "a non-empty list of numbers", list[dict]: "a non-empty list of objects"}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", dict: "an object",
+               list[int]: "a non-empty list of integers", list[float]: "a non-empty list of numbers",
+               list[dict]: "a non-empty list of objects"}
 
 
 def _convert(value, kind):
-    """``value`` as ``kind``; a ``dict`` or ``list`` must already be one in the JSON."""
-    if kind is dict:
-        if not isinstance(value, dict):
+    """``value`` as ``kind``; a ``bool``, ``dict`` or ``list`` must already be one in the JSON."""
+    if kind in (bool, dict):
+        if not isinstance(value, kind):
             raise TypeError(value)
         return value
     if kind in (int, float):
@@ -158,7 +159,7 @@ def _registry_from_config(cfg: dict, seed: int) -> MatrixRegistry:
         params,
         master_seed=seed,
         mode=cfg.get("mode", "block-random"),
-        allow_high_noise=bool(cfg.get("allow_high_noise", False)),
+        allow_high_noise=_optional(cfg, "allow_high_noise", False, bool),
     )
 
 
@@ -175,6 +176,7 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: str) -> int:
     trials = _optional(cfg, "trials", 200, int)
     pairs = _optional(cfg, "pairs", 1, int)
     quantile = _optional(cfg, "quantile", 0.99, float)
+    transparent = _optional(cfg, "transparent", True, bool)
     os.makedirs(out_dir, exist_ok=True)
 
     rows: list[str] = []
@@ -192,7 +194,7 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: str) -> int:
         deltas_iso.append((params.d, params.b, prof.delta_iso))
         deltas_des.append((params.d, params.b, prof.delta_desync))
 
-    if cfg.get("transparent", True):
+    if transparent:
         params = auto_params(dims[min(1, len(dims) - 1)], n_cap)
         tprof = measure_noise_profile(
             ("transparent",), "isometry", trials, params, quantile=quantile, master_seed=seed,
@@ -251,12 +253,13 @@ def cmd_sketch(cfg: dict, seed: int, network_path: str, out_path: str) -> int:
             f"registry dimension {registry.d} != network dimension {net.d}; "
             "regenerate the network at the aligned dimension"
         )
-    sk = overall_sketch(net, registry, signature_mode=bool(cfg.get("signature", False)))
     erase_to = _optional(cfg, "erase_to", None, int)
+    csv = _optional(cfg, "csv", False, bool)
+    sk = overall_sketch(net, registry, signature_mode=_optional(cfg, "signature", False, bool))
     if erase_to:
         sk = erase_to_prefix(sk, erase_to)
     save_sketch(sk, out_path, registry.seed_fingerprint())
-    if cfg.get("csv"):
+    if csv:
         export_sketch_csv(sk, out_path + ".csv")
     print(f"wrote {out_path}")
     return EXIT_OK

@@ -30,11 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from modsketch.block_random import (
-    BlockParams,
-    CorruptCodewordError,
-    decode_column_signature,
-)
+from modsketch.block_random import BlockParams
 
 __all__ = [
     "DLConfig",
@@ -165,109 +161,102 @@ def _modal_row(bits: np.ndarray) -> np.ndarray:
 def _parse_matching_set(z_members: np.ndarray, p: BlockParams) -> tuple | None:
     """Round a matching set to the hypercube and read its column.
 
-    Returns ``(j, s_x, rounded, modal_m, modal_m_pattern)``, or None when the
-    modal column codeword is corrupt.  The sign s_x is a parity vote over the
-    member rows, each decoded as :func:`decode_column_signature` does
-    (normalized by the sign of coordinate 0, index bits MSB first, parity bit
-    at t+1); a row whose index exceeds d does not vote.
+    Returns ``(j, s_x, rounded, modal_m)``, or None when the modal column
+    codeword is corrupt.  The member rows and the modal row are decoded as
+    :func:`~modsketch.block_random.decode_column_signature` does (normalized
+    by the sign of coordinate 0, index bits MSB first, parity bit at t+1);
+    an index beyond d is corrupt.  The sign s_x is a parity vote over the
+    member rows whose codewords are not corrupt.
     """
     m, t, scale = p.sub_block, p.index_bits, p.entry_scale
     rounded = np.where(z_members >= 0, scale, -scale)  # (n_members, b)
     bits = rounded > 0
     modal_bits = np.concatenate([_modal_row(bits[:, lo : lo + m]) for lo in (0, m, 2 * m)])
-    modal = np.where(modal_bits, scale, -scale)
-    try:
-        j, _f_modal = decode_column_signature(modal[m : 2 * m], p)
-    except CorruptCodewordError:
-        return None
-    code = bits[:, m : 2 * m] ^ ~bits[:, m : m + 1]
+    rows = np.vstack([bits, modal_bits])  # the modal row decodes last
+    code = rows[:, m : 2 * m] ^ ~rows[:, m : m + 1]
     rows_j = code[:, 1 : t + 1] @ (1 << np.arange(t - 1, -1, -1, dtype=np.int64)) + 1
-    votes = np.where(bits[:, 2 * m], 1, -1) * np.where(code[:, t + 1], 1, -1)
-    s_x = 1.0 if votes[rows_j <= p.d].sum() >= 0 else -1.0
-    modal_m = modal[2 * m :]
-    return j, s_x, rounded, modal_m, np.where(modal_m > 0, 1, -1).astype(np.int8)
+    if rows_j[-1] > p.d:
+        return None
+    votes = np.where(rows[:, 2 * m], 1, -1) * np.where(code[:, t + 1], 1, -1)
+    s_x = 1.0 if votes[:-1][rows_j[:-1] <= p.d].sum() >= 0 else -1.0
+    return int(rows_j[-1]), s_x, rounded, np.where(modal_bits[2 * m :], scale, -scale)
 
 
 def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary:
     """Scan all blocks of all samples and collect identifiable columns.
 
-    Ill-conditioned inputs never fail; they simply yield fewer recovered
-    columns and zero coefficients.
+    Every seed block of a dominant column finds the same matching set, so
+    each distinct set of a sample is parsed, clustered and installed once;
+    each seed then writes its own weight, in seed order, so the last seed
+    of a column wins.  Ill-conditioned inputs never fail; they simply yield
+    fewer recovered columns and zero coefficients.
     """
     p = config.params
-    d, b, q = p.d, p.b, p.q
-    m = p.sub_block
-    n_blocks = p.n_blocks
+    d, b, q, m, n_blocks = p.d, p.b, p.q, p.sub_block, p.n_blocks
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(samples, dtype=np.float64)))
     if y.shape[1] != d:
         raise ValueError(f"samples have dimension {y.shape[1]}, expected {d}")
     n_samples = y.shape[0]
-    scale = config.scale
-    tau1 = config.tau1_value
     tau2 = config.tau2_value
-    upper = config.upper_value
-    floor = config.set_floor
 
     blocks = y.reshape(n_samples, n_blocks, b)
     abs_blocks = np.abs(blocks)
-    l1 = abs_blocks.sum(axis=2)
-    weights = l1 * math.sqrt(q * d) / b  # |x| of a clean dominated block
+    weights = abs_blocks.sum(axis=2) * math.sqrt(q * d) / b  # |x| of a clean dominated block
     # magnitude window (pre-normalization): every coordinate in [tau1, 2/sqrt(qd)]
     in_window = (
         (weights > 0)
-        & (abs_blocks.min(axis=2) >= tau1)
-        & (abs_blocks.max(axis=2) <= upper)
+        & (abs_blocks.min(axis=2) >= config.tau1_value)
+        & (abs_blocks.max(axis=2) <= config.upper_value)
     )
 
     signatures: list[np.ndarray] = []
+    sig_patterns: list[np.ndarray] = []  # +-1 int8 views of signatures
     columns: dict[tuple[int, int], np.ndarray] = {}
     coefficients: list[dict[tuple[int, int], float]] = [dict() for _ in range(n_samples)]
 
-    sig_patterns: list[np.ndarray] = []  # +-1 int8 views of signatures
-
     for k in range(n_samples):
         window_idx = np.nonzero(in_window[k])[0]
-        if len(window_idx) == 0:
-            continue
         zs = blocks[k, window_idx] / weights[k, window_idx, None]  # normalized blocks
         zs_s = zs[:, :m]
         # seed blocks additionally pass the hypercube closeness test
-        hyper_dev = np.max(np.abs(np.abs(zs_s) - scale), axis=1)
-        set_cache: dict[bytes, tuple | None] = {}
-        for seed_pos in np.nonzero(hyper_dev <= tau2)[0]:
-            z_seed_s = zs_s[seed_pos]
-            # matching set: symmetric l-inf closeness on the random-string third
-            d_plus = np.max(np.abs(zs_s - z_seed_s), axis=1)
-            d_minus = np.max(np.abs(zs_s + z_seed_s), axis=1)
-            members = np.nonzero(np.minimum(d_plus, d_minus) <= 2 * tau2)[0]
-            if len(members) < floor:
-                continue
-            # every seed of one dominant column finds the same set: parse it once
-            set_key = members.tobytes()
-            if set_key not in set_cache:
-                set_cache[set_key] = _parse_matching_set(zs[members], p)
-            parsed = set_cache[set_key]
+        seeds = np.nonzero(np.max(np.abs(np.abs(zs_s) - config.scale), axis=1) <= tau2)[0]
+        # matching sets, one row per seed: symmetric l-inf closeness on the
+        # random-string third
+        seed_s = zs_s[seeds, None, :]
+        d_plus = np.max(np.abs(zs_s - seed_s), axis=2)
+        d_minus = np.max(np.abs(zs_s + seed_s), axis=2)
+        match = np.minimum(d_plus, d_minus) <= 2 * tau2
+        kept = match.sum(axis=1) >= config.set_floor
+        seeds, match = seeds[kept], match[kept]
+        packed = np.packbits(match, axis=1)
+        set_keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, set_of_seed = np.unique(set_keys, return_index=True, return_inverse=True)
+        parsed_sets: list[tuple | None] = [None] * len(first)
+        for s in np.argsort(first):  # sets in the order of their first seed
+            members = np.nonzero(match[first[s]])[0]
+            parsed = _parse_matching_set(zs[members], p)
             if parsed is None:  # corrupt modal codeword
                 continue
-            j, s_x, rounded, modal_m, modal_m_pattern = parsed
-            cluster = -1
-            for i, sig in enumerate(sig_patterns):
-                if _sym_hamming(sig, modal_m_pattern) <= config.hamming_radius:
-                    cluster = i
-                    break
-            if cluster < 0:
-                cluster = len(signatures)
-                signatures.append(modal_m.copy())
+            j, s_x, rounded, modal_m = parsed
+            modal_m_pattern = np.where(modal_m > 0, 1, -1).astype(np.int8)
+            # clusters are only appended, so the first seed's lookup holds for the set
+            cluster = next(
+                (i for i, sig in enumerate(sig_patterns)
+                 if _sym_hamming(sig, modal_m_pattern) <= config.hamming_radius),
+                len(signatures),
+            )
+            if cluster == len(signatures):
+                signatures.append(modal_m)
                 sig_patterns.append(modal_m_pattern)
-
             key = (cluster, j)
             if key not in columns:
-                col = np.zeros(d)
-                member_blocks = window_idx[members]
-                for row, blk in zip(rounded, member_blocks):
-                    col[blk * b : (blk + 1) * b] = s_x * row
-                columns[key] = col
-            coefficients[k][key] = s_x * float(weights[k, window_idx[seed_pos]])
+                columns[key] = np.zeros(d)
+                columns[key].reshape(n_blocks, b)[window_idx[members]] = s_x * rounded
+            parsed_sets[s] = (key, s_x)
+        for s, seed_pos in zip(set_of_seed, seeds):
+            if parsed_sets[s] is not None:
+                key, s_x = parsed_sets[s]
+                coefficients[k][key] = s_x * float(weights[k, window_idx[seed_pos]])
 
     return LearnedDictionary(
         config=config,
@@ -435,7 +424,6 @@ def unroll_network(
     test are pruned as garbage once no recursable material remains.
     """
     levels = levels if levels is not None else recursion_budget
-    schedule = default_eps_schedule(eps_final, levels)
     base_config = dl_config or DLConfig(params=params, eps_recover=eps_final)
 
     y = np.atleast_2d(np.asarray(sketches, dtype=np.float64))
@@ -444,13 +432,10 @@ def unroll_network(
     edges: set[tuple[str, str]] = set()
     frames_per_level: list[int] = []
 
-    level = 0
-    for level in range(1, levels + 1):
+    for eps_level in default_eps_schedule(eps_final, levels):
         if not frames:
-            level -= 1
             break
         frames_per_level.append(len(frames))
-        eps_level = schedule[min(level, levels) - 1]
         batch = np.stack([f.vector for f in frames])
         learned = learn_dictionary(batch, base_config)
 
@@ -490,7 +475,7 @@ def unroll_network(
     return UnrollResult(
         modules=modules,
         edges=edges,
-        levels_run=level,
+        levels_run=len(frames_per_level),
         frames_per_level=frames_per_level,
         sample_counts=sample_counts,
     )

@@ -117,8 +117,8 @@ class ModularNetwork:
 
 
 def _pad_and_normalize(values: np.ndarray, d: int) -> np.ndarray:
-    if np.any(values < -WEIGHT_TOL):
-        raise NetworkValidationError("attribute entries must be nonnegative")
+    if not np.all(np.isfinite(values) & (values >= -WEIGHT_TOL)):
+        raise NetworkValidationError("attribute entries must be finite and nonnegative")
     if len(values) > d:
         raise NetworkValidationError(
             f"attribute vector of length {len(values)} exceeds sketch dimension {d}"
@@ -184,8 +184,8 @@ def build_network(
         if parent not in objects or child not in objects:
             raise NetworkValidationError(f"edge ({parent!r}, {child!r}) names unknown object")
         w = float(weight)
-        if w < 0:
-            raise WeightSumError(f"negative edge weight on ({parent!r}, {child!r})")
+        if not w >= 0:  # nan fails too
+            raise WeightSumError(f"edge weight on ({parent!r}, {child!r}) must be nonnegative, got {w}")
         objects[parent].inputs.append((child, w))
 
     for obj in objects.values():
@@ -402,6 +402,14 @@ def save_network(net: ModularNetwork, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_number(kind: type, text: str, where: str):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise NetworkValidationError(f"{where} must be {noun}, got {text!r}") from None
+
+
 def load_network(path: str) -> ModularNetwork:
     """Parse the text form written by :func:`save_network`.
 
@@ -412,7 +420,7 @@ def load_network(path: str) -> ModularNetwork:
     parse errors that name the field.
     """
     section = None
-    meta: dict[str, str] = {}
+    meta: dict[str, int] = {}
     modules: list[dict] = []
     objects: list[dict] = []
     edges: list[tuple[str, str, float]] = []
@@ -437,7 +445,7 @@ def load_network(path: str) -> ModularNetwork:
                 key = key.strip()
                 if key not in ("dimension", "n_cap", "n_multiplier"):
                     raise UnknownFieldError(f"line {lineno}: unknown network field {key!r}")
-                meta[key] = value.strip()
+                meta[key] = _parse_number(int, value.strip(), f"line {lineno}: {key}")
             elif section == "modules":
                 kind, _, mid = line.partition(" ")
                 if kind not in ("module", "output"):
@@ -463,13 +471,14 @@ def load_network(path: str) -> ModularNetwork:
                 parts = line.split()
                 if len(parts) != 3:
                     raise UnknownFieldError(f"line {lineno}: malformed edge record")
-                edges.append((parts[0], parts[1], float(parts[2])))
+                weight = _parse_number(float, parts[2], f"line {lineno}: edge weight")
+                edges.append((parts[0], parts[1], weight))
             else:
                 raise UnknownFieldError(f"line {lineno}: content outside any section")
 
     if "dimension" not in meta:
         raise UnknownFieldError("missing [network] dimension")
-    d = int(meta["dimension"])
+    d = meta["dimension"]
     for odesc in objects:
         pairs = sparse_attrs[odesc["id"]]
         length = max((i for i, _ in pairs), default=-1) + 1
@@ -485,6 +494,6 @@ def load_network(path: str) -> ModularNetwork:
     return build_network(
         {"modules": modules, "objects": objects, "edges": edges},
         d=d,
-        n_multiplier=int(meta.get("n_multiplier", "3")),
-        n_cap=int(meta["n_cap"]) if "n_cap" in meta else None,
+        n_multiplier=meta.get("n_multiplier", 3),
+        n_cap=meta.get("n_cap"),
     )

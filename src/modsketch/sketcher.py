@@ -120,6 +120,8 @@ class MatrixRegistry:
         allow_high_noise: bool = False,
     ) -> None:
         params.require_alignment()
+        if mode not in get_args(RegistryMode):
+            raise ParameterError(f"unknown registry mode {mode!r}; expected one of {get_args(RegistryMode)}")
         self.params = params
         self.master_seed = master_seed
         self.mode = mode

@@ -354,11 +354,12 @@ def test_typed_config_fields_exit_code(tmp_path, capsys):
         assert main(["recover", "--config", rec, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "params" in err and err.count("\n") == 1, err
-    # and so do the list fields
+    # and so do the list and boolean fields
     ld_params = {"b": 45, "q": 0.5, "d": 1440, "n_cap": 6}
     for command, cfg in (
         ("calibrate", {"dims": ["abc"]}),
         ("calibrate", {"dims": []}),
+        ("calibrate", {"dims": [512], "transparent": 0}),
         ("run", {"experiment": "attr-error-vs-d", "dims": 5}),
         ("run", {"experiment": "attr-error-vs-d", "attributes": [0.5, "x"]}),
         ("learn-dict", {"learn_mode": "unroll", "params": ld_params, "teacher": {"attrs_a": {"a": 1}}}),
@@ -449,3 +450,45 @@ def test_malformed_log_record_metadata_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and "malformed record at byte 0" in err, err
         assert err.count("\n") == 1, err
+
+
+def test_malformed_network_numbers_exit_code(tmp_path, capsys):
+    good = (
+        "[network]\ndimension = 1014\nn_cap = 6\nn_multiplier = 3\n"
+        "[modules]\noutput out\nmodule leaf\n[objects]\nobject root out\nobject a leaf 0:0.6\n[edges]\nroot a 1.0\n"
+    )
+    sk_cfg = write_json(tmp_path / "sk.json", {"seed": 0, "allow_high_noise": True})
+    net_path = tmp_path / "net.txt"
+    for old, new, where in (
+        ("dimension = 1014", "dimension = abc", "line 2: dimension must be an integer, got 'abc'"),
+        ("n_cap = 6", "n_cap = x", "line 3: n_cap must be an integer, got 'x'"),
+        ("n_multiplier = 3", "n_multiplier = 2.5", "line 4: n_multiplier must be an integer, got '2.5'"),
+        ("root a 1.0", "root a heavy", "line 12: edge weight must be a number, got 'heavy'"),
+        ("root a 1.0", "root a nan", "edge weight on ('root', 'a') must be nonnegative, got nan"),
+        ("root a 1.0", "root a inf", "input weights of 'root' sum to inf > 1"),
+        ("0:0.6", "0:nan", "attribute entries must be finite and nonnegative"),
+        ("0:0.6", "0:inf", "attribute entries must be finite and nonnegative"),
+    ):
+        net_path.write_text(good.replace(old, new))
+        assert main(["sketch", "--config", sk_cfg, "--network", str(net_path), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {where}\n"
+    net_path.write_text(good)
+    assert main(["sketch", "--config", sk_cfg, "--network", str(net_path), "--out", str(tmp_path / "s")]) == EXIT_OK
+
+
+def test_registry_mode_and_boolean_fields_are_checked(tmp_path, capsys):
+    net = tmp_path / "net.txt"
+    gen_cfg = write_json(tmp_path / "gen.json", {"seed": 1, "dimension": 1014, "profile": {"n_modules": 1, "depth": 2, "fan_in": 1}})
+    assert main(["gen-network", "--config", gen_cfg, "--out", str(net)]) == EXIT_OK
+    sketch = ["sketch", "--network", str(net), "--out", str(tmp_path / "s.sketch"), "--config"]
+    capsys.readouterr()
+    assert main(sketch + [write_json(tmp_path / "sk.json", {"allow_high_noise": True, "mode": "orthonormall"})]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: unknown registry mode 'orthonormall'") and err.count("\n") == 1, err
+    for key in ("allow_high_noise", "signature", "csv"):
+        cfg = write_json(tmp_path / "sk.json", {"allow_high_noise": True, key: "no"})
+        assert main(sketch + [cfg]) == EXIT_CONFIG, key
+        assert capsys.readouterr().err == f"config error: config: field {key!r} must be true or false, got 'no'\n"
+    # the default (null) and the JSON booleans still read
+    for cfg in ({"allow_high_noise": True, "csv": None}, {"allow_high_noise": True, "signature": False, "csv": True}):
+        assert main(sketch + [write_json(tmp_path / "sk.json", cfg)]) == EXIT_OK

@@ -22,6 +22,7 @@ from modsketch.dictlearn import (
     DLConfig,
     LearnedDictionary,
     _modal_row,
+    _parse_matching_set,
     _sym_hamming,
     classify_recovered_vectors,
     default_eps_schedule,
@@ -316,10 +317,10 @@ def assert_bitwise_equal(got, want):
     assert [(s.dtype, s.tobytes()) for s in got.signatures] == [
         (s.dtype, s.tobytes()) for s in want.signatures
     ]
-    assert list(got.columns) == list(want.columns)  # discovery order too
+    assert repr(list(got.columns)) == repr(list(want.columns))  # discovery order and key types
     for key, col in want.columns.items():
         assert (got.columns[key].dtype, got.columns[key].tobytes()) == (col.dtype, col.tobytes()), key
-    hexed = lambda coeffs: [[(key, float(v).hex()) for key, v in c.items()] for c in coeffs]
+    hexed = lambda coeffs: [[(repr(key), float(v).hex()) for key, v in c.items()] for c in coeffs]
     assert hexed(got.coefficients) == hexed(want.coefficients)
 
 
@@ -333,8 +334,8 @@ def codeword(j, b_m, params=PLANT):
 
 
 def crafted_codeword_batch(seed=8):
-    """A planted batch plus four samples, each one column at 0.9 whose
-    column-signature thirds are rewritten:
+    """A planted batch plus five samples, each one column at 0.9, the first
+    four with their column-signature thirds rewritten:
 
     - corrupt: every block encodes an index beyond d, so the modal codeword
       is corrupt and the set is skipped;
@@ -344,7 +345,12 @@ def crafted_codeword_batch(seed=8):
     - overlap: as tie, plus one block Z for the second codeword.  Z sits
       inside every seed's matching set but one: seed Y, whose random-string
       third has the same signs as seed X's, but is nudged the other way.  So
-      X's set decodes the second codeword and Y's set the first.
+      X's set decodes the second codeword and Y's set the first;
+    - cross: codewords untouched; Z as in overlap, and seed Y halfway in
+      block order, nudged as in overlap and scaled by 1.1 (weight 0.99).
+      Y's set lacks Z, so two sets decode to the same column and Y falls
+      between the other set's seeds; the last seed, not Y, sets the
+      coefficient.
     """
     params = PLANT
     m = params.sub_block
@@ -353,10 +359,17 @@ def crafted_codeword_batch(seed=8):
     even = next(j for j in wide[2:] if len(mats[0].active_blocks(j)) % 2 == 0)
     odd = next(j for j in wide[2:] if len(mats[0].active_blocks(j)) % 2 == 1)
     out = {}
-    for name, j in zip(("corrupt", "vote", "tie", "overlap"), (wide[0], wide[1], even, odd)):
+    names = ("corrupt", "vote", "tie", "overlap", "cross")
+    for name, j in zip(names, (wide[0], wide[1], even, odd, wide[-1])):
         col = mats[0].column(j)
         blks = [int(blk) for blk in mats[0].active_blocks(j)]
-        if name == "overlap":
+        if name == "cross":
+            z_blk, y_blk = blks[0], blks[len(blks) // 2]
+            for blk, nudge in ((z_blk, 0.5), (y_blk, -0.2)):
+                col[blk * params.b : blk * params.b + 2] *= (1 + nudge, 1 - nudge)
+            col[y_blk * params.b : (y_blk + 1) * params.b] *= 1.1
+            blks = []  # every codeword stays j's own
+        elif name == "overlap":
             z_blk, y_blk = blks.pop(0), blks[-1]
             x_blk = next(blk for blk in blks[-2::-1] if col[blk * params.b] == col[y_blk * params.b])
             for blk, nudge in ((x_blk, 0.2), (y_blk, -0.2), (z_blk, 0.5)):
@@ -380,6 +393,9 @@ def crafted_codeword_batch(seed=8):
 def plant_batch(name):
     if name == "crafted-codewords":
         return crafted_codeword_batch()[0]
+    if name == "crafted-cross":
+        ys, rows = crafted_codeword_batch()
+        return ys[rows["cross"][1] :]
     if name == "l1-spike":
         ys = plant_instance(seed=6, n_samples=60)[2].copy()
         ys[:, 7 * PLANT.b : 8 * PLANT.b] += math.sqrt(PLANT.d) / PLANT.b
@@ -394,7 +410,8 @@ def plant_batch(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["plain", "negative-sign", "l1-spike", "one-matrix", "three-matrices", "crafted-codewords"]
+    "name",
+    ["plain", "negative-sign", "l1-spike", "one-matrix", "three-matrices", "crafted-codewords", "crafted-cross"],
 )
 def test_learner_bitwise_per_seed_oracle(name):
     ys = plant_batch(name)
@@ -415,6 +432,48 @@ def test_crafted_codewords_exercise_the_decode_rules():
     assert [key[1] for key in learned.coefficients[k]] == [j]
     j, k = rows["overlap"]
     assert sorted(key[1] for key in learned.coefficients[k]) == [j, PLANT.d - j]
+    j, k = rows["cross"]
+    [(key, val)] = learned.coefficients[k].items()
+    assert key[1] == j and val == pytest.approx(0.9, abs=0.01)  # not Y's 0.99
+
+
+def test_parse_matching_set_matches_scalar_decode():
+    """Member rows whose column thirds come from two codewords (either may
+    lie beyond d) under random global signs: the vectorized parse agrees with
+    decoding the modal row and every member row on their own, and the modal
+    row does not vote."""
+    m, scale = PLANT.sub_block, PLANT.entry_scale
+    rng = np.random.default_rng(1)
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        pool = [codeword(int(j), int(rng.choice([-1, 1]))) for j in rng.integers(1, PLANT.d + 60, size=2)]
+        z = rng.choice([-1.0, 1.0], size=(n, PLANT.b)) * rng.uniform(0.5, 1.5, size=(n, PLANT.b)) * scale
+        for row in z:
+            row[m : 2 * m] = pool[int(rng.integers(2))] * rng.choice([-1, 1])
+        rounded = np.where(z >= 0, scale, -scale)
+        modal = np.empty(PLANT.b)
+        for lo in (0, m, 2 * m):
+            uniq, counts = np.unique(rounded[:, lo : lo + m] > 0, axis=0, return_counts=True)
+            modal[lo : lo + m] = np.where(uniq[np.argmax(counts)], scale, -scale)
+        got = _parse_matching_set(z, PLANT)
+        try:
+            j, _ = decode_column_signature(modal[m : 2 * m], PLANT)
+        except CorruptCodewordError:
+            assert got is None
+            outcomes.add("corrupt")
+            continue
+        votes = 0
+        for row in rounded:
+            try:
+                votes += (1 if row[2 * m] > 0 else -1) * decode_column_signature(row[m : 2 * m], PLANT)[1]
+            except CorruptCodewordError:
+                pass
+        outcomes.add(("tie" if votes == 0 else "vote", votes >= 0))
+        assert repr(got[0]) == repr(j) and got[1] == (1.0 if votes >= 0 else -1.0)
+        np.testing.assert_array_equal(got[2], rounded)
+        np.testing.assert_array_equal(got[3], modal[2 * m :])
+    assert outcomes == {"corrupt", ("tie", True), ("vote", True), ("vote", False)}
 
 
 def test_modal_row_matches_unique_tie_rule():
