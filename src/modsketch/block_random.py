@@ -45,8 +45,6 @@ __all__ = [
     "BlockRandomMatrix",
     "OrthonormalMatrix",
     "IdentityMatrix",
-    "FirstColumn",
-    "MatrixFirstColumn",
     "sample_matrix",
     "sample_first_column",
     "sample_orthonormal",
@@ -255,17 +253,18 @@ class BlockRandomMatrix:
     (f_s, f_c, f_m); ``eta`` marks active blocks.  The scipy CSC form is what
     actually multiplies vectors; the structured fields exist so that tests
     and the dictionary learner can inspect ground truth, and so the matrix is
-    re-derivable bit-exactly from ``seed_key``.
+    re-derivable bit-exactly from ``seed_key``.  It holds the draw's first n
+    columns: all d, or one from :func:`sample_first_column`.
     """
 
     params: BlockParams
     seed_key: str
     sigma_m: np.ndarray  # (b/3,) scaled floats
-    sigma_s: np.ndarray  # (d, b/3) scaled floats
-    flips: np.ndarray  # (3, n_blocks, d) int8
-    eta: np.ndarray  # (n_blocks, d) bool
-    csc: sp.csc_matrix = field(repr=False)
-    col_sq_norms: np.ndarray = field(repr=False)  # (d,)
+    sigma_s: np.ndarray  # (n, b/3) scaled floats
+    flips: np.ndarray  # (3, n_blocks, n) int8
+    eta: np.ndarray  # (n_blocks, n) bool
+    csc: sp.csc_matrix = field(repr=False)  # d x n
+    col_sq_norms: np.ndarray = field(repr=False)  # (n,)
 
     @property
     def d(self) -> int:
@@ -278,8 +277,11 @@ class BlockRandomMatrix:
         return self.csc.T @ x
 
     def column(self, j: int) -> np.ndarray:
-        """Dense column j (1-based)."""
-        return np.asarray(self.csc[:, j - 1].todense()).ravel()
+        """Dense column j (1-based), equal bit for bit to ``matvec(e_j)``."""
+        lo, hi = self.csc.indptr[j - 1], self.csc.indptr[j]
+        out = np.zeros(self.d)
+        out[self.csc.indices[lo:hi]] = self.csc.data[lo:hi]
+        return out
 
     def active_blocks(self, j: int) -> np.ndarray:
         """Indices of active blocks of column j (1-based), 0-based blocks."""
@@ -444,8 +446,24 @@ def _assemble(
     return data, indices, np.concatenate([[0], np.cumsum(counts)])
 
 
-def _col_sq_norms(params: BlockParams, eta: np.ndarray) -> np.ndarray:
-    return eta.sum(axis=0).astype(np.float64) * params.b * (_scale(params) ** 2)
+def _matrix(
+    params: BlockParams, seed_key: str, sign_m: np.ndarray, sign_s: np.ndarray, flips: np.ndarray, eta: np.ndarray
+) -> BlockRandomMatrix:
+    """The draw's first eta.shape[1] columns.  ``flips`` and ``sign_s`` are the
+    whole draw's (``_assemble`` reads flips with stride d); the matrix keeps
+    contiguous copies of its own columns, as a view would keep the draw alive."""
+    n_cols, scale = eta.shape[1], _scale(params)
+    csc = sp.csc_matrix(_assemble(params, sign_m, sign_s, flips, eta), shape=(params.d, n_cols))
+    return BlockRandomMatrix(
+        params=params,
+        seed_key=seed_key,
+        sigma_m=sign_m.astype(np.float64) * scale,
+        sigma_s=sign_s[:n_cols].astype(np.float64) * scale,
+        flips=np.ascontiguousarray(flips[:, :, :n_cols]),
+        eta=np.ascontiguousarray(eta),
+        csc=csc,
+        col_sq_norms=eta.sum(axis=0).astype(np.float64) * params.b * (scale**2),
+    )
 
 
 def sample_matrix(params: BlockParams, seed_key: str) -> BlockRandomMatrix:
@@ -457,82 +475,16 @@ def sample_matrix(params: BlockParams, seed_key: str) -> BlockRandomMatrix:
     column signature Enc(j, f'_m, f'_s), and a Bernoulli(q) activation.  The
     active block of the column is f_s*sigma_s_j || f_c*sigma_c || f_m*sigma_m.
     """
+    return _matrix(params, seed_key, *_draw(params, seed_key))
+
+
+def sample_first_column(params: BlockParams, seed_key: str) -> BlockRandomMatrix:
+    """Column 1 of ``sample_matrix(params, seed_key)`` as a d x 1 matrix,
+    without assembling the others (the whole draw still runs, since the
+    format interleaves it).  Its products, norms and ``column(1)`` equal
+    those of the full draw's column 1 bit for bit."""
     sign_m, sign_s, flips, eta = _draw(params, seed_key)
-    d, scale = params.d, _scale(params)
-    csc = sp.csc_matrix(_assemble(params, sign_m, sign_s, flips, eta), shape=(d, d))
-    return BlockRandomMatrix(
-        params=params,
-        seed_key=seed_key,
-        sigma_m=sign_m.astype(np.float64) * scale,
-        sigma_s=sign_s.astype(np.float64) * scale,
-        flips=flips,
-        eta=eta,
-        csc=csc,
-        col_sq_norms=_col_sq_norms(params, eta),
-    )
-
-
-@dataclass(frozen=True)
-class FirstColumn:
-    """Column 1 of a block-random matrix: its nonzero rows (ascending), their
-    values and its squared norm, equal bit for bit to the same column of
-    the full draw and to what its CSC products read of it."""
-
-    d: int
-    rows: np.ndarray
-    values: np.ndarray
-    sq_norm: float
-
-    def dense(self) -> np.ndarray:
-        """The column as a d-vector, which is what ``matvec(e_1)`` returns."""
-        out = np.zeros(self.d)
-        out[self.rows] = self.values
-        return out
-
-    def contract(self, x: np.ndarray) -> float:
-        """<column, x> summed in row order from +0.0, as ``rmatvec(x)[0]``."""
-        return float(np.cumsum(np.concatenate([[0.0], self.values * x[self.rows]]))[-1])
-
-    def prefix_sq_norm(self, d_prime: int) -> float:
-        """Squared norm of the column's first d_prime rows, as
-        ``prefix_col_sq_norms(d_prime)[0]``."""
-        return float(np.cumsum(np.concatenate([[0.0], self.values[self.rows < d_prime] ** 2]))[-1])
-
-
-@dataclass(frozen=True)
-class MatrixFirstColumn:
-    """Column 1 of a materialized matrix, read through the matrix's own
-    products (the orthonormal and identity modes' stand-in for
-    :class:`FirstColumn`)."""
-
-    mat: AnyMatrix
-
-    def dense(self) -> np.ndarray:
-        e1 = np.zeros(self.mat.d)
-        e1[0] = 1.0
-        return self.mat.matvec(e1)
-
-    def contract(self, x: np.ndarray) -> float:
-        return float(self.mat.rmatvec(x)[0])
-
-    @property
-    def sq_norm(self) -> float:
-        return float(self.mat.col_sq_norms[0])
-
-    def prefix_sq_norm(self, d_prime: int) -> float:
-        return float(self.mat.prefix_col_sq_norms(d_prime)[0])
-
-
-AnyFirstColumn = FirstColumn | MatrixFirstColumn
-
-
-def sample_first_column(params: BlockParams, seed_key: str) -> FirstColumn:
-    """Column 1 of ``sample_matrix(params, seed_key)`` without assembling the
-    others (the whole draw still runs, since the format interleaves it)."""
-    sign_m, sign_s, flips, eta = _draw(params, seed_key)
-    eta = eta[:, :1]
-    data, indices, _ = _assemble(params, sign_m, sign_s, flips, eta)
-    return FirstColumn(params.d, indices, data, float(_col_sq_norms(params, eta)[0]))
+    return _matrix(params, seed_key, sign_m, sign_s, flips, eta[:, :1])
 
 
 def sample_orthonormal(d: int, seed_key: str) -> OrthonormalMatrix:
@@ -565,7 +517,7 @@ class NoiseProfile:
     quantile: float
 
 
-FactorKind = Literal["plain", "transpose", "transparent", "transparent_transpose", "identity"]
+FactorKind = Literal["plain", "transpose", "transparent", "identity"]
 TemplateSpec = Sequence[FactorKind]
 Factors = list[tuple[FactorKind, AnyMatrix | None]]
 
@@ -594,8 +546,6 @@ def _apply_factors(factors: Factors, x: np.ndarray) -> np.ndarray:
             v = mat.rmatvec(v)
         elif kind == "transparent":
             v = (v + mat.matvec(v)) * 0.5
-        elif kind == "transparent_transpose":
-            v = (v + mat.rmatvec(v)) * 0.5
         elif kind != "identity":
             raise ParameterError(f"unknown factor kind {kind}")
     return v

@@ -91,19 +91,26 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", dict: "an object",
-               list[int]: "a non-empty list of integers", list[float]: "a non-empty list of numbers",
-               list[dict]: "a non-empty list of objects"}
+_KIND_NAMES = {int: "an integer", "count": "an integer >= 1", float: "a finite number", bool: "true or false",
+               dict: "an object", list[int]: "a non-empty list of integers",
+               list[float]: "a non-empty list of numbers", list[dict]: "a non-empty list of objects"}
 
 
 def _convert(value, kind):
-    """``value`` as ``kind``; a ``bool``, ``dict`` or ``list`` must already be one in the JSON."""
+    """``value`` as ``kind``, which it must already be in the JSON; no boolean is
+    a number, and a ``"count"`` is an integer of at least 1."""
     if kind in (bool, dict):
         if not isinstance(value, kind):
             raise TypeError(value)
         return value
-    if kind in (int, float):
-        return kind(value)
+    if kind in (int, "count"):
+        if type(value) is not int or (kind == "count" and value < 1):
+            raise TypeError(value)
+        return value
+    if kind is float:
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise TypeError(value)
+        return float(value)
     if not (isinstance(value, list) and value):
         raise TypeError(value)
     return [_convert(item, get_args(kind)[0]) for item in value]
@@ -324,7 +331,7 @@ def cmd_run(cfg: dict, seed: int, out_path: str) -> int:
     rows: list[str] = []
     if experiment == "attr-error-vs-d":
         dims = _optional(cfg, "dims", [512, 1024, 2048], list[int])
-        n_seeds = _optional(cfg, "seeds", 20, int)
+        n_seeds = _optional(cfg, "seeds", 20, "count")
         n_cap = _optional(cfg, "n_cap", 32, int)
         attrs = _optional(cfg, "attributes", [0.6, 0.0, 0.8], list[float])
         for d_req in dims:
@@ -343,7 +350,7 @@ def cmd_run(cfg: dict, seed: int, out_path: str) -> int:
                 _result_row(run_id, seed, params, "attr_linf_median", float(np.median(errors)), depth=2, weight=1.0)
             )
     elif experiment == "similarity-pairs":
-        n_seeds = _optional(cfg, "seeds", 20, int)
+        n_seeds = _optional(cfg, "seeds", 20, "count")
         params = auto_params(_optional(cfg, "d", 1024, int), _optional(cfg, "n_cap", 32, int))
         for trial in range(n_seeds):
             reg = MatrixRegistry(params, master_seed=seed * 10007 + trial, allow_high_noise=True)
@@ -391,8 +398,8 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
     run_id = cfg.get("run_id", "learn-dict")
 
     if mode == "plant":
-        n_matrices = _optional(cfg, "n_matrices", 2, int)
-        n_samples = _optional(cfg, "n_samples", 200, int)
+        n_matrices = _optional(cfg, "n_matrices", 2, "count")
+        n_samples = _optional(cfg, "n_samples", 200, "count")
         dominant = _optional(cfg, "dominant", 0.9, float)
         rng = derive_rng(seed, "cli-plant")
         mats = [sample_matrix(params, f"cli-plant:{seed}:{i}") for i in range(n_matrices)]
@@ -442,7 +449,7 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
         teacher = _require(cfg, "teacher", kind=dict)
         depth = _optional(teacher, "depth", 2, int, "teacher")
         w = _optional(teacher, "w", 0.5, float, "teacher")
-        n_sketches = _optional(teacher, "n_sketches", 500, int, "teacher")
+        n_sketches = _optional(teacher, "n_sketches", 500, "count", "teacher")
         attrs_a = _optional(teacher, "attrs_a", [0.6, 0.0, 0.8], list[float], "teacher")
         attrs_b = _optional(teacher, "attrs_b", [0.0, 1.0], list[float], "teacher")
         net = build_network(

@@ -241,9 +241,7 @@ def recover_frequency(
     _check_erasure(sk, registry)
     if beta is None:
         beta = beta_factor(h, w_star, sk.signature_mode)
-    col = registry.module_first_column(module)
-    den = col.prefix_sq_norm(sk.erased_prefix) if sk.erased_prefix < sk.d else col.sq_norm
-    real = beta * (col.contract(sk.values) / den if den > 1e-12 else 0.0)
+    real = float(beta * _column_contract(registry.module_first_column(module), sk)[0])
     return _report(
         sk, registry, h, w_star, kind="frequency", estimate=real, beta=beta, module=module,
         rounded=int(round(real)), low_confidence=abs(real - round(real)) > 0.4,

@@ -37,12 +37,9 @@ import numpy as np
 
 from modsketch._seeding import derive_rng
 from modsketch.block_random import (
-    AnyFirstColumn,
     AnyMatrix,
     BlockParams,
-    FirstColumn,
     IdentityMatrix,
-    MatrixFirstColumn,
     ParameterError,
     sample_first_column,
     sample_matrix,
@@ -108,8 +105,8 @@ class MatrixRegistry:
     maps to exactly one matrix, sampled on first use and cached.  Keys
     serialize as ``m:<module>:<slot>`` and ``t:<index>:<depth>``.  Slot 2
     is only ever read as its first column, ``R_{M,2} e_1``, so
-    :meth:`module_first_column` serves it, and in block-random mode draws
-    only that column.
+    :meth:`module_first_column` serves it; in block-random mode that is a
+    d x 1 matrix holding only that column, cached under ``m:<module>:2:e1``.
     """
 
     def __init__(
@@ -126,7 +123,7 @@ class MatrixRegistry:
         self.master_seed = master_seed
         self.mode = mode
         self.allow_high_noise = allow_high_noise
-        self._cache: dict[str, AnyMatrix | FirstColumn] = {}
+        self._cache: dict[str, AnyMatrix] = {}
         self._lock = threading.Lock()
 
     @property
@@ -154,9 +151,9 @@ class MatrixRegistry:
                 "increase d or pass allow_high_noise=True"
             )
 
-    def _get(self, key: str, first_column: bool = False) -> AnyMatrix | FirstColumn:
+    def _get(self, key: str, first_column: bool = False) -> AnyMatrix:
         """The matrix of key in the registry's mode, or (block-random mode
-        only) its first column alone, cached under ``<key>:e1``."""
+        only) a d x 1 matrix of its first column, cached under ``<key>:e1``."""
         cache_key = f"{key}:e1" if first_column else key
         with self._lock:
             hit = self._cache.get(cache_key)
@@ -164,7 +161,7 @@ class MatrixRegistry:
                 return hit
         seed_key = f"s{self.master_seed}/{key}"
         if first_column:
-            made: AnyMatrix | FirstColumn = sample_first_column(self.params, seed_key)
+            made: AnyMatrix = sample_first_column(self.params, seed_key)
         elif self.mode == "identity":
             made = IdentityMatrix(self.params.d, seed_key)
         elif self.mode == "orthonormal":
@@ -179,11 +176,12 @@ class MatrixRegistry:
             raise ParameterError(f"module matrix slot must be 0..3, got {slot}")
         return self._get(f"m:{module_id}:{slot}")
 
-    def module_first_column(self, module_id: str) -> AnyFirstColumn:
-        """Column 1 of R_{module,2}, bit-identical to what the full matrix's
-        products read of it."""
+    def module_first_column(self, module_id: str) -> AnyMatrix:
+        """A matrix whose column 1, products and norms at column 1 are those
+        of R_{module,2}, bit for bit; outside block-random mode, R_{module,2}
+        itself."""
         if self.mode != "block-random":
-            return MatrixFirstColumn(self.module_matrix(module_id, 2))
+            return self.module_matrix(module_id, 2)
         return self._get(f"m:{module_id}:2", first_column=True)
 
     def tuple_matrix(self, position: int, tuple_depth: int) -> AnyMatrix:
@@ -255,7 +253,7 @@ def attribute_subsketch(
     signature_mode is on)."""
     d = registry.d
     r1 = registry.module_matrix(obj.producer, 1)
-    r2_e1 = registry.module_first_column(obj.producer).dense()
+    r2_e1 = registry.module_first_column(obj.producer).column(1)
     if signature_mode:
         r3 = registry.module_matrix(obj.producer, 3)
         sig = object_signature(obj, n_cap or registry.params.n_cap, d)

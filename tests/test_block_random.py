@@ -262,15 +262,37 @@ def test_sample_first_column_bitwise_full_draw(name):
     for key in GOLDEN_SEED_KEYS:
         mat = sample_matrix(params, key)
         col = sample_first_column(params, key)
+        assert col.csc.shape == (d, 1)
+        # copies of column 1 only: a view would keep the whole draw alive
+        assert col.flips.shape == (3, params.n_blocks, 1) and col.flips.base is None and col.eta.base is None
         lo, hi = mat.csc.indptr[0], mat.csc.indptr[1]
-        assert col.rows.tobytes() == mat.csc.indices[lo:hi].tobytes()
-        assert col.values.tobytes() == mat.csc.data[lo:hi].tobytes()
-        assert col.dense().tobytes() == mat.matvec(e1).tobytes()
-        assert col.dense().tobytes() == mat.column(1).tobytes()
-        assert col.sq_norm == mat.col_sq_norms[0]
-        assert col.contract(x) == mat.rmatvec(x)[0]
+        assert col.csc.indices.tobytes() == mat.csc.indices[lo:hi].tobytes()
+        assert col.csc.data.tobytes() == mat.csc.data[lo:hi].tobytes()
+        assert col.column(1).tobytes() == mat.matvec(e1).tobytes()
+        assert col.column(1).tobytes() == mat.column(1).tobytes()
+        assert col.col_sq_norms.tobytes() == mat.col_sq_norms[:1].tobytes()
+        assert col.rmatvec(x).tobytes() == mat.rmatvec(x)[:1].tobytes()
         for d_prime in (params.b, d // 2, d - 1):
-            assert col.prefix_sq_norm(d_prime) == mat.prefix_col_sq_norms(d_prime)[0]
+            assert col.prefix_col_sq_norms(d_prime).tobytes() == mat.prefix_col_sq_norms(d_prime)[:1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sample_matrix(GOLDEN_PARAMS["d1014"], "unit:column"),
+        lambda: sample_orthonormal(96, "unit:column"),
+        lambda: IdentityMatrix(96),
+    ],
+    ids=["block-random", "orthonormal", "identity"],
+)
+def test_column_is_matvec_of_unit_vector_bitwise(make):
+    # the sketch's R_{M,2} e_1 term and match_permutation read columns this way
+    mat = make()
+    d = mat.d
+    for j in (1, d // 2, d):
+        e_j = np.zeros(d)
+        e_j[j - 1] = 1.0
+        assert mat.column(j).tobytes() == mat.matvec(e_j).tobytes(), j
 
 
 def test_index_code_table_is_read_only():

@@ -336,6 +336,11 @@ def test_typed_config_fields_exit_code(tmp_path, capsys):
         {"seed": 0, "dimension": 64, "profile": {**profile, "fan_in": [1]}},
         {"seed": 0, "dimension": 64, "profile": 5},
         {"seed": "x", "dimension": 64, "profile": profile},
+        # numbers are typed strictly: no booleans, fractions or numeric strings
+        {"seed": "7", "dimension": 64, "profile": profile},
+        {"seed": 0, "dimension": 1014.9, "profile": profile},
+        {"seed": 0, "dimension": 64, "profile": {**profile, "n_modules": True}},
+        {"seed": True, "dimension": 64, "profile": {**profile, "fan_in": True}},
     ):
         path = write_json(tmp_path / "gen.json", cfg)
         assert main(["gen-network", "--config", path, "--out", str(tmp_path / "net.txt")]) == EXIT_CONFIG, cfg
@@ -364,6 +369,17 @@ def test_typed_config_fields_exit_code(tmp_path, capsys):
         ("run", {"experiment": "attr-error-vs-d", "attributes": [0.5, "x"]}),
         ("learn-dict", {"learn_mode": "unroll", "params": ld_params, "teacher": {"attrs_a": {"a": 1}}}),
         ("learn-dict", {"learn_mode": "unroll", "params": ld_params, "teacher": {"attrs_b": "ab"}}),
+        ("calibrate", {"dims": [512.7]}),
+        ("calibrate", {"dims": [512], "trials": 30.9}),
+        ("calibrate", {"dims": [512], "quantile": True}),
+        ("learn-dict", {"params": ld_params, "dominant": True}),
+        ("learn-dict", {"params": {**ld_params, "q": float("nan")}}),
+        # counts must be at least 1
+        ("learn-dict", {"params": ld_params, "n_samples": -1}),
+        ("learn-dict", {"params": ld_params, "n_matrices": 0}),
+        ("learn-dict", {"learn_mode": "unroll", "params": ld_params, "teacher": {"n_sketches": 0}}),
+        ("run", {"experiment": "attr-error-vs-d", "seeds": 0}),
+        ("run", {"experiment": "similarity-pairs", "seeds": -3}),
     ):
         path = write_json(tmp_path / "list.json", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG, cfg

@@ -517,6 +517,7 @@ def test_registry_never_draws_full_slot2_for_sketch_and_frequency():
     recover_frequency(sk, "m", 2, 0.5, reg)
     recover_frequency(erase_to_prefix(sk, reg.params.d // 2), "m", 2, 0.5, reg)
     assert "m:m:2:e1" in reg._cache
+    assert reg._cache["m:m:2:e1"].csc.shape == (reg.params.d, 1)
     assert not [key for key in reg._cache if key.startswith("m:") and key.endswith(":2")]
 
 
