@@ -134,12 +134,9 @@ def _optional(cfg: dict, key: str, default, kind, path="config"):
     return default if cfg.get(key) is None else _require(cfg, key, path, kind)
 
 
-def _result_row(run_id, seed, params, metric, value, depth=0, weight=0.0, d_prime=0) -> str:
+def _result_row(run_id, seed, params, metric, value, depth=0, weight=0.0) -> str:
     d, b, q = (params.d, params.b, params.q) if params else (0, 0, 0.0)
-    return (
-        f"{run_id},{seed},{d},{b},{float(q)!r},{depth},{float(weight)!r},"
-        f"{d_prime},{metric},{float(value)!r}"
-    )
+    return f"{run_id},{seed},{d},{b},{float(q)!r},{depth},{float(weight)!r},0,{metric},{float(value)!r}"
 
 
 def _write_results(path: str, rows: list[str]) -> None:
@@ -149,17 +146,22 @@ def _write_results(path: str, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
+def _block_params(pcfg: dict) -> BlockParams:
+    """The explicit ``{b, q, d, n_cap}`` form of a ``params`` object."""
+    return BlockParams(
+        b=_require(pcfg, "b", "params", int),
+        q=_require(pcfg, "q", "params", float),
+        d=_require(pcfg, "d", "params", int),
+        n_cap=_require(pcfg, "n_cap", "params", int),
+    )
+
+
 def _registry_from_config(cfg: dict, seed: int) -> MatrixRegistry:
     pcfg = _require(cfg, "params", kind=dict)
-    n_cap = _require(pcfg, "n_cap", "params", int)
     if "b" in pcfg:
-        params = BlockParams(
-            b=_require(pcfg, "b", "params", int),
-            q=_require(pcfg, "q", "params", float),
-            d=_require(pcfg, "d", "params", int),
-            n_cap=n_cap,
-        )
+        params = _block_params(pcfg)
     else:
+        n_cap = _require(pcfg, "n_cap", "params", int)
         d_request = _require(pcfg, "d_request", "params", int)
         params = auto_params(d_request, n_cap, q=_optional(pcfg, "q", None, float, "params"))
     return MatrixRegistry(
@@ -387,13 +389,7 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
     """Dictionary-learning experiments: planted instances or teacher unrolling."""
     mode = cfg.get("learn_mode", "plant")
     os.makedirs(out_dir, exist_ok=True)
-    pcfg = _require(cfg, "params", kind=dict)
-    params = BlockParams(
-        b=_require(pcfg, "b", "params", int),
-        q=_require(pcfg, "q", "params", float),
-        d=_require(pcfg, "d", "params", int),
-        n_cap=_require(pcfg, "n_cap", "params", int),
-    )
+    params = _block_params(_require(cfg, "params", kind=dict))
     rows: list[str] = []
     run_id = cfg.get("run_id", "learn-dict")
 

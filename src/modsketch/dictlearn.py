@@ -379,16 +379,13 @@ def classify_recovered_vectors(
 class ModuleRecovery:
     """Recovered occurrences of one module: unscaled attribute estimates."""
 
-    module_key: int  # cluster id of the e_1 matrix, the module's fingerprint
     attributes: list[np.ndarray] = field(default_factory=list)
-    scales: list[float] = field(default_factory=list)
     sample_ids: list[int] = field(default_factory=list)
 
 
 @dataclass
 class UnrollResult:
-    modules: dict[int, ModuleRecovery]
-    edges: set[tuple[str, str]]  # recovered fixed-tree lineage (frame paths)
+    modules: dict[int, ModuleRecovery]  # keyed by the e_1 cluster, the module's fingerprint
     levels_run: int
     frames_per_level: list[int]
     sample_counts: dict[int, int]
@@ -396,13 +393,6 @@ class UnrollResult:
     @property
     def n_modules(self) -> int:
         return len(self.modules)
-
-
-@dataclass
-class _Frame:
-    sample_id: int
-    path: str  # lineage through cluster ids, e.g. "root/2/0"
-    vector: np.ndarray
 
 
 def unroll_network(
@@ -417,67 +407,49 @@ def unroll_network(
     """Alternate dictionary learning and classification over sketch levels.
 
     Level 1 consumes the overall sketches; each subsequent level consumes the
-    recovered coefficient slices of the previous one.  When a parent's
+    recovered coefficient slices of the previous one.  When a frame's
     children contain a vector passing the e_1 first-coordinate test, that
     branch terminates as a (module fingerprint, attribute estimate) pair,
     unscaled by the e_1 magnitude; branches whose children all stay below the
     test are pruned as garbage once no recursable material remains.
     """
     levels = levels if levels is not None else recursion_budget
-    base_config = dl_config or DLConfig(params=params, eps_recover=eps_final)
+    config = dl_config or DLConfig(params=params, eps_recover=eps_final)
 
     y = np.atleast_2d(np.asarray(sketches, dtype=np.float64))
-    frames = [_Frame(k, "root", y[k]) for k in range(y.shape[0])]
+    frames = list(enumerate(y))  # (sample id, vector)
     modules: dict[int, ModuleRecovery] = {}
-    edges: set[tuple[str, str]] = set()
     frames_per_level: list[int] = []
 
     for eps_level in default_eps_schedule(eps_final, levels):
         if not frames:
             break
         frames_per_level.append(len(frames))
-        batch = np.stack([f.vector for f in frames])
-        learned = learn_dictionary(batch, base_config)
-
-        next_frames: list[_Frame] = []
-        for idx, frame in enumerate(frames):
+        learned = learn_dictionary(np.stack([vec for _, vec in frames]), config)
+        next_frames: list[tuple[int, np.ndarray]] = []
+        for idx, (sample_id, _) in enumerate(frames):
             slices = learned.recovered_slices(idx)
-            if not slices:
-                continue
             cluster_ids = sorted(slices)
             vectors = [slices[c] for c in cluster_ids]
-            labels = classify_recovered_vectors(
-                vectors, w_goal, recursion_budget, eps_level
-            )
-            e1_scale = None
-            attr_vectors: list[tuple[int, np.ndarray]] = []
-            for cid, vec, label in zip(cluster_ids, vectors, labels):
-                child_path = f"{frame.path}/{cid}"
-                if label == "garbage":
-                    continue
-                edges.add((frame.path, child_path))
-                if label == "e1":
-                    e1_scale = float(vec[0])
-                    e1_cluster = cid
-                elif label == "attribute":
-                    attr_vectors.append((cid, vec))
-                else:  # object-sketch: recurse
-                    next_frames.append(_Frame(frame.sample_id, child_path, vec))
-            if e1_scale is not None and e1_scale > 0:
-                rec = modules.setdefault(e1_cluster, ModuleRecovery(module_key=e1_cluster))
-                for _cid, vec in attr_vectors:
-                    rec.attributes.append(vec / e1_scale)
-                    rec.scales.append(e1_scale)
-                    rec.sample_ids.append(frame.sample_id)
+            labels = classify_recovered_vectors(vectors, w_goal, recursion_budget, eps_level)
+            next_frames += [(sample_id, v) for v, label in zip(vectors, labels) if label == "object-sketch"]
+            if "e1" not in labels:
+                continue
+            e1_cluster = cluster_ids[labels.index("e1")]
+            e1_scale = float(slices[e1_cluster][0])
+            if e1_scale > 0:
+                rec = modules.setdefault(e1_cluster, ModuleRecovery())
+                for vec, label in zip(vectors, labels):
+                    if label == "attribute":
+                        rec.attributes.append(vec / e1_scale)
+                        rec.sample_ids.append(sample_id)
         frames = next_frames
 
-    sample_counts = {key: len(set(rec.sample_ids)) for key, rec in modules.items()}
     return UnrollResult(
         modules=modules,
-        edges=edges,
         levels_run=len(frames_per_level),
         frames_per_level=frames_per_level,
-        sample_counts=sample_counts,
+        sample_counts={key: len(set(rec.sample_ids)) for key, rec in modules.items()},
     )
 
 

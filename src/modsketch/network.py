@@ -308,6 +308,10 @@ class SyntheticProfile:
             )
         if self.weight_scheme not in ("uniform", "random"):
             raise NetworkValidationError(f"unknown weight scheme {self.weight_scheme!r}")
+        if self.attr_sparsity < 1:
+            raise NetworkValidationError(f"attr_sparsity must be at least 1, got {self.attr_sparsity}")
+        if self.attr_span is not None and self.attr_span < 1:
+            raise NetworkValidationError(f"attr_span must be at least 1 when set, got {self.attr_span}")
 
 
 def generate_synthetic(profile: SyntheticProfile, seed: int, d: int) -> ModularNetwork:

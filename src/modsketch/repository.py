@@ -33,6 +33,7 @@ __all__ = ["SketchEntry", "QueryHit", "ClusterResult", "SketchRepository"]
 
 # a bucket code's bits, one per hyperplane, the first plane's the most significant
 _PLANE_BITS = 1 << np.arange(15, -1, -1, dtype=np.int64)
+_KMEANS_ITERATIONS = 25  # at most this many Lloyd steps; k-means stops once the assignments repeat
 
 
 @dataclass
@@ -212,7 +213,7 @@ class SketchRepository:
 
     # -- clustering ----------------------------------------------------------
 
-    def cluster(self, k: int, iterations: int = 25) -> ClusterResult:
+    def cluster(self, k: int) -> ClusterResult:
         """Deterministic k-means over the stored sketch vectors.
 
         Initialization orders entries by a content hash (not insert order),
@@ -233,7 +234,7 @@ class SketchRepository:
         centers = data[seeds + seeds[:1] * (k - len(seeds))]
 
         assign = np.full(n, -1, dtype=np.int64)
-        for _ in range(iterations):
+        for _ in range(_KMEANS_ITERATIONS):
             # one centre at a time, so the largest temporary is (n, d), not (n, k, d)
             dists = np.stack([((data - center) ** 2).sum(axis=1) for center in centers], axis=1)
             new_assign = np.argmin(dists, axis=1)

@@ -168,6 +168,26 @@ def test_learn_dict_plant_mode(tmp_path):
     assert (out / "coefficients.csv").exists()
 
 
+def test_learn_dict_unroll_mode(tmp_path):
+    cfg = write_json(
+        tmp_path / "unroll.json",
+        {
+            "learn_mode": "unroll",
+            "params": {"b": 45, "q": 0.2, "d": 1440, "n_cap": 12},
+            "teacher": {"depth": 2, "n_sketches": 20},
+        },
+    )
+    reports = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["learn-dict", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0].decode().splitlines()[2:] == [
+        "learn-dict,0,1440,45,0.2,0,0.0,0,modules_recovered,0.0",
+        "learn-dict,0,1440,45,0.2,0,0.0,0,levels_run,1.0",
+    ]
+
+
 def test_repo_commands(tmp_path):
     gen_cfg = write_json(
         tmp_path / "gen.json",
@@ -256,13 +276,21 @@ def test_recover_infinite_noise_bound_exit_code(tmp_path):
     assert main(argv) == EXIT_VALIDATION
 
 
-def test_gen_network_too_few_modules_exit_code(tmp_path):
+def test_gen_network_too_few_modules_exit_code(tmp_path, capsys):
     # every object level below the output needs a module of its own
     cfg = write_json(
         tmp_path / "gen.json",
         {"seed": 0, "dimension": 64, "profile": {"n_modules": 3, "depth": 5, "fan_in": 1}},
     )
     assert main(["gen-network", "--config", cfg, "--out", str(tmp_path / "net.txt")]) == EXIT_VALIDATION
+    # out-of-range attribute fields are named, not a traceback or a silent default
+    capsys.readouterr()
+    for field, value in (("attr_sparsity", -1), ("attr_sparsity", 0), ("attr_span", -2), ("attr_span", 0)):
+        profile = {"n_modules": 2, "depth": 2, "fan_in": 1, field: value}
+        cfg = write_json(tmp_path / "gen.json", {"seed": 0, "dimension": 64, "profile": profile})
+        assert main(["gen-network", "--config", cfg, "--out", str(tmp_path / "net.txt")]) == EXIT_VALIDATION, profile
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {field} must be at least 1") and err.count("\n") == 1, err
 
 
 def test_gen_network_deep_chain(tmp_path):

@@ -607,18 +607,110 @@ def test_unroll_light_module_absent_no_false_module():
     assert result.n_modules == 2
 
 
-def test_unroll_reports_partial_recovery_when_levels_cannot_recurse():
-    # samples whose recovered slices carry no e1 evidence recurse and then
-    # die out; the result reports the levels run and empty module table
-    params = PLANT
-    rng = np.random.default_rng(3)
+def recursing_batch(params=PLANT):
+    """Samples whose recovered slices carry no e1 evidence, so they recurse."""
     mat = sample_matrix(params, "unroll:noise")
     xs = np.zeros((10, params.d))
     xs[:, 99] = 0.8  # dominant coordinate away from e1
-    samples = np.array([mat.matvec(x) for x in xs])
+    return np.array([mat.matvec(x) for x in xs])
+
+
+def mixed_unroll_batch():
+    """Flat pairs at w=0.3, samples carrying two attribute vectors beside
+    their e_1, and recursing samples, in one batch."""
+    params, flat, _x, _roles = flat_pair_batch(seed=0, w=0.3)
+    d = params.d
+    mats = [sample_matrix(params, f"unroll:two:{slot}") for slot in (1, 2, 3)]
+    x, x2, e1 = np.zeros(d), np.zeros(d), np.zeros(d)
+    x[2], x[8], x2[5], e1[0] = 0.6, 0.8, 1.0, 1.0
+    rng = np.random.default_rng(4)
+    two = [sum(m.matvec(0.1 * rng.uniform(0.9, 1.1) * v) for m, v in zip(mats, (x, e1, x2))) for _ in range(10)]
+    return params, np.vstack([flat, two, recursing_batch(params)])
+
+
+def test_unroll_reports_partial_recovery_when_levels_cannot_recurse():
+    # the recursing samples die out; the result reports the levels run and
+    # an empty module table
     result = unroll_network(
-        samples, params, w_goal=0.5, recursion_budget=6, eps_final=0.05, levels=3
+        recursing_batch(), PLANT, w_goal=0.5, recursion_budget=6, eps_final=0.05, levels=3
     )
     assert result.n_modules == 0
     assert result.frames_per_level[0] == 10
     assert result.levels_run >= 1
+
+
+def reference_unroll(sketches, params, w_goal, recursion_budget, eps_final, levels, dl_config):
+    """The unroll loop as it was before it became one pass over ``(sample id,
+    vector)`` frames: each cluster id of a frame is visited in turn.  Returns
+    ``(modules, frames_per_level)``, modules mapping the e_1 cluster to its
+    ``(attributes, sample_ids)``."""
+    config = dl_config or DLConfig(params=params, eps_recover=eps_final)
+    y = np.atleast_2d(np.asarray(sketches, dtype=np.float64))
+    frames = [(k, y[k]) for k in range(y.shape[0])]
+    modules = {}
+    frames_per_level = []
+    for eps_level in default_eps_schedule(eps_final, levels):
+        if not frames:
+            break
+        frames_per_level.append(len(frames))
+        learned = learn_dictionary(np.stack([f[1] for f in frames]), config)
+        next_frames = []
+        for idx, (sample_id, _vec) in enumerate(frames):
+            slices = learned.recovered_slices(idx)
+            if not slices:
+                continue
+            cluster_ids = sorted(slices)
+            vectors = [slices[c] for c in cluster_ids]
+            labels = classify_recovered_vectors(vectors, w_goal, recursion_budget, eps_level)
+            e1_scale = None
+            attr_vectors = []
+            for cid, vec, label in zip(cluster_ids, vectors, labels):
+                if label == "garbage":
+                    continue
+                if label == "e1":
+                    e1_scale = float(vec[0])
+                    e1_cluster = cid
+                elif label == "attribute":
+                    attr_vectors.append(vec)
+                else:
+                    next_frames.append((sample_id, vec))
+            if e1_scale is not None and e1_scale > 0:
+                attrs, ids = modules.setdefault(e1_cluster, ([], []))
+                for vec in attr_vectors:
+                    attrs.append(vec / e1_scale)
+                    ids.append(sample_id)
+        frames = next_frames
+    return modules, frames_per_level
+
+
+def unroll_fixture(name):
+    """``(samples, params, levels, dl_config)`` of a named unroll fixture."""
+    if name == "recursing":
+        return recursing_batch(), PLANT, 3, None
+    if name == "mixed":
+        params, samples = mixed_unroll_batch()
+        return samples, params, 2, unroll_config()
+    _flat, seed, levels = name.split("-")
+    params, samples, _x, _roles = flat_pair_batch(seed=int(seed), light_module=seed == "1")
+    return samples, params, int(levels), unroll_config()
+
+
+@pytest.mark.parametrize(
+    "name", [f"flat-{seed}-{levels}" for seed in (0, 1, 2) for levels in (1, 2)] + ["mixed", "recursing"]
+)
+def test_unroll_bitwise_reference_loop(name):
+    samples, params, levels, config = unroll_fixture(name)
+    args = (samples, params, 0.5, 6, 0.05, levels, config)
+    got = unroll_network(*args)
+    want_modules, want_frames = reference_unroll(*args)
+    assert list(got.modules) == list(want_modules)
+    for key, (attrs, ids) in want_modules.items():
+        rec = got.modules[key]
+        assert [(a.dtype, a.tobytes()) for a in rec.attributes] == [(a.dtype, a.tobytes()) for a in attrs]
+        assert rec.sample_ids == ids
+    assert list(got.sample_counts.items()) == [(key, len(set(ids))) for key, (_a, ids) in want_modules.items()]
+    assert got.frames_per_level == want_frames
+    assert got.levels_run == len(want_frames)
+    # each fixture reaches the paths it is here for
+    assert {"recursing": [10, 10], "mixed": [70, 10]}.get(name, want_frames) == want_frames
+    assert got.n_modules == {"recursing": 0, "mixed": 3}.get(name, 2)
