@@ -33,6 +33,7 @@ The package is organized around six building blocks:
 from modsketch.block_random import (
     BlockParams,
     BlockRandomMatrix,
+    ModsketchError,
     NoiseProfile,
     auto_params,
     decode_column_signature,
@@ -81,6 +82,7 @@ from modsketch.sketcher import (
 __all__ = [
     "BlockParams",
     "BlockRandomMatrix",
+    "ModsketchError",
     "NoiseProfile",
     "auto_params",
     "decode_column_signature",

@@ -53,15 +53,19 @@ __all__ = [
 ]
 
 
-class ParameterError(ValueError):
+class ModsketchError(ValueError):
+    """Base of every error the package raises on bad input or arguments."""
+
+
+class ParameterError(ModsketchError):
     """Invalid block parameters or operation arguments."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(ModsketchError):
     """Vector/matrix dimensions do not agree."""
 
 
-class CorruptCodewordError(ValueError):
+class CorruptCodewordError(ModsketchError):
     """A column-signature codeword decoded to an out-of-range index."""
 
 
@@ -158,6 +162,8 @@ def auto_params(d_request: int, n_cap: int, q: float | None = None) -> BlockPara
     """
     if d_request < 1:
         raise ParameterError("requested dimension must be positive")
+    if n_cap < 2:
+        raise ParameterError(f"n_cap must be >= 2, got {n_cap}")
     d = d_request
     for _ in range(8):
         b = 3 * max(_ceil_log2(n_cap), _ceil_log2(d) + 3)

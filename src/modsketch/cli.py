@@ -8,7 +8,8 @@ only the seed and output paths.  Results tables share one schema,
 
 written deterministically (no timestamps), so reruns are byte-identical.
 
-Exit codes: 0 ok, 2 config error, 3 validation error.
+Exit codes: 0 ok, 2 for a ``ConfigError``, 3 for any other ``ModsketchError``;
+anything else is a bug.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from modsketch import recovery
 from modsketch._seeding import derive_rng
 from modsketch.block_random import (
     BlockParams,
-    DimensionMismatchError,
+    ModsketchError,
     ParameterError,
     auto_params,
     measure_noise_profile,
@@ -50,7 +51,6 @@ from modsketch.network import (
 )
 from modsketch.recovery import (
     PathStep,
-    RecoveryError,
     recover_attributes_unique,
     report_csv_header,
     report_csv_row,
@@ -58,7 +58,6 @@ from modsketch.recovery import (
 )
 from modsketch.repository import SketchRepository
 from modsketch.sketcher import (
-    DimensionFloorError,
     MatrixRegistry,
     erase_to_prefix,
     export_sketch_csv,
@@ -74,7 +73,7 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
 
-class ConfigError(ValueError):
+class ConfigError(ModsketchError):
     pass
 
 
@@ -92,46 +91,58 @@ def _load_config(path: str) -> dict:
 
 
 _KIND_NAMES = {int: "an integer", "count": "an integer >= 1", float: "a finite number", bool: "true or false",
-               dict: "an object", list[int]: "a non-empty list of integers",
-               list[float]: "a non-empty list of numbers", list[dict]: "a non-empty list of objects"}
+               dict: "an object", str: "a string", "label": "a string without commas or line breaks",
+               list[int]: "a non-empty list of integers", list[float]: "a non-empty list of numbers",
+               list[dict]: "a non-empty list of objects"}
 
 
 def _convert(value, kind):
     """``value`` as ``kind``, which it must already be in the JSON; no boolean is
-    a number, and a ``"count"`` is an integer of at least 1."""
-    if kind in (bool, dict):
-        if not isinstance(value, kind):
-            raise TypeError(value)
-        return value
-    if kind in (int, "count"):
-        if type(value) is not int or (kind == "count" and value < 1):
-            raise TypeError(value)
-        return value
+    a number, a ``"count"`` is an integer of at least 1, a ``"label"`` is a
+    string that fits one field of a results row, and a tuple kind lists the
+    strings allowed."""
     if kind is float:
         if type(value) not in (int, float) or not math.isfinite(value):
             raise TypeError(value)
         return float(value)
-    if not (isinstance(value, list) and value):
+    if get_args(kind):
+        if not (isinstance(value, list) and value):
+            raise TypeError(value)
+        return [_convert(item, get_args(kind)[0]) for item in value]
+    if isinstance(kind, tuple):
+        ok = isinstance(value, str) and value in kind
+    elif kind == "label":
+        ok = isinstance(value, str) and "," not in value and "".join(value.splitlines()) == value
+    elif kind in (int, "count"):
+        ok = type(value) is int and (kind is int or value >= 1)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
         raise TypeError(value)
-    return [_convert(item, get_args(kind)[0]) for item in value]
+    return value
 
 
-def _require(cfg: dict, key: str, path="config", kind=None):
-    """Read a required field, converted to ``kind`` (a key of
-    ``_KIND_NAMES``) when one is given."""
+def _require(cfg: dict, key: str, kind, path="config"):
+    """Read a required field, converted to ``kind``: a key of ``_KIND_NAMES``
+    or a tuple of the strings allowed."""
     if key not in cfg:
         raise ConfigError(f"{path}: missing required field {key!r}")
-    if kind is None:
-        return cfg[key]
     try:
         return _convert(cfg[key], kind)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: field {key!r} must be {_KIND_NAMES[kind]}, got {cfg[key]!r}") from None
+        name = f"one of {', '.join(map(repr, kind))}" if isinstance(kind, tuple) else _KIND_NAMES[kind]
+        raise ConfigError(f"{path}: field {key!r} must be {name}, got {cfg[key]!r}") from None
 
 
 def _optional(cfg: dict, key: str, default, kind, path="config"):
     """Read a field that may be absent or null, as :func:`_require` does."""
-    return default if cfg.get(key) is None else _require(cfg, key, path, kind)
+    return default if cfg.get(key) is None else _require(cfg, key, kind, path)
+
+
+def _config(args: argparse.Namespace) -> tuple[dict, int]:
+    """The command's config and its seed, which ``--seed`` overrides."""
+    cfg = _load_config(args.config)
+    return cfg, args.seed if args.seed is not None else _optional(cfg, "seed", 0, int)
 
 
 def _result_row(run_id, seed, params, metric, value, depth=0, weight=0.0) -> str:
@@ -144,30 +155,31 @@ def _write_results(path: str, rows: list[str]) -> None:
         fh.write(RESULTS_HEADER + "\n")
         for row in rows:
             fh.write(row + "\n")
+    print(f"wrote {path}")
 
 
 def _block_params(pcfg: dict) -> BlockParams:
     """The explicit ``{b, q, d, n_cap}`` form of a ``params`` object."""
     return BlockParams(
-        b=_require(pcfg, "b", "params", int),
-        q=_require(pcfg, "q", "params", float),
-        d=_require(pcfg, "d", "params", int),
-        n_cap=_require(pcfg, "n_cap", "params", int),
+        b=_require(pcfg, "b", int, "params"),
+        q=_require(pcfg, "q", float, "params"),
+        d=_require(pcfg, "d", int, "params"),
+        n_cap=_require(pcfg, "n_cap", int, "params"),
     )
 
 
-def _registry_from_config(cfg: dict, seed: int) -> MatrixRegistry:
-    pcfg = _require(cfg, "params", kind=dict)
+def _registry_from_config(cfg: dict, seed: int, default_params: dict) -> MatrixRegistry:
+    pcfg = _optional(cfg, "params", default_params, dict)
     if "b" in pcfg:
         params = _block_params(pcfg)
     else:
-        n_cap = _require(pcfg, "n_cap", "params", int)
-        d_request = _require(pcfg, "d_request", "params", int)
+        n_cap = _require(pcfg, "n_cap", int, "params")
+        d_request = _require(pcfg, "d_request", int, "params")
         params = auto_params(d_request, n_cap, q=_optional(pcfg, "q", None, float, "params"))
     return MatrixRegistry(
         params,
         master_seed=seed,
-        mode=cfg.get("mode", "block-random"),
+        mode=_optional(cfg, "mode", "block-random", str),
         allow_high_noise=_optional(cfg, "allow_high_noise", False, bool),
     )
 
@@ -177,16 +189,17 @@ def _registry_from_config(cfg: dict, seed: int) -> MatrixRegistry:
 # ---------------------------------------------------------------------------
 
 
-def cmd_calibrate(cfg: dict, seed: int, out_dir: str) -> int:
+def cmd_calibrate(args: argparse.Namespace) -> None:
     """Noise sweep over dimensions; fits delta(d) = c*sqrt(b*log2(N)/d)."""
-    run_id = cfg.get("run_id", "calibrate")
+    cfg, seed = _config(args)
+    run_id = _optional(cfg, "run_id", "calibrate", "label")
     n_cap = _optional(cfg, "n_cap", 64, int)
     dims = _optional(cfg, "dims", [512, 1024, 2048, 4096, 8192], list[int])
     trials = _optional(cfg, "trials", 200, int)
     pairs = _optional(cfg, "pairs", 1, int)
     quantile = _optional(cfg, "quantile", 0.99, float)
     transparent = _optional(cfg, "transparent", True, bool)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
 
     rows: list[str] = []
     deltas_iso: list[tuple[int, int, float]] = []
@@ -231,32 +244,29 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: str) -> int:
             for (d, _, _), r in zip(deltas, residuals):
                 rows.append(_result_row(run_id, seed, None, f"residual_{name}_d{d}", r))
 
-    _write_results(os.path.join(out_dir, "delta_table.csv"), rows)
-    print(f"wrote {os.path.join(out_dir, 'delta_table.csv')}")
-    return EXIT_OK
+    _write_results(os.path.join(args.out, "delta_table.csv"), rows)
 
 
-def cmd_gen_network(cfg: dict, seed: int, out_path: str) -> int:
-    profile_cfg = _require(cfg, "profile", kind=dict)
+def cmd_gen_network(args: argparse.Namespace) -> None:
+    cfg, seed = _config(args)
+    profile_cfg = _require(cfg, "profile", dict)
     profile = SyntheticProfile(
-        n_modules=_require(profile_cfg, "n_modules", "profile", int),
-        depth=_require(profile_cfg, "depth", "profile", int),
-        fan_in=_require(profile_cfg, "fan_in", "profile", int),
-        weight_scheme=profile_cfg.get("weight_scheme", "uniform"),
+        n_modules=_require(profile_cfg, "n_modules", int, "profile"),
+        depth=_require(profile_cfg, "depth", int, "profile"),
+        fan_in=_require(profile_cfg, "fan_in", int, "profile"),
+        weight_scheme=_optional(profile_cfg, "weight_scheme", "uniform", str, "profile"),
         attr_sparsity=_optional(profile_cfg, "attr_sparsity", 3, int, "profile"),
         attr_span=_optional(profile_cfg, "attr_span", None, int, "profile"),
     )
-    net = generate_synthetic(profile, seed=seed, d=_require(cfg, "dimension", kind=int))
-    save_network(net, out_path)
-    print(f"wrote {out_path}")
-    return EXIT_OK
+    net = generate_synthetic(profile, seed=seed, d=_require(cfg, "dimension", int))
+    save_network(net, args.out)
+    print(f"wrote {args.out}")
 
 
-def cmd_sketch(cfg: dict, seed: int, network_path: str, out_path: str) -> int:
-    net = load_network(network_path)
-    cfg = dict(cfg)
-    cfg.setdefault("params", {"d_request": net.d, "n_cap": net.n_cap})
-    registry = _registry_from_config(cfg, seed)
+def cmd_sketch(args: argparse.Namespace) -> None:
+    cfg, seed = _config(args)
+    net = load_network(args.network)
+    registry = _registry_from_config(cfg, seed, {"d_request": net.d, "n_cap": net.n_cap})
     if registry.d != net.d:
         raise NetworkValidationError(
             f"registry dimension {registry.d} != network dimension {net.d}; "
@@ -265,13 +275,12 @@ def cmd_sketch(cfg: dict, seed: int, network_path: str, out_path: str) -> int:
     erase_to = _optional(cfg, "erase_to", None, int)
     csv = _optional(cfg, "csv", False, bool)
     sk = overall_sketch(net, registry, signature_mode=_optional(cfg, "signature", False, bool))
-    if erase_to:
+    if erase_to is not None:
         sk = erase_to_prefix(sk, erase_to)
-    save_sketch(sk, out_path, registry.seed_fingerprint())
+    save_sketch(sk, args.out, registry.seed_fingerprint())
     if csv:
-        export_sketch_csv(sk, out_path + ".csv")
-    print(f"wrote {out_path}")
-    return EXIT_OK
+        export_sketch_csv(sk, args.out + ".csv")
+    print(f"wrote {args.out}")
 
 
 QUERY_KINDS = (
@@ -279,29 +288,26 @@ QUERY_KINDS = (
 )
 
 
-def cmd_recover(cfg: dict, seed: int, sketch_path: str, out_path: str) -> int:
-    sk, fingerprint = load_sketch(sketch_path)
-    cfg = dict(cfg)
-    cfg.setdefault("params", {})
-    registry = _registry_from_config(cfg, seed)
+def cmd_recover(args: argparse.Namespace) -> None:
+    cfg, seed = _config(args)
+    sk, fingerprint = load_sketch(args.sketch)
+    registry = _registry_from_config(cfg, seed, {})
     if fingerprint not in ("unknown", registry.seed_fingerprint()):
-        raise ParameterError(f"{sketch_path} was made under another seed or params (fingerprint {fingerprint})")
-    query = _require(cfg, "query", kind=dict)
-    kind = _require(query, "kind", "query")
-    if kind not in QUERY_KINDS:
-        raise ConfigError(f"unknown query kind {kind!r}")
+        raise ParameterError(f"{args.sketch} was made under another seed or params (fingerprint {fingerprint})")
+    query = _require(cfg, "query", dict)
+    kind = _require(query, "kind", QUERY_KINDS, "query")
     # looked up at call time, so a wrapper installed on the module sees the call
     recover = getattr(recovery, f"recover_{kind}")
     w = _optional(query, "w", 1.0, float, "query")
     if kind == "attributes_by_path":
         steps = [
-            PathStep(_require(p, "position", "query path step", int), str(_require(p, "module", "query path step")))
-            for p in _require(query, "path", "query", list[dict])
+            PathStep(_require(p, "position", int, "query path step"), _require(p, "module", "label", "query path step"))
+            for p in _require(query, "path", list[dict], "query")
         ]
         rep = recover(sk, steps, registry, w=w)
     else:
-        rep = recover(sk, query.get("module", ""), _optional(query, "h", 2, int, "query"), w, registry)
-    with open(out_path, "w", encoding="utf-8") as fh:
+        rep = recover(sk, _require(query, "module", "label", "query"), _optional(query, "h", 2, int, "query"), w, registry)
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report_csv_header() + "\n")
         fh.write(report_csv_row(rep, seed=str(seed)) + "\n")
     if isinstance(rep.estimate, float):
@@ -309,27 +315,26 @@ def cmd_recover(cfg: dict, seed: int, sketch_path: str, out_path: str) -> int:
     else:
         head = ", ".join(f"{v:.4f}" for v in rep.estimate[:8])
         print(f"{kind}: estimate[:8]=[{head}] predicted_error={rep.predicted_error:.4f}")
-    print(f"wrote {out_path}")
-    return EXIT_OK
+    print(f"wrote {args.out}")
 
 
-def cmd_similarity(sketch_a: str, sketch_b: str, out_path: str | None) -> int:
-    a, fp_a = load_sketch(sketch_a)
-    b, fp_b = load_sketch(sketch_b)
+def cmd_similarity(args: argparse.Namespace) -> None:
+    a, fp_a = load_sketch(args.sketch_a)
+    b, fp_b = load_sketch(args.sketch_b)
     if "unknown" not in (fp_a, fp_b) and fp_a != fp_b:
         raise ParameterError(f"sketches were made under different seed fingerprints: {fp_a} vs {fp_b}")
     value = sketch_similarity(a, b)
     print(f"similarity: {value!r}")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(f"{report_csv_header()}\nsim,,1,1.0,{a.d},{a.erased_prefix},0,,{value!r}\n")
-    return EXIT_OK
 
 
-def cmd_run(cfg: dict, seed: int, out_path: str) -> int:
+def cmd_run(args: argparse.Namespace) -> None:
     """Seeded experiment sweeps writing the shared results schema."""
-    experiment = _require(cfg, "experiment")
-    run_id = cfg.get("run_id", experiment)
+    cfg, seed = _config(args)
+    experiment = _require(cfg, "experiment", ("attr-error-vs-d", "similarity-pairs"))
+    run_id = _optional(cfg, "run_id", experiment, "label")
     rows: list[str] = []
     if experiment == "attr-error-vs-d":
         dims = _optional(cfg, "dims", [512, 1024, 2048], list[int])
@@ -351,7 +356,7 @@ def cmd_run(cfg: dict, seed: int, out_path: str) -> int:
             rows.append(
                 _result_row(run_id, seed, params, "attr_linf_median", float(np.median(errors)), depth=2, weight=1.0)
             )
-    elif experiment == "similarity-pairs":
+    else:
         n_seeds = _optional(cfg, "seeds", 20, "count")
         params = auto_params(_optional(cfg, "d", 1024, int), _optional(cfg, "n_cap", 32, int))
         for trial in range(n_seeds):
@@ -363,11 +368,7 @@ def cmd_run(cfg: dict, seed: int, out_path: str) -> int:
                     run_id, seed * 10007 + trial, params, "disjoint_dot", sketch_similarity(s1, s2)
                 )
             )
-    else:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    _write_results(out_path, rows)
-    print(f"wrote {out_path}")
-    return EXIT_OK
+    _write_results(args.out, rows)
 
 
 def _single_leaf_network(d: int, attrs, module="leaf"):
@@ -385,13 +386,15 @@ def _single_leaf_network(d: int, attrs, module="leaf"):
     )
 
 
-def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
+def cmd_learn_dict(args: argparse.Namespace) -> None:
     """Dictionary-learning experiments: planted instances or teacher unrolling."""
-    mode = cfg.get("learn_mode", "plant")
-    os.makedirs(out_dir, exist_ok=True)
-    params = _block_params(_require(cfg, "params", kind=dict))
+    cfg, seed = _config(args)
+    mode = _optional(cfg, "learn_mode", "plant", ("plant", "files", "unroll"))
+    os.makedirs(args.out, exist_ok=True)
+    params = _block_params(_require(cfg, "params", dict))
     rows: list[str] = []
-    run_id = cfg.get("run_id", "learn-dict")
+    run_id = _optional(cfg, "run_id", "learn-dict", "label")
+    eps = _optional(cfg, "eps", 0.05 if mode == "unroll" else 0.1, float)
 
     if mode == "plant":
         n_matrices = _optional(cfg, "n_matrices", 2, "count")
@@ -408,9 +411,9 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
             x = np.zeros(params.d)
             x[j - 1] = dominant
             ys[k] = mats[i].matvec(x)
-        learned = learn_dictionary(ys, DLConfig(params=params, eps_recover=_optional(cfg, "eps", 0.1, float)))
+        learned = learn_dictionary(ys, DLConfig(params=params, eps_recover=eps))
         report = match_permutation(learned, mats)
-        save_dictionary_artifacts(learned, out_dir, report)
+        save_dictionary_artifacts(learned, args.out, report)
         inv = {v: k for k, v in report.permutation.items()}
         recovered = sum(
             1 for k, (i, j) in enumerate(planted) if (inv.get(i), j) in learned.columns
@@ -422,7 +425,7 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
             _result_row(run_id, seed, params, "all_within_criterion", int(report.all_within_criterion()))
         )
     elif mode == "files":
-        samples_dir = _require(cfg, "samples_dir")
+        samples_dir = _require(cfg, "samples_dir", str)
         paths = sorted(glob.glob(os.path.join(samples_dir, "*.sketch")))
         if not paths:
             raise ConfigError(f"no .sketch files under {samples_dir!r}")
@@ -432,18 +435,16 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
             if sk.d != params.d:
                 raise ConfigError(f"{path}: dimension {sk.d} != params d {params.d}")
             vectors.append(sk.values)
-        learned = learn_dictionary(
-            np.array(vectors), DLConfig(params=params, eps_recover=_optional(cfg, "eps", 0.1, float))
-        )
-        save_dictionary_artifacts(learned, out_dir)
+        learned = learn_dictionary(np.array(vectors), DLConfig(params=params, eps_recover=eps))
+        save_dictionary_artifacts(learned, args.out)
         rows.append(_result_row(run_id, seed, params, "atoms_found", learned.n_atoms))
         rows.append(_result_row(run_id, seed, params, "columns_recovered", len(learned.columns)))
         rows.append(
             _result_row(run_id, seed, params, "samples_read", len(vectors))
         )
-    elif mode == "unroll":
-        teacher = _require(cfg, "teacher", kind=dict)
-        depth = _optional(teacher, "depth", 2, int, "teacher")
+    else:
+        teacher = _require(cfg, "teacher", dict)
+        depth = _optional(teacher, "depth", 2, "count", "teacher")
         w = _optional(teacher, "w", 0.5, float, "teacher")
         n_sketches = _optional(teacher, "n_sketches", 500, "count", "teacher")
         attrs_a = _optional(teacher, "attrs_a", [0.6, 0.0, 0.8], list[float], "teacher")
@@ -477,48 +478,43 @@ def cmd_learn_dict(cfg: dict, seed: int, out_dir: str) -> int:
             params,
             w_goal=w,
             recursion_budget=3 * depth,
-            eps_final=_optional(cfg, "eps", 0.05, float),
+            eps_final=eps,
         )
         rows.append(_result_row(run_id, seed, params, "modules_recovered", result.n_modules))
         rows.append(_result_row(run_id, seed, params, "levels_run", result.levels_run))
         for key, count in sorted(result.sample_counts.items()):
             rows.append(_result_row(run_id, seed, params, f"module_{key}_samples", count))
+
+    _write_results(os.path.join(args.out, "report.csv"), rows)
+
+
+def cmd_repo_insert(args: argparse.Namespace) -> None:
+    sk, _ = load_sketch(args.sketch)
+    bad = [kv for kv in args.tag or [] if "=" not in kv]
+    if bad:
+        raise ConfigError(f"--tag {bad[0]!r} is not of the form key=value")
+    tags = dict(kv.split("=", 1) for kv in args.tag or [])
+    repo = SketchRepository.from_log(args.store, sk.d)
+    eid = repo.insert(sk, args.id, tags)
+    print(f"inserted {eid} (store size {len(repo)})")
+
+
+def cmd_repo_query(args: argparse.Namespace) -> None:
+    probe, _ = load_sketch(args.sketch)
+    repo = SketchRepository.from_log(args.store, probe.d)
+    if args.bucketed:
+        hits, recall = repo.query_similar(probe, args.k, bucketed=True)
+        print(f"recall={recall!r}")
     else:
-        raise ConfigError(f"unknown learn_mode {mode!r}")
-
-    _write_results(os.path.join(out_dir, "report.csv"), rows)
-    print(f"wrote {os.path.join(out_dir, 'report.csv')}")
-    return EXIT_OK
+        hits = repo.query_similar(probe, args.k)
+    for hit in hits:
+        print(f"{hit.entry.id}\t{hit.score!r}")
 
 
-def cmd_repo(args: argparse.Namespace) -> int:
-    if args.repo_command == "insert":
-        sk, _ = load_sketch(args.sketch)
-        bad = [kv for kv in args.tag or [] if "=" not in kv]
-        if bad:
-            raise ConfigError(f"--tag {bad[0]!r} is not of the form key=value")
-        tags = dict(kv.split("=", 1) for kv in args.tag or [])
-        repo = SketchRepository.from_log(args.store, sk.d)
-        eid = repo.insert(sk, args.id, tags)
-        print(f"inserted {eid} (store size {len(repo)})")
-        return EXIT_OK
-    if args.repo_command == "query":
-        probe, _ = load_sketch(args.sketch)
-        repo = SketchRepository.from_log(args.store, probe.d)
-        if args.bucketed:
-            hits, recall = repo.query_similar(probe, args.k, bucketed=True)
-            print(f"recall={recall!r}")
-        else:
-            hits = repo.query_similar(probe, args.k)
-        for hit in hits:
-            print(f"{hit.entry.id}\t{hit.score!r}")
-        return EXIT_OK
-    if args.repo_command == "cluster":
-        result = SketchRepository.from_log(args.store).cluster(k=args.k)
-        for idx, assign in enumerate(result.assignments):
-            print(f"{idx}\t{assign}")
-        return EXIT_OK
-    raise ConfigError(f"unknown repo command {args.repo_command!r}")
+def cmd_repo_cluster(args: argparse.Namespace) -> None:
+    result = SketchRepository.from_log(args.store).cluster(k=args.k)
+    for idx, assign in enumerate(result.assignments):
+        print(f"{idx}\t{assign}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,93 +523,74 @@ def cmd_repo(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``modsketch`` parser.  Each command's ``handler`` default is read from
+    this module's globals when the parser is built, so ``main`` calls any
+    wrapper installed on the module after import."""
     parser = argparse.ArgumentParser(prog="modsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", required=True, help="JSON config for the run")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    def add_command(name, handler, config=True, group=sub, **kwargs):
+        p = group.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        if config:
+            p.add_argument("--config", required=True, help="JSON config for the run")
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        return p
 
-    p = sub.add_parser("calibrate", help="noise sweep and delta(d) fit")
-    add_common(p)
+    p = add_command("calibrate", cmd_calibrate, help="noise sweep and delta(d) fit")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("gen-network", help="generate a synthetic network")
-    add_common(p)
+    p = add_command("gen-network", cmd_gen_network, help="generate a synthetic network")
     p.add_argument("--out", required=True, help="network file path")
 
-    p = sub.add_parser("sketch", help="compute the overall sketch of a network")
-    add_common(p)
+    p = add_command("sketch", cmd_sketch, help="compute the overall sketch of a network")
     p.add_argument("--network", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("recover", help="run a recovery query against a sketch")
-    add_common(p)
+    p = add_command("recover", cmd_recover, help="run a recovery query against a sketch")
     p.add_argument("--sketch", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("similarity", help="inner product of two sketches")
+    p = add_command("similarity", cmd_similarity, config=False, help="inner product of two sketches")
     p.add_argument("--sketch-a", required=True)
     p.add_argument("--sketch-b", required=True)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("run", help="seeded experiment sweep")
-    add_common(p)
+    p = add_command("run", cmd_run, help="seeded experiment sweep")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("learn-dict", help="dictionary learning experiment")
-    add_common(p)
+    p = add_command("learn-dict", cmd_learn_dict, help="dictionary learning experiment")
     p.add_argument("--out", required=True, help="artifact directory")
 
     p = sub.add_parser("repo", help="sketch repository operations")
     repo_sub = p.add_subparsers(dest="repo_command", required=True)
-    pi = repo_sub.add_parser("insert")
+    pi = add_command("insert", cmd_repo_insert, config=False, group=repo_sub)
     pi.add_argument("--store", required=True)
     pi.add_argument("--sketch", required=True)
     pi.add_argument("--id", default=None)
     pi.add_argument("--tag", action="append")
-    pq = repo_sub.add_parser("query")
+    pq = add_command("query", cmd_repo_query, config=False, group=repo_sub)
     pq.add_argument("--store", required=True)
     pq.add_argument("--sketch", required=True)
     pq.add_argument("--k", type=int, default=5)
     pq.add_argument("--bucketed", action="store_true")
-    pc = repo_sub.add_parser("cluster")
+    pc = add_command("cluster", cmd_repo_cluster, config=False, group=repo_sub)
     pc.add_argument("--store", required=True)
     pc.add_argument("--k", type=int, required=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "repo":
-            return cmd_repo(args)
-        if args.command == "similarity":
-            return cmd_similarity(args.sketch_a, args.sketch_b, args.out)
-        cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _optional(cfg, "seed", 0, int)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, seed, args.out)
-        if args.command == "gen-network":
-            return cmd_gen_network(cfg, seed, args.out)
-        if args.command == "sketch":
-            return cmd_sketch(cfg, seed, args.network, args.out)
-        if args.command == "recover":
-            return cmd_recover(cfg, seed, args.sketch, args.out)
-        if args.command == "run":
-            return cmd_run(cfg, seed, args.out)
-        if args.command == "learn-dict":
-            return cmd_learn_dict(cfg, seed, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        NetworkValidationError, ParameterError, RecoveryError, DimensionFloorError, DimensionMismatchError
-    ) as exc:
+    except ModsketchError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

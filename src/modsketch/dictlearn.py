@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from modsketch.block_random import BlockParams
+from modsketch.block_random import BlockParams, DimensionMismatchError, ParameterError
 
 __all__ = [
     "DLConfig",
@@ -76,6 +76,10 @@ class DLConfig:
     eps_recover: float = 0.1
     set_floor_frac: float = 0.9**3
     sig_match_eps_factor: float = 10.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.eps_recover <= 1.0:
+            raise ParameterError(f"eps_recover must lie in (0, 1], got {self.eps_recover}")
 
     @property
     def scale(self) -> float:
@@ -195,7 +199,7 @@ def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary
     d, b, q, m, n_blocks = p.d, p.b, p.q, p.sub_block, p.n_blocks
     y = np.ascontiguousarray(np.atleast_2d(np.asarray(samples, dtype=np.float64)))
     if y.shape[1] != d:
-        raise ValueError(f"samples have dimension {y.shape[1]}, expected {d}")
+        raise DimensionMismatchError(f"samples have dimension {y.shape[1]}, expected {d}")
     n_samples = y.shape[0]
     tau2 = config.tau2_value
 

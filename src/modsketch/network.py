@@ -19,6 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from modsketch._seeding import derive_rng
+from modsketch.block_random import ModsketchError
 
 __all__ = [
     "NetworkValidationError",
@@ -41,7 +42,7 @@ __all__ = [
 WEIGHT_TOL = 1e-9
 
 
-class NetworkValidationError(ValueError):
+class NetworkValidationError(ModsketchError):
     """Base class for structural validation failures."""
 
 
@@ -125,7 +126,10 @@ def _pad_and_normalize(values: np.ndarray, d: int) -> np.ndarray:
         )
     out = np.zeros(d)
     out[: len(values)] = np.clip(values, 0.0, None)
-    norm = float(np.linalg.norm(out))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(out))
+    if norm == np.inf:
+        raise NetworkValidationError("attribute vector is too large to normalize")
     if norm > 0:
         out /= norm
     return out
@@ -203,6 +207,8 @@ def build_network(
     )
     _assign_depths(net)
 
+    if n_multiplier < 1:
+        raise NetworkValidationError(f"n_multiplier must be at least 1, got {n_multiplier}")
     floor = n_multiplier * max(len(modules), max(len(objects) - 1, 1))
     if n_cap is None:
         net.n_cap = max(2, floor)
@@ -312,6 +318,8 @@ class SyntheticProfile:
             raise NetworkValidationError(f"attr_sparsity must be at least 1, got {self.attr_sparsity}")
         if self.attr_span is not None and self.attr_span < 1:
             raise NetworkValidationError(f"attr_span must be at least 1 when set, got {self.attr_span}")
+        if self.attr_span is not None and self.attr_sparsity > self.attr_span:
+            raise NetworkValidationError(f"attr_sparsity {self.attr_sparsity} exceeds attr_span {self.attr_span}")
 
 
 def generate_synthetic(profile: SyntheticProfile, seed: int, d: int) -> ModularNetwork:
@@ -331,7 +339,7 @@ def generate_synthetic(profile: SyntheticProfile, seed: int, d: int) -> ModularN
     span = profile.attr_span or max(profile.attr_sparsity * 4, 8)
 
     def make_attrs() -> list[float]:
-        idx = rng.choice(span, size=min(profile.attr_sparsity, span), replace=False)
+        idx = rng.choice(span, size=profile.attr_sparsity, replace=False)
         vals = np.zeros(span)
         vals[idx] = np.abs(rng.standard_normal(len(idx))) + 0.1
         vals /= np.linalg.norm(vals)
@@ -485,13 +493,11 @@ def load_network(path: str) -> ModularNetwork:
     d = meta["dimension"]
     for odesc in objects:
         pairs = sparse_attrs[odesc["id"]]
-        length = max((i for i, _ in pairs), default=-1) + 1
-        vals = np.zeros(length)
+        for i, _ in pairs:
+            if not 0 <= i < d:
+                raise NetworkValidationError(f"object {odesc['id']!r} attribute index {i} outside [0, {d})")
+        vals = np.zeros(max((i for i, _ in pairs), default=-1) + 1)
         for i, v in pairs:
-            if i >= d:
-                raise NetworkValidationError(
-                    f"object {odesc['id']!r} attribute index {i} >= dimension {d}"
-                )
             vals[i] = v
         odesc["attributes"] = vals
 

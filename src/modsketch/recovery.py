@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from modsketch.block_random import AnyMatrix, ParameterError
+from modsketch.block_random import AnyMatrix, ModsketchError, ParameterError
 from modsketch.calibrated import PREDICTED_ERROR_COEFF, delta_desync_fit
 from modsketch.sketcher import MatrixRegistry, Sketch, input_tuple_depth, pair_tuple_depth
 
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-class RecoveryError(ValueError):
+class RecoveryError(ModsketchError):
     pass
 
 

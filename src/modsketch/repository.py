@@ -76,6 +76,8 @@ def _parse_record(line: bytes, d: int) -> tuple[Sketch, str, dict]:
     tags = rec["tags"]
     if not (isinstance(tags, dict) and all(isinstance(v, str) for v in tags.values())):
         raise ParameterError(f"tags must map strings to strings, got {tags!r}")
+    if not isinstance(rec["id"], str):
+        raise ParameterError(f"id must be a string, got {rec['id']!r}")
     sk = sketch_from_metadata(
         decode_values(base64.b64decode(rec["values"]), d),
         rec["kind"],

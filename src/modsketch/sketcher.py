@@ -40,6 +40,7 @@ from modsketch.block_random import (
     AnyMatrix,
     BlockParams,
     IdentityMatrix,
+    ModsketchError,
     ParameterError,
     sample_first_column,
     sample_matrix,
@@ -70,11 +71,11 @@ SketchKind = Literal["tuple", "attribute", "input", "object", "overall"]
 RegistryMode = Literal["block-random", "orthonormal", "identity"]
 
 
-class DimensionFloorError(ValueError):
+class DimensionFloorError(ModsketchError):
     """Sketch dimension too small for the requested recursion depth."""
 
 
-class PrototypeScopeError(ValueError):
+class PrototypeScopeError(ModsketchError):
     """Prototype sketches only cover networks one level below the output."""
 
 
@@ -405,8 +406,8 @@ def sketch_from_metadata(values: np.ndarray, kind, depth, erased_prefix, signatu
     and in range."""
     if kind not in get_args(SketchKind):
         raise ParameterError(f"unknown sketch kind {kind!r}")
-    if type(depth) is not int:
-        raise ParameterError(f"sketch depth must be an integer, got {depth!r}")
+    if not (type(depth) is int and depth >= 1):
+        raise ParameterError(f"sketch depth must be an integer >= 1, got {depth!r}")
     if not (type(erased_prefix) is int and 1 <= erased_prefix <= len(values)):
         raise ParameterError(f"erased prefix must be an integer in [1, {len(values)}], got {erased_prefix!r}")
     if type(signature_mode) is not bool:
@@ -431,7 +432,7 @@ def load_sketch(path: str) -> tuple[Sketch, str]:
         except (KeyError, ValueError) as exc:
             # a missing field, a token without "=", or a non-integer value
             raise ParameterError(f"{path}: malformed sketch header ({exc!r})") from None
-        values = decode_values(fh.read(8 * d), d)
+        values = decode_values(fh.read(), d)
     return sketch_from_metadata(values, kind, depth, erased_prefix, {"0": False, "1": True}.get(sig, sig)), seed
 
 

@@ -91,6 +91,8 @@ def test_params_validation():
         BlockParams(b=15, q=0.5, d=8, n_cap=8)  # below the code-size floor
     with pytest.raises(ParameterError):
         BlockParams(b=18, q=1.5, d=8, n_cap=8)  # q out of range
+    with pytest.raises(ParameterError):
+        auto_params(1014, 0)  # n_cap below 2, refused before its log is taken
 
 
 def test_auto_params_alignment_fixpoint():

@@ -251,6 +251,9 @@ def test_malformed_sketch_header_exit_code(tmp_path):
         "modsketch-sketch v1 d=2 kind=weird depth=1 erased_prefix=2 seed=unknown",
         "modsketch-sketch v1 d=2 kind=overall depth=1 erased_prefix=3 seed=unknown",
         "modsketch-sketch v1 d=2 kind=overall depth=1 erased_prefix=2 sig=2 seed=unknown",
+        "modsketch-sketch v1 d=-1 kind=overall depth=1 erased_prefix=2 seed=unknown",  # not a read length
+        "modsketch-sketch v1 d=1 kind=overall depth=1 erased_prefix=1 seed=unknown",  # 8 bytes past the payload
+        "modsketch-sketch v1 d=2 kind=overall depth=0 erased_prefix=2 seed=unknown",
     ):
         sk_path.write_bytes(header.encode() + b"\n" + bytes(16))
         rc = main(["recover", "--config", rec_cfg, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")])
@@ -285,12 +288,18 @@ def test_gen_network_too_few_modules_exit_code(tmp_path, capsys):
     assert main(["gen-network", "--config", cfg, "--out", str(tmp_path / "net.txt")]) == EXIT_VALIDATION
     # out-of-range attribute fields are named, not a traceback or a silent default
     capsys.readouterr()
-    for field, value in (("attr_sparsity", -1), ("attr_sparsity", 0), ("attr_span", -2), ("attr_span", 0)):
-        profile = {"n_modules": 2, "depth": 2, "fan_in": 1, field: value}
+    for change, message in (
+        ({"attr_sparsity": -1}, "attr_sparsity must be at least 1"),
+        ({"attr_sparsity": 0}, "attr_sparsity must be at least 1"),
+        ({"attr_span": -2}, "attr_span must be at least 1"),
+        ({"attr_span": 0}, "attr_span must be at least 1"),
+        ({"attr_sparsity": 5, "attr_span": 2}, "attr_sparsity 5 exceeds attr_span 2"),
+    ):
+        profile = {"n_modules": 2, "depth": 2, "fan_in": 1, **change}
         cfg = write_json(tmp_path / "gen.json", {"seed": 0, "dimension": 64, "profile": profile})
         assert main(["gen-network", "--config", cfg, "--out", str(tmp_path / "net.txt")]) == EXIT_VALIDATION, profile
         err = capsys.readouterr().err
-        assert err.startswith(f"validation error: {field} must be at least 1") and err.count("\n") == 1, err
+        assert err.startswith(f"validation error: {message}") and err.count("\n") == 1, err
 
 
 def test_gen_network_deep_chain(tmp_path):
@@ -408,12 +417,19 @@ def test_typed_config_fields_exit_code(tmp_path, capsys):
         ("learn-dict", {"learn_mode": "unroll", "params": ld_params, "teacher": {"n_sketches": 0}}),
         ("run", {"experiment": "attr-error-vs-d", "seeds": 0}),
         ("run", {"experiment": "similarity-pairs", "seeds": -3}),
+        # string fields are strings, and a run_id fits one field of a results row
+        ("learn-dict", {"learn_mode": "files", "params": ld_params, "samples_dir": 5}),
+        ("run", {"experiment": "attr-error-vs-d", "run_id": "a,b\nx"}),
+        ("run", {"experiment": "attr-error-vs-d", "run_id": "a,b"}),
+        ("calibrate", {"dims": [512], "run_id": "c\n"}),
+        ("learn-dict", {"learn_mode": "plnat", "params": ld_params}),
+        ("learn-dict", {"learn_mode": "unroll", "params": ld_params, "teacher": {"depth": 0}}),
     ):
         path = write_json(tmp_path / "list.json", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG, cfg
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
-    for path_steps in (5, [{"module": "m0"}], [{"position": "first", "module": "m0"}], ["m0"]):
+    for path_steps in (5, [{"module": "m0"}], [{"position": "first", "module": "m0"}], ["m0"], [{"position": 1, "module": 5}]):
         query = {"kind": "attributes_by_path", "path": path_steps}
         rec = write_json(tmp_path / "rec.json", {"params": {"d_request": 1014, "n_cap": 6}, "query": query})
         assert main(["recover", "--config", rec, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
@@ -488,6 +504,9 @@ def test_malformed_log_record_metadata_exit_code(tmp_path, capsys):
         {"erased_prefix": 0},
         {"erased_prefix": 9},
         {"signature_mode": 1},
+        {"id": 5},
+        {"id": None},
+        {"depth": -1},
     ):
         store.write_text(json.dumps({**record, **change}, sort_keys=True) + "\n")
         assert main(["repo", "cluster", "--store", str(store), "--k", "1"]) == EXIT_VALIDATION, change
@@ -512,6 +531,10 @@ def test_malformed_network_numbers_exit_code(tmp_path, capsys):
         ("root a 1.0", "root a inf", "input weights of 'root' sum to inf > 1"),
         ("0:0.6", "0:nan", "attribute entries must be finite and nonnegative"),
         ("0:0.6", "0:inf", "attribute entries must be finite and nonnegative"),
+        ("0:0.6", "-1:0.5", "object 'a' attribute index -1 outside [0, 1014)"),
+        ("0:0.6", "-3:0.5 2:0.1", "object 'a' attribute index -3 outside [0, 1014)"),
+        ("0:0.6", "0:1e300", "attribute vector is too large to normalize"),
+        ("n_multiplier = 3", "n_multiplier = 0", "n_multiplier must be at least 1, got 0"),
     ):
         net_path.write_text(good.replace(old, new))
         assert main(["sketch", "--config", sk_cfg, "--network", str(net_path), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
@@ -536,3 +559,33 @@ def test_registry_mode_and_boolean_fields_are_checked(tmp_path, capsys):
     # the default (null) and the JSON booleans still read
     for cfg in ({"allow_high_noise": True, "csv": None}, {"allow_high_noise": True, "signature": False, "csv": True}):
         assert main(sketch + [write_json(tmp_path / "sk.json", cfg)]) == EXIT_OK
+
+
+def test_recover_query_module_is_a_required_string(tmp_path, capsys):
+    d = auto_params(1014, 6).d
+    sk_path = tmp_path / "zero.sketch"
+    save_sketch(Sketch(values=np.zeros(d), kind="overall", depth=1, erased_prefix=d), str(sk_path))
+    for query, message in (
+        ({"kind": "frequency"}, "query: missing required field 'module'"),
+        ({"kind": "frequency", "module": ["m0"]}, "query: field 'module' must be a string without commas or line breaks"),
+        ({"kind": "attributes_unique", "module": 5}, "query: field 'module' must be a string without commas or line breaks"),
+        ({"kind": "frequency", "module": "m0,m1"}, "query: field 'module' must be a string without commas or line breaks"),
+        ({"kind": "freq", "module": "m0"}, "query: field 'kind' must be one of 'attributes_unique', "),
+    ):
+        rec = write_json(tmp_path / "rec.json", {"params": {"d_request": 1014, "n_cap": 6}, "query": query})
+        assert main(["recover", "--config", rec, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+
+
+def test_sketch_erase_to_zero_is_range_checked(tmp_path, capsys):
+    gen_cfg = write_json(tmp_path / "gen.json", {"seed": 2, "dimension": 1014, "profile": {"n_modules": 1, "depth": 2, "fan_in": 1}})
+    net = tmp_path / "net.txt"
+    assert main(["gen-network", "--config", gen_cfg, "--out", str(net)]) == EXIT_OK
+    sketch = ["sketch", "--network", str(net), "--out", str(tmp_path / "s.sketch"), "--config"]
+    capsys.readouterr()
+    assert main(sketch + [write_json(tmp_path / "sk.json", {"allow_high_noise": True, "erase_to": 0})]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: prefix 0 outside (0, 1014]\n"
+    assert not (tmp_path / "s.sketch").exists()
+    assert main(sketch + [write_json(tmp_path / "sk.json", {"allow_high_noise": True, "erase_to": 1})]) == EXIT_OK
+    assert b" erased_prefix=1 " in (tmp_path / "s.sketch").read_bytes().split(b"\n", 1)[0]

@@ -15,6 +15,7 @@ import pytest
 from modsketch.block_random import (
     BlockParams,
     CorruptCodewordError,
+    ParameterError,
     decode_column_signature,
     sample_matrix,
 )
@@ -82,6 +83,12 @@ def plant_instance(
 
 def config_for(params=PLANT, eps=0.1):
     return DLConfig(params=params, eps_recover=eps)
+
+
+def test_config_refuses_eps_outside_unit_interval():
+    for eps in (0.0, -0.1, 1.5, 1e300):
+        with pytest.raises(ParameterError):
+            config_for(eps=eps)
 
 
 # ---------------------------------------------------------------------------
