@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
@@ -279,8 +279,13 @@ class BlockRandomMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.csc @ x
 
+    @cached_property
+    def _csc_t(self) -> sp.csr_matrix:
+        """The transpose as a CSR view sharing the CSC arrays, built once."""
+        return self.csc.T
+
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csc.T @ x
+        return self._csc_t @ x
 
     def column(self, j: int) -> np.ndarray:
         """Dense column j (1-based), equal bit for bit to ``matvec(e_j)``."""
@@ -324,7 +329,11 @@ class OrthonormalMatrix:
         return self.dense.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.dense @ x
+        """``dense @ x``; a (d, n) x is multiplied column by column, because a
+        matrix-matrix product rounds differently from a matrix-vector one."""
+        if x.ndim == 1:
+            return self.dense @ x
+        return np.stack([self.dense @ col for col in np.ascontiguousarray(x.T)], axis=1)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         return self.dense.T @ x
@@ -352,7 +361,7 @@ class IdentityMatrix:
         return self.dim
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64).copy()
+        return np.array(x, dtype=np.float64)  # a copy
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64).copy()

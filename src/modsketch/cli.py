@@ -493,6 +493,8 @@ def cmd_repo_insert(args: argparse.Namespace) -> None:
     bad = [kv for kv in args.tag or [] if "=" not in kv]
     if bad:
         raise ConfigError(f"--tag {bad[0]!r} is not of the form key=value")
+    if args.id is not None and ("\t" in args.id or "".join(args.id.splitlines()) != args.id):
+        raise ConfigError(f"--id {args.id!r} holds a tab or a line break")
     tags = dict(kv.split("=", 1) for kv in args.tag or [])
     repo = SketchRepository.from_log(args.store, sk.d)
     eid = repo.insert(sk, args.id, tags)

@@ -1,9 +1,7 @@
 """The recursive sketch construction.
 
-The sketch is defined recursively from the output pseudo-object down, and
-computed in one pass the other way: objects are visited deepest first, so
-every object's children are sketched before it is.  The building block is
-the tuple sketch
+The sketch is defined recursively from the output pseudo-object down.  The
+building block is the tuple sketch
 
     tuple(s_1..s_k; w_1..w_k) = sum_i w_i * (I + R_i)/2 * s_i
 
@@ -24,6 +22,15 @@ starts at 1 for the overall sketch and increases every time a tuple sketch
 is taken (``input_tuple_depth``/``pair_tuple_depth``, which path recovery
 reads too); module matrices are drawn per (module, slot).  All draws are
 deterministic functions of the registry's master seed.
+
+The pass runs level by level, deepest first.  Every edge runs from depth k
+to k+1, so a level's children are the level before.  Within a level, the
+objects of module M share R_{M,0} and R_{M,1}, and the input tuples share
+one matrix per position, so each distinct matrix multiplies the (d, n)
+block of all the columns that use it, once.  Every column adds the same
+operands in the same order as one object's sketch alone, and ``matvec`` of
+a (d, n) block equals the products of its columns for every matrix type,
+so each sketch is bit-identical to one computed object by object.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, replace
-from typing import Literal, get_args
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from modsketch._seeding import derive_rng
 from modsketch.block_random import (
     AnyMatrix,
     BlockParams,
+    BlockRandomMatrix,
     IdentityMatrix,
     ModsketchError,
     ParameterError,
@@ -156,10 +164,9 @@ class MatrixRegistry:
         """The matrix of key in the registry's mode, or (block-random mode
         only) a d x 1 matrix of its first column, cached under ``<key>:e1``."""
         cache_key = f"{key}:e1" if first_column else key
-        with self._lock:
-            hit = self._cache.get(cache_key)
-            if hit is not None:
-                return hit
+        hit = self._cache.get(cache_key)  # a dict read is atomic; the lock guards inserts
+        if hit is not None:
+            return hit
         seed_key = f"s{self.master_seed}/{key}"
         if first_column:
             made: AnyMatrix = sample_first_column(self.params, seed_key)
@@ -195,33 +202,61 @@ def _transparent(mat: AnyMatrix, x: np.ndarray) -> np.ndarray:
     return (x + mat.matvec(x)) * 0.5
 
 
+def _sparse_matvec(mat: AnyMatrix, x: np.ndarray) -> np.ndarray:
+    """``mat.matvec(x)`` from the nonzero rows of x alone.  In block-random
+    mode the bits are the same: a CSC product sums each entry column by
+    column from +0.0, and a zero row of x adds only a signed zero, which
+    changes no such sum."""
+    if not isinstance(mat, BlockRandomMatrix):
+        return mat.matvec(x)
+    rows = np.flatnonzero(x.any(axis=1))
+    return mat.csc[:, rows] @ x[rows]
+
+
+def _columns(cols: Sequence[int]) -> slice | list[int]:
+    """cols as a slice when they count up by one, so that indexing a block
+    with them makes a view instead of a copy."""
+    first, n = cols[0], len(cols)
+    if n == 1 or tuple(cols) == tuple(range(first, first + n)):
+        return slice(first, first + n)
+    return list(cols)
+
+
 # ---------------------------------------------------------------------------
 # Sketch operations
 # ---------------------------------------------------------------------------
 
 
-def tuple_sketch(
-    sketches: list[Sketch],
-    weights: list[float],
-    tuple_depth: int,
-    registry: MatrixRegistry,
-) -> Sketch:
+def _tuples(
+    edges: list[tuple[int, int, int, float]], children: np.ndarray, n: int, depth: int, registry: MatrixRegistry
+) -> np.ndarray:
+    """n tuple sketches as the columns of a (d, n) block: edge (position,
+    column, child, w) adds w (I + T)/2 children[:, child] to the column, T
+    the position's matrix at this tuple depth.  One product per position;
+    each column's sum starts at +0.0 and adds its terms by ascending
+    position, as one tuple taken alone would."""
+    acc, by_position = np.zeros((registry.d, n)), {}
+    for edge in edges:
+        by_position.setdefault(edge[0], []).append(edge)
+    for pos in sorted(by_position):
+        _, cols, kids, ws = zip(*by_position[pos])
+        mat = registry.tuple_matrix(pos, depth)
+        acc[:, _columns(cols)] += np.array(ws) * _transparent(mat, children[:, _columns(kids)])
+    return acc
+
+
+def tuple_sketch(sketches: list[Sketch], weights: list[float], tuple_depth: int, registry: MatrixRegistry) -> Sketch:
     """Weighted sum of transparent-matrix applications; empty input -> zero."""
     if len(sketches) != len(weights):
         raise ParameterError("sketches and weights must have equal length")
     total = sum(weights)
     if any(w < 0 for w in weights) or total > 1.0 + 1e-9:
         raise ParameterError(f"weights must be nonnegative with sum <= 1, got sum {total}")
-    d = registry.d
-    acc = np.zeros(d)
-    for pos, (sk, w) in enumerate(zip(sketches, weights), start=1):
-        if sk.d != d:
-            raise ParameterError("sketch dimension mismatch")
-        if w == 0.0:
-            continue
-        mat = registry.tuple_matrix(pos, tuple_depth)
-        acc += w * _transparent(mat, sk.values)
-    return Sketch(values=acc, kind="tuple", depth=1, erased_prefix=d)
+    if any(sk.d != registry.d for sk in sketches):
+        raise ParameterError("sketch dimension mismatch")
+    edges = [(pos, 0, pos - 1, w) for pos, w in enumerate(weights, start=1) if w != 0.0]
+    acc = _tuples(edges, np.array([sk.values for sk in sketches]).T, 1, tuple_depth, registry)
+    return Sketch(values=acc[:, 0], kind="tuple", depth=1, erased_prefix=registry.d)
 
 
 def object_signature(obj: ObjectNode, n_cap: int, d: int) -> np.ndarray:
@@ -244,24 +279,34 @@ def object_signature(obj: ObjectNode, n_cap: int, d: int) -> np.ndarray:
     return sig
 
 
+def _attribute_block(
+    objs: list[ObjectNode], registry: MatrixRegistry, signature_mode: bool, n_cap: int
+) -> tuple[np.ndarray, dict[str, slice | list[int]]]:
+    """attr(theta) of every object as the columns of a (d, n) block, and the
+    columns of each module; one product per module matrix."""
+    d, groups, columns = registry.d, {}, {}
+    for j, obj in enumerate(objs):
+        groups.setdefault(obj.producer, []).append(j)
+    out = np.empty((d, len(objs)))
+    for module, cols in groups.items():
+        members, columns[module] = [objs[j] for j in cols], _columns(cols)
+        r1x = _sparse_matvec(registry.module_matrix(module, 1), np.array([o.attributes for o in members]).T)
+        r2_e1 = registry.module_first_column(module).column(1)[:, None]
+        if signature_mode:
+            sig = np.array([object_signature(o, n_cap, d) for o in members]).T
+            out[:, columns[module]] = (r1x + r2_e1 + _sparse_matvec(registry.module_matrix(module, 3), sig)) / 3.0
+        else:
+            out[:, columns[module]] = 0.5 * r1x + 0.5 * r2_e1
+    return out, columns
+
+
 def attribute_subsketch(
-    obj: ObjectNode,
-    registry: MatrixRegistry,
-    signature_mode: bool = False,
-    n_cap: int | None = None,
+    obj: ObjectNode, registry: MatrixRegistry, signature_mode: bool = False, n_cap: int | None = None
 ) -> Sketch:
     """1/2 R_{M,1} x + 1/2 R_{M,2} e_1 (thirds, plus a signature term, when
     signature_mode is on)."""
-    d = registry.d
-    r1 = registry.module_matrix(obj.producer, 1)
-    r2_e1 = registry.module_first_column(obj.producer).column(1)
-    if signature_mode:
-        r3 = registry.module_matrix(obj.producer, 3)
-        sig = object_signature(obj, n_cap or registry.params.n_cap, d)
-        values = (r1.matvec(obj.attributes) + r2_e1 + r3.matvec(sig)) / 3.0
-    else:
-        values = 0.5 * r1.matvec(obj.attributes) + 0.5 * r2_e1
-    return Sketch(values=values, kind="attribute", depth=obj.depth, erased_prefix=d)
+    block, _ = _attribute_block([obj], registry, signature_mode, n_cap or registry.params.n_cap)
+    return Sketch(values=block[:, 0], kind="attribute", depth=obj.depth, erased_prefix=registry.d)
 
 
 def input_tuple_depth(object_depth: int) -> int:
@@ -275,49 +320,53 @@ def pair_tuple_depth(object_depth: int) -> int:
     return 2 * (object_depth - 1)
 
 
-def _input_tuple(obj: ObjectNode, objects: dict[str, Sketch], registry: MatrixRegistry) -> Sketch:
-    children = [objects[cid] for cid, _ in obj.inputs]
-    weights = [w for _, w in obj.inputs]
-    return tuple_sketch(children, weights, input_tuple_depth(obj.depth), registry)
+def _sketch_pass(
+    net: ModularNetwork, registry: MatrixRegistry, signature_mode: bool
+) -> tuple[list[tuple[list[ObjectNode], np.ndarray]], np.ndarray]:
+    """(objects, (d, n) block of their object sketches) for each real depth,
+    deepest first, and the output pseudo-object's input tuple as (d, 1)."""
+    by_depth: dict[int, list[ObjectNode]] = {}
+    for obj in net.objects.values():
+        if obj.depth >= 1:
+            by_depth.setdefault(obj.depth, []).append(obj)
+    levels, children, child_col = [], np.zeros((registry.d, 0)), {}
+    for k in sorted(by_depth, reverse=True):
+        objs = by_depth[k]
+        edges = [(pos, j, child_col[cid], w) for j, obj in enumerate(objs)
+                 for pos, (cid, w) in enumerate(obj.inputs, start=1) if w != 0.0]
+        inp = _tuples(edges, children, len(objs), input_tuple_depth(k), registry)
+        if k == 1:
+            return levels, inp
+        attr, groups = _attribute_block(objs, registry, signature_mode, net.n_cap or registry.params.n_cap)
+        # tuple(attr, input; 1/2, 1/2) from +0.0.  An empty input tuple adds no
+        # term: (0 + R 0) * 0.5 * 0.5 is +0.0, which changes no sum begun at +0.0.
+        pair = 0.0 + 0.5 * _transparent(registry.tuple_matrix(1, pair_tuple_depth(k)), attr)
+        if edges:
+            live = _columns(sorted({e[1] for e in edges}))
+            pair[:, live] += 0.5 * _transparent(registry.tuple_matrix(2, pair_tuple_depth(k)), inp[:, live])
+        children, child_col = np.empty_like(pair), {obj.id: j for j, obj in enumerate(objs)}
+        for module, cols in groups.items():
+            children[:, cols] = _transparent(registry.module_matrix(module, 0), pair[:, cols])
+        levels.append((objs, children))
 
 
-def object_sketches(
-    net: ModularNetwork,
-    registry: MatrixRegistry,
-    signature_mode: bool = False,
-) -> dict[str, Sketch]:
-    """Object sketch of every reachable real object (depth >= 2), by id.
-
-    Every edge runs from depth k to k+1, so visiting objects deepest first
-    finds each object's children already sketched.
-    """
-    out: dict[str, Sketch] = {}
-    for obj in sorted((o for o in net.objects.values() if o.depth >= 2), key=lambda o: -o.depth):
-        attr = attribute_subsketch(obj, registry, signature_mode, net.n_cap)
-        inp = _input_tuple(obj, out, registry)
-        pair = tuple_sketch([attr, inp], [0.5, 0.5], pair_tuple_depth(obj.depth), registry)
-        r0 = registry.module_matrix(obj.producer, 0)
-        out[obj.id] = Sketch(
-            values=_transparent(r0, pair.values),
-            kind="object",
-            depth=obj.depth,
-            erased_prefix=registry.d,
-        )
+def object_sketches(net: ModularNetwork, registry: MatrixRegistry, signature_mode: bool = False) -> dict[str, Sketch]:
+    """Object sketch of every reachable real object (depth >= 2), by id,
+    deepest first."""
+    out = {}
+    for objs, block in _sketch_pass(net, registry, signature_mode)[0]:
+        for obj, values in zip(objs, block.T.copy()):
+            out[obj.id] = Sketch(values=values, kind="object", depth=obj.depth, erased_prefix=registry.d)
     return out
 
 
-def overall_sketch(
-    net: ModularNetwork,
-    registry: MatrixRegistry,
-    signature_mode: bool = False,
-) -> Sketch:
+def overall_sketch(net: ModularNetwork, registry: MatrixRegistry, signature_mode: bool = False) -> Sketch:
     """Input tuple of the output pseudo-object."""
     if net.d != registry.d:
         raise ParameterError(f"network dimension {net.d} != registry dimension {registry.d}")
     registry.check_dimension_floor(net.recursion_budget)
-    root = net.objects[net.output_object_id]
-    sk = _input_tuple(root, object_sketches(net, registry, signature_mode), registry)
-    return replace(sk, kind="overall", signature_mode=signature_mode)
+    root_input = _sketch_pass(net, registry, signature_mode)[1]
+    return Sketch(root_input[:, 0].copy(), "overall", 1, registry.d, signature_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,42 @@ def test_column_is_matvec_of_unit_vector_bitwise(make):
         assert mat.column(j).tobytes() == mat.matvec(e_j).tobytes(), j
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sample_matrix(GOLDEN_PARAMS["d1014"], "unit:block"),
+        lambda: sample_orthonormal(1092, "unit:block"),
+        lambda: IdentityMatrix(96),
+    ],
+    ids=["block-random", "orthonormal", "identity"],
+)
+def test_matvec_of_a_block_is_matvec_of_each_column_bitwise(make):
+    # the sketch pass multiplies (d, n) blocks, and each column must keep
+    # the bits of its own product; at d=1092 a gemm differs from a gemv in
+    # the last bits, so the orthonormal type multiplies column by column
+    mat = make()
+    rng = np.random.default_rng(11)
+    block = rng.standard_normal((mat.d, 27))
+    block[:, 3] = 0.0
+    block[mat.d // 2 :, 5] = -0.0
+    for x in (block, block[:, ::2], block[:, :1]):
+        got = mat.matvec(x)
+        assert got.shape == x.shape
+        for j in range(x.shape[1]):
+            assert got[:, j].tobytes() == mat.matvec(np.ascontiguousarray(x[:, j])).tobytes(), j
+
+
+def test_rmatvec_reuses_one_transpose_sharing_the_csc_arrays():
+    mat = sample_matrix(GOLDEN_PARAMS["d1014"], "unit:rmatvec")
+    x = np.random.default_rng(12).standard_normal(mat.d)
+    assert mat.rmatvec(x).tobytes() == (mat.csc.T @ x).tobytes()
+    assert mat._csc_t is mat._csc_t
+    for arr in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(mat._csc_t, arr), getattr(mat.csc, arr)), arr
+    col = sample_first_column(GOLDEN_PARAMS["d1014"], "unit:rmatvec")
+    assert col.rmatvec(x).tobytes() == (col.csc.T @ x).tobytes()
+
+
 def test_index_code_table_is_read_only():
     table = _index_code_table(P1014.d, P1014.sub_block)
     with pytest.raises(ValueError):

@@ -209,3 +209,25 @@ def test_one_changed_log_record(files, data):
                  ["insert", "--sketch", files["sketch"]]):
         log.write_text("".join(line + "\n" for line in lines))
         _check(["repo", argv[0], "--store", str(log)] + argv[1:])
+
+
+@pytest.mark.parametrize("eid", ["a\tb", "a\nb", "a\rb", "\n", "a\x0bb", "a\u2028b", "tab\t"])
+def test_insert_id_with_a_tab_or_line_break_is_refused(files, eid):
+    # repo query prints one id<TAB>score line per hit, which such an id would break
+    log = files["root"] / "ids.log"
+    log.write_bytes((files["root"] / "s.log").read_bytes())
+    before = log.read_bytes()
+    rc, err = _cli(["repo", "insert", "--store", str(log), "--sketch", files["sketch"], "--id", eid])
+    assert rc == 2 and err == f"config error: --id {eid!r} holds a tab or a line break\n"
+    assert log.read_bytes() == before
+
+
+def test_insert_id_with_spaces_keeps_one_line_per_hit(files):
+    log = files["root"] / "spaces.log"
+    log.write_bytes((files["root"] / "s.log").read_bytes())
+    assert _cli(["repo", "insert", "--store", str(log), "--sketch", files["sketch"], "--id", "a b"])[0] == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["repo", "query", "--store", str(log), "--sketch", files["sketch"], "--k", "3"]) == 0
+    ids = [line.split("\t")[0] for line in out.getvalue().splitlines()]
+    assert sorted(ids) == ["a b", "first", "second"]

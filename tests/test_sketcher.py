@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -235,6 +236,126 @@ def test_identical_subtrees_identical_object_sketches():
     reg = MatrixRegistry(PARAMS_MED, master_seed=7, allow_high_noise=True)
     sketches = object_sketches(net, reg)
     np.testing.assert_array_equal(sketches["a"].values, sketches["b"].values)
+
+
+# ---------------------------------------------------------------------------
+# The level-synchronous pass against the per-object pass
+# ---------------------------------------------------------------------------
+
+D_PLAN = 288  # auto_params(288, n_cap).d == 288 for every n_cap used below
+
+
+def mixed_network():
+    """A zero edge weight, a child under two parents, a module whose objects
+    sit at different positions, objects with zero attributes (one module has
+    nothing else), an object whose only input has weight 0, leaves beside
+    parents on one level, and an unreachable object."""
+    producers = {"root": "out", "x1": "a", "x2": "a", "x3": "a", "y1": "b", "y2": "c", "y3": "c",
+                 "y4": "b", "y5": "b", "y6": "e", "z1": "d", "u": "d"}
+    attrs = {"y3": [], "y6": [], "x2": [0.0, 0.0, 2.0]}
+    edges = [("root", "x1", 0.5), ("root", "x2", 0.0), ("root", "x3", 0.5), ("x1", "y1", 0.5), ("x1", "y2", 0.3),
+             ("x1", "y6", 0.2), ("x2", "y5", 0.0), ("x3", "y3", 0.3), ("x3", "y4", 0.5), ("x3", "y1", 0.2),
+             ("y4", "z1", 1.0)]
+    objects = [{"id": o, "module": m, "attributes": attrs.get(o, [] if m == "out" else [0.3, 0.0, 0.4 + 0.1 * i, 0.2])}
+               for i, (o, m) in enumerate(producers.items())]
+    modules = [{"id": "out", "output": True}] + [{"id": m} for m in "abcde"]
+    return build_network({"modules": modules, "objects": objects, "edges": edges}, d=D_PLAN)
+
+
+def plan_case(kind, mode, seed=0):
+    if kind == "mixed":
+        net = mixed_network()
+    else:
+        n_modules, depth, fan_in, scheme = kind
+        net = generate_synthetic(SyntheticProfile(n_modules, depth, fan_in, weight_scheme=scheme), seed=seed, d=D_PLAN)
+    reg = MatrixRegistry(auto_params(D_PLAN, net.n_cap), master_seed=3 + seed, mode=mode, allow_high_noise=True)
+    assert reg.d == D_PLAN
+    return net, reg
+
+
+def per_object_pass(net, reg, signature_mode=False):
+    """The sketch pass one object at a time, deepest first: the oracle that
+    the level pass must equal byte for byte.  Returns every object's sketch
+    and the overall one."""
+
+    def transparent(mat, x):
+        return (x + mat.matvec(x)) * 0.5
+
+    def tuple_of(values, weights, depth):
+        acc = np.zeros(reg.d)
+        for pos, (v, w) in enumerate(zip(values, weights), start=1):
+            if w != 0.0:
+                acc += w * transparent(reg.tuple_matrix(pos, depth), v)
+        return acc
+
+    out = {}
+    for obj in sorted((o for o in net.objects.values() if o.depth >= 2), key=lambda o: -o.depth):
+        r1x = reg.module_matrix(obj.producer, 1).matvec(obj.attributes)
+        r2_e1 = reg.module_first_column(obj.producer).column(1)
+        if signature_mode:
+            sig = object_signature(obj, net.n_cap, reg.d)
+            attr = (r1x + r2_e1 + reg.module_matrix(obj.producer, 3).matvec(sig)) / 3.0
+        else:
+            attr = 0.5 * r1x + 0.5 * r2_e1
+        inp = tuple_of([out[c] for c, _ in obj.inputs], [w for _, w in obj.inputs], 2 * obj.depth - 1)
+        pair = tuple_of([attr, inp], [0.5, 0.5], 2 * (obj.depth - 1))
+        out[obj.id] = transparent(reg.module_matrix(obj.producer, 0), pair)
+    root = net.objects[net.output_object_id]
+    return out, tuple_of([out[c] for c, _ in root.inputs], [w for _, w in root.inputs], 1)
+
+
+# blake2b-128 of overall_sketch(...).values.tobytes(), recorded with the
+# per-object pass; bytes, unlike array equality, tell -0.0 from +0.0.  The
+# orthonormal digests also depend on the LAPACK and BLAS builds numpy uses.
+GOLDEN_OVERALL = {
+    ("teacher", "block-random", False): "b185b4853eec4ddef313020eca286c37",
+    ("teacher", "block-random", True): "08b56d47307f40f02378ac61267fec22",
+    ("teacher", "orthonormal", False): "89a53eec7ff19893df9d9ebb17cf23b0",
+    ("teacher", "identity", False): "7742576a0b134506bf2a265181cc0280",
+    ("mixed", "block-random", False): "778177c1f6cc21f9c2e81b643d62c7b9",
+    ("mixed", "block-random", True): "863d50a67576c197ea3612e9ff586279",
+    ("mixed", "orthonormal", False): "0e0bf70029bc6134fa3f7b844fb0832b",
+}
+TEACHER = (4, 4, 3, "random")  # depth 4, fan-in 3: 39 objects
+
+
+@pytest.mark.parametrize("kind,mode,signature_mode", sorted(GOLDEN_OVERALL), ids=lambda v: str(v))
+def test_overall_sketch_golden_digest(kind, mode, signature_mode):
+    net, reg = plan_case(TEACHER if kind == "teacher" else kind, mode)
+    values = overall_sketch(net, reg, signature_mode=signature_mode).values
+    assert hashlib.blake2b(values.tobytes(), digest_size=16).hexdigest() == GOLDEN_OVERALL[kind, mode, signature_mode]
+
+
+@pytest.mark.parametrize(
+    "kind,mode,signature_mode",
+    [(TEACHER, "block-random", False), (TEACHER, "block-random", True), (TEACHER, "orthonormal", False),
+     (TEACHER, "identity", False), ((3, 3, 2, "uniform"), "block-random", False),
+     ((4, 5, 2, "random"), "block-random", True), ((5, 3, 4, "random"), "orthonormal", False),
+     ((1, 2, 5, "uniform"), "block-random", False), ("mixed", "block-random", False),
+     ("mixed", "block-random", True), ("mixed", "identity", False)],
+    ids=lambda v: str(v),
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_level_pass_equals_per_object_pass_bytewise(kind, mode, signature_mode, seed):
+    net, reg = plan_case(kind, mode, seed)
+    want_objects, want_overall = per_object_pass(net, reg, signature_mode)
+    got = object_sketches(net, reg, signature_mode)
+    assert list(got) == list(want_objects)  # deepest first, network order within a depth
+    for oid, values in want_objects.items():
+        assert got[oid].values.tobytes() == values.tobytes(), oid
+        assert (got[oid].kind, got[oid].depth, got[oid].erased_prefix) == ("object", net.objects[oid].depth, reg.d)
+    overall = overall_sketch(net, reg, signature_mode)
+    assert overall.values.tobytes() == want_overall.tobytes()
+    assert (overall.kind, overall.depth, overall.signature_mode) == ("overall", 1, signature_mode)
+
+
+def test_leaf_level_draws_no_input_tuple_matrix():
+    # every depth-3 object is a leaf, so its empty input tuple skips the
+    # product with t:2 at pair depth 4, and that matrix is never drawn
+    net, reg = plan_case((3, 3, 2, "uniform"), "block-random")
+    overall_sketch(net, reg)
+    assert "t:2:2" in reg._cache and "t:1:4" in reg._cache
+    assert "t:2:4" not in reg._cache
 
 
 def test_overall_determinism_and_seed_sensitivity():
