@@ -3,9 +3,11 @@
 Because unrelated sketches have near-zero inner product while sketches
 sharing heavy same-module objects correlate, a plain inner-product top-k over
 the store retrieves related computations, and k-means over sketch vectors
-surfaces candidate new modules as clusters.  Retrieval is exact brute force
-by default with an optional bucketing by 16 constant random hyperplanes that
-trades recall for speed (and reports the recall it achieved).
+surfaces candidate new modules as clusters.  Retrieval scores every stored
+row against the probe in one ``np.vecdot`` pass and ranks the exact top-k.
+An optional bucketing by 16 constant random hyperplanes ranks only the
+probe's bucket and reports its recall against the exact top-k; it reads the
+same scores, so it costs what the exact query costs and saves no time.
 
 The vectors live in one contiguous ``(n, d)`` array, grown by doubling, with
 one bucket code per row, and an optional append-only log that only this
@@ -194,9 +196,11 @@ class SketchRepository:
         vectors, codes, meta = self._vectors, self._codes, self._meta
         if not n:
             return ([], 1.0) if bucketed else []
-        # one dot per row, not a matrix product: the printed scores are the
-        # per-row dots, and a gemv differs from them in the last bits
-        scores = np.array([row @ probe.values for row in vectors[:n]])
+        # the printed scores are the per-row dots ``row @ probe``: vecdot runs
+        # the same dot kernel on each row, so every score keeps its bits, while
+        # a gemv (``vectors @ probe``) sums in another order and differs in the
+        # last bits
+        scores = np.vecdot(vectors[:n], probe.values)
 
         def top(rows: np.ndarray) -> list[QueryHit]:
             hits = []

@@ -19,6 +19,7 @@ import copy
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,3 +232,50 @@ def test_insert_id_with_spaces_keeps_one_line_per_hit(files):
         assert main(["repo", "query", "--store", str(log), "--sketch", files["sketch"], "--k", "3"]) == 0
     ids = [line.split("\t")[0] for line in out.getvalue().splitlines()]
     assert sorted(ids) == ["a b", "first", "second"]
+
+
+def _refused(argv: list[str], why: str) -> None:
+    rc, err = _cli(argv)
+    assert rc == 3 and err.startswith("validation error: ") and err.count("\n") == 1, (argv, rc, err)
+    assert why in err, (argv, err)
+
+
+# _check above accepts exit 0, so it cannot tell a refused non-finite payload
+# from one that is scored and printed as nan; these cases pin the refusal
+@pytest.mark.parametrize("index", [0, -1])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_sketch_value_is_refused(files, value, index):
+    with open(files["sketch"], "rb") as fh:
+        header, payload = fh.read().split(b"\n", 1)
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[index] = value
+    sk = files["root"] / "non_finite.sketch"
+    sk.write_bytes(header + b"\n" + values.tobytes())
+    rec = files["root"] / "rec.json"
+    rec.write_text(json.dumps({"seed": 1, "allow_high_noise": True, "params": files["params"],
+                               "query": {"kind": "frequency", "module": "m0"}}))
+    log = files["root"] / "non_finite.log"
+    log.write_bytes((files["root"] / "s.log").read_bytes())
+    before = log.read_bytes()
+    why = f"sketch values must be finite, value {index % len(values)} is {value!r}"
+    for argv in (["recover", "--config", str(rec), "--sketch", str(sk), "--out", str(files["root"] / "out.csv")],
+                 ["similarity", "--sketch-a", str(sk), "--sketch-b", files["sketch"]],
+                 ["similarity", "--sketch-a", files["sketch"], "--sketch-b", str(sk)],
+                 ["repo", "insert", "--store", str(log), "--sketch", str(sk), "--id", "bad"],
+                 ["repo", "query", "--store", str(log), "--sketch", str(sk), "--k", "1"]):
+        _refused(argv, why)
+    assert log.read_bytes() == before
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_non_finite_log_record_is_refused(files, index):
+    lines = (files["root"] / "s.log").read_bytes().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    values = np.frombuffer(base64.b64decode(rec["values"]), dtype="<f8").copy()
+    values[index] = float("nan")
+    rec["values"] = base64.b64encode(values.tobytes()).decode("ascii")
+    log = files["root"] / "nan.log"
+    log.write_bytes(lines[0] + json.dumps(rec, sort_keys=True).encode("ascii") + b"\n")
+    why = f"{log}: malformed record at byte {len(lines[0])}: sketch values must be finite"
+    _refused(["repo", "query", "--store", str(log), "--sketch", files["sketch"], "--k", "1"], why)
+    _refused(["repo", "cluster", "--store", str(log), "--k", "1"], why)

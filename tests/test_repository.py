@@ -338,6 +338,25 @@ def test_array_store_matches_per_entry_oracle(tmp_path):
             assert got.centroids.tobytes() == centers.tobytes()
 
 
+@pytest.mark.parametrize("d", [2070, 2071])  # the benchmark's d, and an odd tail
+def test_scores_match_per_row_dots_at_benchmark_shapes(d):
+    rng = np.random.default_rng(d)
+    rows = [rand_sketch(rng, d) for _ in range(294)]
+    stored = rows + rows[:6]  # 300 rows, capacity 512; the last six tie with the first six
+    repo = SketchRepository(d)
+    entries = []
+    for seq, sk in enumerate(stored):
+        repo.insert(sk, f"e{seq}")
+        entries.append(SketchEntry(f"e{seq}", sk, {}, seq))
+    assert len(repo._vectors) > len(repo)
+    wide = rng.standard_normal(2 * d)
+    probes = [rows[3], rand_sketch(rng, d), make_sketch(wide[::2]), make_sketch(wide[:d][::-1])]
+    assert not probes[2].values.flags.contiguous and probes[3].values.strides[0] < 0
+    for probe in probes:
+        for k in (1, 10, len(stored)):
+            assert hit_bits(repo.query_similar(probe, k)) == hit_bits(oracle_query(entries, probe, k))
+
+
 def test_cluster_peak_memory_stays_near_the_store_size():
     n, d = 2000, 256
     repo = SketchRepository(d)
