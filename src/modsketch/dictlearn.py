@@ -17,6 +17,14 @@ global sign to the true sign of the coefficient, which is what makes the
 recovery *recursable* (signs and the matrix permutation come out right, so
 recovered coefficient vectors can be fed back in as new samples).
 
+The scan is one pass over the whole batch, not a loop over samples: the
+window, the seed test and the seed-against-window matching (in fixed-size
+chunks of (seed, block) pairs) run over every block of every sample at once,
+the distinct matching sets come from one ``np.unique`` over (sample, match
+row) keys, and every set is rounded and decoded in one vectorized step.
+Only what depends on order stays a loop: clustering and installing columns,
+set by set, and writing coefficients, in seed order.
+
 ``unroll_network`` applies this level by level to overall sketches of a
 fixed-tree network, classifying recovered vectors into attribute vectors,
 unit markers (e_1), recursable object sketches, and garbage.
@@ -24,6 +32,7 @@ unit markers (e_1), recursable object sketches, and garbage.
 
 from __future__ import annotations
 
+import glob
 import math
 import os
 from dataclasses import dataclass, field
@@ -137,7 +146,9 @@ class LearnedDictionary:
         d = self.config.params.d
         out: dict[int, np.ndarray] = {}
         for (i, j), val in self.coefficients[k].items():
-            out.setdefault(i, np.zeros(d))[j - 1] = val
+            if i not in out:
+                out[i] = np.zeros(d)
+            out[i][j - 1] = val
         return out
 
 
@@ -150,50 +161,104 @@ def _sym_hamming(a: np.ndarray, b: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _modal_row(bits: np.ndarray) -> np.ndarray:
-    """Most frequent row of a boolean matrix, the lexicographically smallest
-    among ties (the row ``np.unique(axis=0)`` ranks first).
+# bytes of each float temporary of the seed x window pass: small enough that
+# the pass's temporaries stay in cache, and bounded whatever the batch size
+_CHUNK_BYTES = 1 << 18
 
-    Rows are packed most significant bit first, so byte order is row order.
+
+def _row_keys(group: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """One void key per row of a boolean matrix: the row's group id, then the
+    row packed most significant bit first.
+
+    Both parts are big-endian, so byte order is (group, row) order.
     """
-    packed = np.packbits(bits, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return bits[first[np.argmax(counts)]]
+    raw = np.concatenate(
+        [group.astype(">u8")[:, None].view(np.uint8), np.packbits(bits, axis=1)], axis=1
+    )
+    return raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
 
 
-def _parse_matching_set(z_members: np.ndarray, p: BlockParams) -> tuple | None:
-    """Round a matching set to the hypercube and read its column.
+def _match_rows(
+    zs_s: np.ndarray, win_k: np.ndarray, win_blk: np.ndarray, seeds: np.ndarray, n_blocks: int, radius: float
+) -> np.ndarray:
+    """Matching sets, one row per seed over the blocks of its sample: the
+    in-window blocks within ``radius`` of the seed in symmetric l-inf
+    distance on the random-string third.
 
-    Returns ``(j, s_x, rounded, modal_m)``, or None when the modal column
-    codeword is corrupt.  The member rows and the modal row are decoded as
+    Column i of ``zs_s`` is block ``win_blk[i]`` of sample ``win_k[i]``, by
+    sample, then by block.  The (seed, block of the seed's sample) pairs are
+    compared in chunks of ``_CHUNK_BYTES`` per temporary.
+    """
+    win_count = np.bincount(win_k)
+    seed_k = win_k[seeds]
+    pair_count = win_count[seed_k]
+    pair_seed = np.repeat(np.arange(len(seeds)), pair_count)
+    # pair n of a seed whose pairs start at n0 compares it with the column
+    # n - n0 past the first in-window block of its sample
+    shift = (np.cumsum(pair_count) - pair_count) - (np.cumsum(win_count) - win_count)[seed_k]
+    pair_win = np.arange(len(pair_seed)) - np.repeat(shift, pair_count)
+    match = np.empty(len(pair_seed), dtype=bool)
+    step = max(1, _CHUNK_BYTES // (8 * len(zs_s)))
+    for lo in range(0, len(match), step):
+        hi = lo + step
+        block_s, seed_s = zs_s.take(pair_win[lo:hi], axis=1), zs_s.take(seeds[pair_seed[lo:hi]], axis=1)
+        d_plus = np.max(np.abs(block_s - seed_s), axis=0)
+        d_minus = np.max(np.abs(np.add(block_s, seed_s, out=block_s), out=block_s), axis=0)
+        match[lo:hi] = np.minimum(d_plus, d_minus) <= radius
+    rows = np.zeros((len(seeds), n_blocks), dtype=bool)
+    rows[pair_seed[match], win_blk[pair_win[match]]] = True
+    return rows
+
+
+def _modal_rows(bits: np.ndarray, group: np.ndarray, n_groups: int) -> np.ndarray:
+    """Most frequent row of each group of a boolean matrix, the
+    lexicographically smallest among ties (the row ``np.unique(axis=0)``
+    ranks first).  Every group in ``range(n_groups)`` must hold a row.
+    """
+    _, first, counts = np.unique(_row_keys(group, bits), return_index=True, return_counts=True)
+    key_group = group[first]  # nondecreasing: keys sort by group first
+    # within a group, the highest count first; stable, so ties keep row order
+    order = np.lexsort((-counts, key_group))
+    starts = np.searchsorted(key_group[order], np.arange(n_groups))
+    return bits[first[order[starts]]]
+
+
+def _parse_matching_sets(z: np.ndarray, set_of_row: np.ndarray, n_sets: int, p: BlockParams) -> tuple:
+    """Round the member rows of many matching sets to the hypercube and read
+    each set's column.
+
+    Returns ``(j, s_x, rounded, modal_m)``: per set the column index (beyond
+    d when the modal column codeword is corrupt), the sign and the modal
+    matrix-signature third; per row the rounded block.  The member rows and
+    the modal rows are decoded as
     :func:`~modsketch.block_random.decode_column_signature` does (normalized
     by the sign of coordinate 0, index bits MSB first, parity bit at t+1);
     an index beyond d is corrupt.  The sign s_x is a parity vote over the
     member rows whose codewords are not corrupt.
     """
     m, t, scale = p.sub_block, p.index_bits, p.entry_scale
-    rounded = np.where(z_members >= 0, scale, -scale)  # (n_members, b)
-    bits = rounded > 0
-    modal_bits = np.concatenate([_modal_row(bits[:, lo : lo + m]) for lo in (0, m, 2 * m)])
-    rows = np.vstack([bits, modal_bits])  # the modal row decodes last
-    code = rows[:, m : 2 * m] ^ ~rows[:, m : m + 1]
-    rows_j = code[:, 1 : t + 1] @ (1 << np.arange(t - 1, -1, -1, dtype=np.int64)) + 1
-    if rows_j[-1] > p.d:
-        return None
-    votes = np.where(rows[:, 2 * m], 1, -1) * np.where(code[:, t + 1], 1, -1)
-    s_x = 1.0 if votes[:-1][rows_j[:-1] <= p.d].sum() >= 0 else -1.0
-    return int(rows_j[-1]), s_x, rounded, np.where(modal_bits[2 * m :], scale, -scale)
+    bits = z >= 0
+    rounded = np.where(bits, scale, -scale)  # (n_rows, b)
+    modal_c, modal_m = (_modal_rows(bits[:, lo : lo + m], set_of_row, n_sets) for lo in (m, 2 * m))
+    powers = 1 << np.arange(t - 1, -1, -1, dtype=np.int64)
+    rows = np.vstack([bits[:, m : 2 * m], modal_c])  # the modal rows decode last
+    code = rows ^ ~rows[:, :1]
+    rows_j = code[:, 1 : t + 1] @ powers + 1
+    n_rows = len(bits)
+    votes = np.where(bits[:, 2 * m], 1, -1) * np.where(code[:n_rows, t + 1], 1, -1)
+    tally = np.bincount(set_of_row, weights=votes * (rows_j[:n_rows] <= p.d), minlength=n_sets)
+    s_x = np.where(tally >= 0, 1.0, -1.0)
+    return rows_j[n_rows:], s_x, rounded, np.where(modal_m, scale, -scale)
 
 
 def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary:
     """Scan all blocks of all samples and collect identifiable columns.
 
     Every seed block of a dominant column finds the same matching set, so
-    each distinct set of a sample is parsed, clustered and installed once;
-    each seed then writes its own weight, in seed order, so the last seed
-    of a column wins.  Ill-conditioned inputs never fail; they simply yield
-    fewer recovered columns and zero coefficients.
+    each distinct set of a sample is clustered and installed once, in the
+    order of its first seed; each seed then writes its own weight, in seed
+    order, so the last seed of a column wins.  Ill-conditioned inputs never
+    fail; they simply yield fewer recovered columns and zero coefficients.
     """
     p = config.params
     d, b, q, m, n_blocks = p.d, p.b, p.q, p.sub_block, p.n_blocks
@@ -212,55 +277,68 @@ def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary
         & (abs_blocks.min(axis=2) >= config.tau1_value)
         & (abs_blocks.max(axis=2) <= config.upper_value)
     )
+    del abs_blocks  # as large as the batch, and nothing below reads it
+
+    # every in-window block of the batch, by sample, then by block
+    win_k, win_blk = np.nonzero(in_window)
+    # normalized random-string thirds, one column per block, so that every
+    # reduction over a third runs across the contiguous block axis
+    zs_s = np.ascontiguousarray((blocks[win_k, win_blk, :m] / weights[win_k, win_blk, None]).T)
+    # seed blocks additionally pass the hypercube closeness test
+    seeds = np.nonzero(np.max(np.abs(np.abs(zs_s) - config.scale), axis=0) <= tau2)[0]
+    match_rows = _match_rows(zs_s, win_k, win_blk, seeds, n_blocks, 2 * tau2)
+    kept = np.count_nonzero(match_rows, axis=1) >= config.set_floor
+    seeds, match_rows = seeds[kept], match_rows[kept]
+    seed_k = win_k[seeds]
+
+    # distinct sets per sample, in the order of their first seed
+    _, first, set_of_seed = np.unique(_row_keys(seed_k, match_rows), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    first, set_of_seed = first[order], np.argsort(order)[set_of_seed]
+    member_set, member_blk = np.nonzero(match_rows[first])
+    member_k = seed_k[first][member_set]
+    set_j, set_sign, rounded, set_modal_m = _parse_matching_sets(
+        blocks[member_k, member_blk] / weights[member_k, member_blk, None], member_set, len(first), p
+    )
+    set_bounds = np.searchsorted(member_set, np.arange(len(first) + 1))
 
     signatures: list[np.ndarray] = []
     sig_patterns: list[np.ndarray] = []  # +-1 int8 views of signatures
+    cluster_of: dict[bytes, int] = {}  # modal signature third -> its cluster
     columns: dict[tuple[int, int], np.ndarray] = {}
-    coefficients: list[dict[tuple[int, int], float]] = [dict() for _ in range(n_samples)]
-
-    for k in range(n_samples):
-        window_idx = np.nonzero(in_window[k])[0]
-        zs = blocks[k, window_idx] / weights[k, window_idx, None]  # normalized blocks
-        zs_s = zs[:, :m]
-        # seed blocks additionally pass the hypercube closeness test
-        seeds = np.nonzero(np.max(np.abs(np.abs(zs_s) - config.scale), axis=1) <= tau2)[0]
-        # matching sets, one row per seed: symmetric l-inf closeness on the
-        # random-string third
-        seed_s = zs_s[seeds, None, :]
-        d_plus = np.max(np.abs(zs_s - seed_s), axis=2)
-        d_minus = np.max(np.abs(zs_s + seed_s), axis=2)
-        match = np.minimum(d_plus, d_minus) <= 2 * tau2
-        kept = match.sum(axis=1) >= config.set_floor
-        seeds, match = seeds[kept], match[kept]
-        packed = np.packbits(match, axis=1)
-        set_keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, set_of_seed = np.unique(set_keys, return_index=True, return_inverse=True)
-        parsed_sets: list[tuple | None] = [None] * len(first)
-        for s in np.argsort(first):  # sets in the order of their first seed
-            members = np.nonzero(match[first[s]])[0]
-            parsed = _parse_matching_set(zs[members], p)
-            if parsed is None:  # corrupt modal codeword
-                continue
-            j, s_x, rounded, modal_m = parsed
-            modal_m_pattern = np.where(modal_m > 0, 1, -1).astype(np.int8)
-            # clusters are only appended, so the first seed's lookup holds for the set
+    set_keys: list[tuple[int, int] | None] = []
+    for s, (j, s_x) in enumerate(zip(set_j.tolist(), set_sign.tolist())):
+        if j > d:  # corrupt modal codeword
+            set_keys.append(None)
+            continue
+        modal_m = set_modal_m[s]
+        # clusters are only appended, so the first lookup of a signature holds
+        sig_key = modal_m.tobytes()
+        cluster = cluster_of.get(sig_key)
+        if cluster is None:
+            pattern = np.where(modal_m > 0, 1, -1).astype(np.int8)
             cluster = next(
-                (i for i, sig in enumerate(sig_patterns)
-                 if _sym_hamming(sig, modal_m_pattern) <= config.hamming_radius),
+                (i for i, sig in enumerate(sig_patterns) if _sym_hamming(sig, pattern) <= config.hamming_radius),
                 len(signatures),
             )
             if cluster == len(signatures):
-                signatures.append(modal_m)
-                sig_patterns.append(modal_m_pattern)
-            key = (cluster, j)
-            if key not in columns:
-                columns[key] = np.zeros(d)
-                columns[key].reshape(n_blocks, b)[window_idx[members]] = s_x * rounded
-            parsed_sets[s] = (key, s_x)
-        for s, seed_pos in zip(set_of_seed, seeds):
-            if parsed_sets[s] is not None:
-                key, s_x = parsed_sets[s]
-                coefficients[k][key] = s_x * float(weights[k, window_idx[seed_pos]])
+                signatures.append(modal_m.copy())
+                sig_patterns.append(pattern)
+            cluster_of[sig_key] = cluster
+        key = (cluster, j)
+        if key not in columns:
+            lo, hi = set_bounds[s], set_bounds[s + 1]
+            columns[key] = np.zeros(d)
+            columns[key].reshape(n_blocks, b)[member_blk[lo:hi]] = s_x * rounded[lo:hi]
+        set_keys.append(key)
+
+    # each sample's seeds in seed order: a dict keeps a key where it first
+    # came and its last value, so the last seed of a column wins
+    parsed = set_j[set_of_seed] <= d
+    values = (set_sign[set_of_seed] * weights[seed_k, win_blk[seeds]])[parsed].tolist()
+    keys = [set_keys[s] for s in set_of_seed[parsed].tolist()]
+    bounds = np.searchsorted(seed_k[parsed], np.arange(n_samples + 1)).tolist()
+    coefficients = [dict(zip(keys[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
 
     return LearnedDictionary(
         config=config,
@@ -471,12 +549,18 @@ def save_dictionary_artifacts(
 
     One file per recovered atom (rows of ``block_index: sign pattern``), a
     signature table, a coefficients CSV, and (when ground truth was
-    available) the permutation report.
+    available) the permutation report.  Atom files and a permutation report
+    left by an earlier run into the same directory are removed first; no
+    other file is touched.
     """
     p = learned.config.params
     b = p.b
     atoms_dir = os.path.join(out_dir, "atoms")
     os.makedirs(atoms_dir, exist_ok=True)
+    stale = glob.glob(os.path.join(glob.escape(atoms_dir), "atom_*_*.txt"))
+    for path in stale + [os.path.join(out_dir, "permutation.csv")]:
+        if os.path.isfile(path):
+            os.remove(path)
 
     with open(os.path.join(out_dir, "signatures.txt"), "w", encoding="utf-8") as fh:
         for i, sig in enumerate(learned.signatures):

@@ -359,6 +359,34 @@ def test_learn_dict_files_mode(tmp_path):
     assert metrics["atoms_found"] == 1.0
 
 
+def test_learn_dict_rerun_leaves_no_stale_artifacts(tmp_path):
+    """A files-mode run into a directory that a plant run wrote keeps none of
+    the plant run's atom files and no permutation report."""
+    from modsketch.block_random import BlockParams, sample_matrix
+
+    params = {"b": 45, "q": 0.5, "d": 1440, "n_cap": 6}
+    mat = sample_matrix(BlockParams(**params), "cli-rerun:0")
+    samples = tmp_path / "samples"
+    samples.mkdir()
+    for k in range(10):
+        x = np.zeros(1440)
+        x[37 * (k + 1)] = 0.9
+        sk = Sketch(values=mat.matvec(x), kind="overall", depth=1, erased_prefix=1440)
+        save_sketch(sk, str(samples / f"s{k:03d}.sketch"))
+    out = tmp_path / "dict"
+    plant = write_json(tmp_path / "plant.json", {"seed": 6, "params": params, "n_samples": 30})
+    files = write_json(
+        tmp_path / "files.json", {"seed": 1, "learn_mode": "files", "samples_dir": str(samples), "params": params}
+    )
+    assert main(["learn-dict", "--config", plant, "--out", str(out)]) == EXIT_OK
+    assert (out / "permutation.csv").exists()
+    assert main(["learn-dict", "--config", files, "--out", str(out)]) == EXIT_OK
+    rows = (out / "report.csv").read_text().splitlines()[2:]
+    metrics = {r.split(",")[8]: float(r.split(",")[9]) for r in rows}
+    assert len(list((out / "atoms").iterdir())) == metrics["columns_recovered"] > 0
+    assert not (out / "permutation.csv").exists()
+
+
 def test_config_must_be_an_object(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")

@@ -16,14 +16,15 @@ from modsketch.block_random import (
     BlockParams,
     CorruptCodewordError,
     ParameterError,
+    auto_params,
     decode_column_signature,
     sample_matrix,
 )
 from modsketch.dictlearn import (
     DLConfig,
     LearnedDictionary,
-    _modal_row,
-    _parse_matching_set,
+    _modal_rows,
+    _parse_matching_sets,
     _sym_hamming,
     classify_recovered_vectors,
     default_eps_schedule,
@@ -397,6 +398,14 @@ def crafted_codeword_batch(seed=8):
     return ys, out
 
 
+# oracle batches planted under other parameters than PLANT: more than 64
+# blocks per sample, and a sub-block wider than 64 bits
+BATCH_PARAMS = {
+    "87-blocks": auto_params(4176, 8),
+    "wide-sub-block": BlockParams(b=195, q=0.9, d=1950, n_cap=6),
+}
+
+
 def plant_batch(name):
     if name == "crafted-codewords":
         return crafted_codeword_batch()[0]
@@ -407,6 +416,17 @@ def plant_batch(name):
         ys = plant_instance(seed=6, n_samples=60)[2].copy()
         ys[:, 7 * PLANT.b : 8 * PLANT.b] += math.sqrt(PLANT.d) / PLANT.b
         return ys
+    if name == "degenerate-rows":
+        ys = plant_instance(seed=10, n_samples=30)[2]
+        part_nan = ys[1].copy()
+        part_nan[3 * PLANT.b : 4 * PLANT.b] = np.nan
+        odd = [np.zeros(PLANT.d), np.full(PLANT.d, np.nan), ys[0].copy(), np.full(PLANT.d, np.inf), -ys[0], part_nan]
+        rows = []
+        for k, row in enumerate(ys):
+            rows += [row] + odd[k : k + 1]
+        return np.array(rows)
+    if name in BATCH_PARAMS:
+        return plant_instance(seed=11, n_samples=60, params=BATCH_PARAMS[name])[2]
     kwargs = {
         "plain": dict(seed=0),
         "negative-sign": dict(seed=2, dominant_sign=-1),
@@ -418,13 +438,17 @@ def plant_batch(name):
 
 @pytest.mark.parametrize(
     "name",
-    ["plain", "negative-sign", "l1-spike", "one-matrix", "three-matrices", "crafted-codewords", "crafted-cross"],
+    [
+        "plain", "negative-sign", "l1-spike", "one-matrix", "three-matrices", "crafted-codewords", "crafted-cross",
+        "87-blocks", "wide-sub-block", "degenerate-rows",
+    ],
 )
 def test_learner_bitwise_per_seed_oracle(name):
     ys = plant_batch(name)
-    got = learn_dictionary(ys, config_for())
+    config = config_for(BATCH_PARAMS.get(name, PLANT))
+    got = learn_dictionary(ys, config)
     assert got.columns
-    assert_bitwise_equal(got, reference_learn(ys, config_for()))
+    assert_bitwise_equal(got, reference_learn(ys, config))
 
 
 def test_crafted_codewords_exercise_the_decode_rules():
@@ -446,28 +470,33 @@ def test_crafted_codewords_exercise_the_decode_rules():
 
 def test_parse_matching_set_matches_scalar_decode():
     """Member rows whose column thirds come from two codewords (either may
-    lie beyond d) under random global signs: the vectorized parse agrees with
-    decoding the modal row and every member row on their own, and the modal
-    row does not vote."""
+    lie beyond d) under random global signs: one batched parse of all sets
+    agrees with decoding each set's modal row and every member row on their
+    own, and the modal rows do not vote."""
     m, scale = PLANT.sub_block, PLANT.entry_scale
     rng = np.random.default_rng(1)
-    outcomes = set()
+    sets = []
     for _ in range(400):
         n = int(rng.integers(1, 9))
         pool = [codeword(int(j), int(rng.choice([-1, 1]))) for j in rng.integers(1, PLANT.d + 60, size=2)]
         z = rng.choice([-1.0, 1.0], size=(n, PLANT.b)) * rng.uniform(0.5, 1.5, size=(n, PLANT.b)) * scale
         for row in z:
             row[m : 2 * m] = pool[int(rng.integers(2))] * rng.choice([-1, 1])
+        sets.append(z)
+    set_of_row = np.repeat(np.arange(len(sets)), [len(z) for z in sets])
+    got_j, got_sign, got_rounded, got_modal_m = _parse_matching_sets(np.vstack(sets), set_of_row, len(sets), PLANT)
+    outcomes = set()
+    for s, z in enumerate(sets):
         rounded = np.where(z >= 0, scale, -scale)
+        np.testing.assert_array_equal(got_rounded[set_of_row == s], rounded)
         modal = np.empty(PLANT.b)
         for lo in (0, m, 2 * m):
             uniq, counts = np.unique(rounded[:, lo : lo + m] > 0, axis=0, return_counts=True)
             modal[lo : lo + m] = np.where(uniq[np.argmax(counts)], scale, -scale)
-        got = _parse_matching_set(z, PLANT)
         try:
             j, _ = decode_column_signature(modal[m : 2 * m], PLANT)
         except CorruptCodewordError:
-            assert got is None
+            assert got_j[s] > PLANT.d
             outcomes.add("corrupt")
             continue
         votes = 0
@@ -477,20 +506,31 @@ def test_parse_matching_set_matches_scalar_decode():
             except CorruptCodewordError:
                 pass
         outcomes.add(("tie" if votes == 0 else "vote", votes >= 0))
-        assert repr(got[0]) == repr(j) and got[1] == (1.0 if votes >= 0 else -1.0)
-        np.testing.assert_array_equal(got[2], rounded)
-        np.testing.assert_array_equal(got[3], modal[2 * m :])
+        assert repr(got_j.tolist()[s]) == repr(j) and got_sign[s] == (1.0 if votes >= 0 else -1.0)
+        np.testing.assert_array_equal(got_modal_m[s], modal[2 * m :])
     assert outcomes == {"corrupt", ("tie", True), ("vote", True), ("vote", False)}
 
 
 def test_modal_row_matches_unique_tie_rule():
+    """Groups of rows drawn from small pools, so counts often tie, all in one
+    call per width: each group's modal row is the one ``np.unique(axis=0)``
+    ranks first among the most frequent."""
     rng = np.random.default_rng(0)
     for width in (1, 7, 8, 9, 15, 64, 65, 70):
+        groups = []
         for _ in range(200):
             pool = rng.integers(0, 2, size=(int(rng.integers(1, 5)), width)).astype(bool)
-            bits = pool[rng.integers(0, len(pool), size=int(rng.integers(1, 20)))]
+            groups.append(pool[rng.integers(0, len(pool), size=int(rng.integers(1, 20)))])
+        group = np.repeat(np.arange(len(groups)), [len(bits) for bits in groups])
+        # the rows of the groups interleaved, so a group's rows are not adjacent
+        shuffle = rng.permutation(len(group))
+        got = _modal_rows(np.vstack(groups)[shuffle], group[shuffle], len(groups))
+        ties = 0
+        for g, bits in enumerate(groups):
             uniq, counts = np.unique(bits.astype(np.int8), axis=0, return_counts=True)
-            np.testing.assert_array_equal(_modal_row(bits), uniq[np.argmax(counts)] > 0)
+            np.testing.assert_array_equal(got[g], uniq[np.argmax(counts)] > 0)
+            ties += np.count_nonzero(counts == counts.max()) > 1
+        assert ties > 0
 
 
 # ---------------------------------------------------------------------------
