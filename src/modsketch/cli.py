@@ -42,7 +42,6 @@ from modsketch.dictlearn import (
     unroll_network,
 )
 from modsketch.network import (
-    NetworkValidationError,
     SyntheticProfile,
     build_network,
     generate_synthetic,
@@ -267,11 +266,6 @@ def cmd_sketch(args: argparse.Namespace) -> None:
     cfg, seed = _config(args)
     net = load_network(args.network)
     registry = _registry_from_config(cfg, seed, {"d_request": net.d, "n_cap": net.n_cap})
-    if registry.d != net.d:
-        raise NetworkValidationError(
-            f"registry dimension {registry.d} != network dimension {net.d}; "
-            "regenerate the network at the aligned dimension"
-        )
     erase_to = _optional(cfg, "erase_to", None, int)
     csv = _optional(cfg, "csv", False, bool)
     sk = overall_sketch(net, registry, signature_mode=_optional(cfg, "signature", False, bool))
@@ -315,6 +309,8 @@ def cmd_recover(args: argparse.Namespace) -> None:
     else:
         head = ", ".join(f"{v:.4f}" for v in rep.estimate[:8])
         print(f"{kind}: estimate[:8]=[{head}] predicted_error={rep.predicted_error:.4f}")
+    if "matched" in rep.extras:
+        print(f"{kind}: matched={rep.extras['matched']} residual={rep.extras['residual']:.4f}")
     print(f"wrote {args.out}")
 
 
@@ -326,8 +322,7 @@ def cmd_similarity(args: argparse.Namespace) -> None:
     value = sketch_similarity(a, b)
     print(f"similarity: {value!r}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(f"{report_csv_header()}\nsim,,1,1.0,{a.d},{a.erased_prefix},0,,{value!r}\n")
+        _write_results(args.out, [_result_row("similarity", 0, None, "similarity", value)])
 
 
 def cmd_run(args: argparse.Namespace) -> None:

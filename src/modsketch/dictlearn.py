@@ -60,13 +60,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _level_eps(eps_final: float, levels: int, level: int) -> float:
+    """eps_final halved once per level after ``level``, by exponent, so no level count overflows."""
+    return math.ldexp(eps_final, level - levels)
+
+
 def default_eps_schedule(eps_final: float, levels: int) -> tuple[float, ...]:
     """Nondecreasing per-level tolerances, geometric with ratio 2.
 
     The analysis only fixes the shape (eps_1 <= ... <= eps_H, polynomially
     related); the committed desk-scale schedule halves per remaining level.
     """
-    return tuple(eps_final / (2.0 ** (levels - h)) for h in range(1, levels + 1))
+    return tuple(_level_eps(eps_final, levels, h) for h in range(1, levels + 1))
 
 
 HAMMING_MATCH_FRAC = 0.01  # signature match radius, as a fraction of b
@@ -503,9 +508,10 @@ def unroll_network(
     modules: dict[int, ModuleRecovery] = {}
     frames_per_level: list[int] = []
 
-    for eps_level in default_eps_schedule(eps_final, levels):
+    for level in range(1, levels + 1):
         if not frames:
             break
+        eps_level = _level_eps(eps_final, levels, level)
         frames_per_level.append(len(frames))
         learned = learn_dictionary(np.stack([vec for _, vec in frames]), config)
         next_frames: list[tuple[int, np.ndarray]] = []

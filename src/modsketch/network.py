@@ -197,25 +197,14 @@ def build_network(
         if total > 1.0 + WEIGHT_TOL:
             raise WeightSumError(f"input weights of {obj.id!r} sum to {total} > 1")
 
-    net = ModularNetwork(
-        modules=modules,
-        objects=objects,
-        output_object_id=output_obj.id,
-        d=d,
-        n_cap=0,
-        n_multiplier=n_multiplier,
-    )
-    _assign_depths(net)
-
     if n_multiplier < 1:
         raise NetworkValidationError(f"n_multiplier must be at least 1, got {n_multiplier}")
     floor = n_multiplier * max(len(modules), max(len(objects) - 1, 1))
-    if n_cap is None:
-        net.n_cap = max(2, floor)
-    else:
-        if n_cap < floor:
-            raise NetworkValidationError(f"n_cap={n_cap} below required floor {floor}")
-        net.n_cap = n_cap
+    if n_cap is not None and n_cap < floor:
+        raise NetworkValidationError(f"n_cap={n_cap} below required floor {floor}")
+    n_cap = max(2, floor) if n_cap is None else n_cap
+    net = ModularNetwork(modules, objects, output_obj.id, d, n_cap, n_multiplier)
+    _assign_depths(net)
     return net
 
 

@@ -17,7 +17,8 @@ fluctuation of the block-sparse family (sd ~ sqrt(b/(qd)), non-negligible at
 desk dimensions).  For erased sketches the normalizer is the column's
 surviving-prefix norm, which realizes the d/d' rescale exactly, so every
 recovery takes an erased sketch as it is.  Like the surviving prefix, the
-signature mode is read from the sketch itself.
+signature mode is read from the sketch itself.  Each recovery works out its
+beta once, and its report's noise bound uses that beta.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from modsketch.block_random import AnyMatrix, ModsketchError, ParameterError
+from modsketch.block_random import AnyMatrix, DimensionMismatchError, ModsketchError, ParameterError
 from modsketch.calibrated import PREDICTED_ERROR_COEFF, delta_desync_fit
-from modsketch.sketcher import MatrixRegistry, Sketch, input_tuple_depth, pair_tuple_depth
+from modsketch.sketcher import MatrixRegistry, Sketch, input_tuple_depth, pair_tuple_depth, signature_shape
 
 __all__ = [
     "RecoveryError",
@@ -95,7 +96,7 @@ def beta_factor(h: int, w: float, signature_mode: bool = False) -> float:
         raise RecoveryError("effective weight must be positive")
     coeff = 3.0 if signature_mode else 2.0
     try:
-        beta = coeff * float(2 ** (4 * h - 4)) / w
+        beta = math.ldexp(coeff, 4 * h - 4) / w
     except OverflowError:
         beta = math.inf
     if not math.isfinite(beta):
@@ -143,31 +144,28 @@ def _column_contract(mat: AnyMatrix, sk: Sketch) -> np.ndarray:
     return out
 
 
-def _check_erasure(sk: Sketch, registry: MatrixRegistry) -> None:
+def _checked_beta(sk: Sketch, registry: MatrixRegistry, h: int, w: float) -> float:
+    """The beta of a depth-h, weight-w query on sk, in the sketch's own mode,
+    once sk is known to fit the registry: the same d, and a surviving prefix
+    of at least one block."""
+    if sk.d != registry.d:
+        raise DimensionMismatchError(f"sketch d={sk.d}, registry d={registry.d}")
     if sk.erased_prefix < registry.params.b:
         raise RecoveryError(
             f"surviving prefix {sk.erased_prefix} shorter than one block ({registry.params.b})"
         )
+    return beta_factor(h, w, sk.signature_mode)
 
 
-def _scaled_contract(
-    sk: Sketch, module: str, slot: int, h: int, w: float, registry: MatrixRegistry
-) -> tuple[float, np.ndarray]:
-    """beta (from the sketch's own mode) and the beta-scaled normalized
-    contraction of the sketch with R_{module,slot}."""
-    _check_erasure(sk, registry)
-    beta = beta_factor(h, w, sk.signature_mode)
-    return beta, beta * _column_contract(registry.module_matrix(module, slot), sk)
-
-
-def _report(sk: Sketch, registry: MatrixRegistry, h: int, w: float, **fields) -> RecoveryReport:
-    """A report on sk, with the noise bound of a depth-h, weight-w query."""
+def _report(sk: Sketch, registry: MatrixRegistry, h: int, w: float, beta: float, **fields) -> RecoveryReport:
+    """A report on sk, with the noise bound of a depth-h query scaled by beta."""
     return RecoveryReport(
+        beta=beta,
         depth=h,
         weight=w,
         erased_prefix=sk.erased_prefix,
         d=sk.d,
-        predicted_error=_noise_bound(beta_factor(h, w, sk.signature_mode), h, registry, sk.erased_prefix),
+        predicted_error=_noise_bound(beta, h, registry, sk.erased_prefix),
         **fields,
     )
 
@@ -180,8 +178,9 @@ def recover_attributes_unique(
     The caller asserts uniqueness (several objects of the module would
     superpose); the estimate is beta * normalized R_{M,1}^T contraction.
     """
-    beta, est = _scaled_contract(sk, module, 1, h, w, registry)
-    return _report(sk, registry, h, w, kind="attributes_unique", estimate=est, beta=beta, module=module)
+    beta = _checked_beta(sk, registry, h, w)
+    est = beta * _column_contract(registry.module_matrix(module, 1), sk)
+    return _report(sk, registry, h, w, beta, kind="attributes_unique", estimate=est, module=module)
 
 
 @dataclass(frozen=True)
@@ -205,8 +204,8 @@ def recover_attributes_by_path(
     """
     if not path:
         raise RecoveryError("path must contain at least one step")
-    _check_erasure(sk, registry)
     h = len(path) + 1
+    beta = _checked_beta(sk, registry, h, w)
     v = sk.values
     for parent_depth, step in enumerate(path, start=1):
         # descend from a depth-k object into its child at depth k+1
@@ -216,13 +215,12 @@ def recover_attributes_by_path(
         pair_pos = 1 if is_last else 2
         v = registry.tuple_matrix(pair_pos, pair_tuple_depth(parent_depth + 1)).rmatvec(v)
     target = path[-1].module
-    dense = replace(sk, values=v, erased_prefix=len(v))
-    beta, est = _scaled_contract(dense, target, 1, h, w, registry)
+    est = beta * _column_contract(registry.module_matrix(target, 1), replace(sk, values=v, erased_prefix=len(v)))
     if sk.erased_prefix < sk.d:
         # the first transpose saw only the surviving prefix
         est = (sk.d / sk.erased_prefix) * est
     return _report(
-        sk, registry, h, w, kind="attributes_by_path", estimate=est, beta=beta, module=target,
+        sk, registry, h, w, beta, kind="attributes_by_path", estimate=est, module=target,
         path=tuple(s.tuple_position for s in path),
     )
 
@@ -236,14 +234,14 @@ def recover_frequency(
     subsketch, so the first coordinate of the R_{M,2} contraction counts
     them; the count is exact whenever the noise stays below 1/2.  Only that
     coordinate is read, so only column 1 of R_{M,2} is contracted.  Pass
-    ``beta`` to override the depth scaling (the flat prototype uses 4/w).
+    ``beta`` to override the depth scaling (the flat prototype uses 4/w);
+    the report's noise bound scales with the beta used.
     """
-    _check_erasure(sk, registry)
-    if beta is None:
-        beta = beta_factor(h, w_star, sk.signature_mode)
+    depth_beta = _checked_beta(sk, registry, h, w_star)
+    beta = depth_beta if beta is None else beta
     real = float(beta * _column_contract(registry.module_first_column(module), sk)[0])
     return _report(
-        sk, registry, h, w_star, kind="frequency", estimate=real, beta=beta, module=module,
+        sk, registry, h, w_star, beta, kind="frequency", estimate=real, module=module,
         rounded=int(round(real)), low_confidence=abs(real - round(real)) > 0.4,
     )
 
@@ -278,21 +276,21 @@ def recover_signature(
 ) -> RecoveryReport:
     """Recover an object's sparse signature and decide whether it is clean.
 
-    Signatures are (log2 n_cap)-sparse with entries 1/sqrt(sparsity);
-    recovery quantizes at the half-gap, and reports a match only when the
-    residual stays below it, so a too-noisy sketch yields no-match rather
-    than a wrong signature.
+    Signatures have the registry's :func:`signature_shape`, which is the
+    sketcher's too; recovery quantizes at the half-gap, and reports a match
+    only when the residual stays below it, so a too-noisy sketch yields
+    no-match rather than a wrong signature.
     """
     if not sk.signature_mode:
         raise ModeMismatchError("sketch was not built with the signature extension")
-    beta, est = _scaled_contract(sk, module, 3, h, w, registry)
-    n_ones = max(1, int(np.ceil(np.log2(max(2, registry.params.n_cap)))))
-    level = 1.0 / math.sqrt(n_ones)
+    beta = _checked_beta(sk, registry, h, w)
+    est = beta * _column_contract(registry.module_matrix(module, 3), sk)
+    level = signature_shape(registry.params.n_cap)[1]
     quantized = np.where(est >= level / 2.0, level, 0.0)
     residual = float(np.max(np.abs(est - quantized)))
     matched = residual < level / 2.0
     return _report(
-        sk, registry, h, w, kind="signature", estimate=quantized, beta=beta, module=module,
+        sk, registry, h, w, beta, kind="signature", estimate=quantized, module=module,
         extras={"residual": residual, "matched": matched, "raw": est, "level": level},
     )
 

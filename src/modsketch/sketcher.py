@@ -259,15 +259,21 @@ def tuple_sketch(sketches: list[Sketch], weights: list[float], tuple_depth: int,
     return Sketch(values=acc[:, 0], kind="tuple", depth=1, erased_prefix=registry.d)
 
 
+def signature_shape(n_cap: int) -> tuple[int, float]:
+    """Sparsity ceil(log2 n_cap) of an object signature, and the level
+    1/sqrt(sparsity) of its nonzero entries."""
+    n_ones = max(1, int(np.ceil(np.log2(max(2, n_cap)))))
+    return n_ones, 1.0 / np.sqrt(n_ones)
+
+
 def object_signature(obj: ObjectNode, n_cap: int, d: int) -> np.ndarray:
     """Deterministic sparse signature ("magic number") of an object.
 
-    A ceil(log2 n_cap)-sparse vector with entries 1/sqrt(sparsity), derived
-    by hashing the producing module and the quantized attributes, so equal
-    objects always carry equal signatures and recovered signatures can serve
-    as fingerprints.
+    A vector of :func:`signature_shape`, derived by hashing the producing
+    module and the quantized attributes, so equal objects always carry equal
+    signatures and recovered signatures can serve as fingerprints.
     """
-    n_ones = max(1, int(np.ceil(np.log2(max(2, n_cap)))))
+    n_ones, level = signature_shape(n_cap)
     quantized = np.round(obj.attributes * 1e6).astype(np.int64)
     digest = hashlib.blake2b(
         obj.producer.encode() + quantized.tobytes(), digest_size=8
@@ -275,12 +281,12 @@ def object_signature(obj: ObjectNode, n_cap: int, d: int) -> np.ndarray:
     rng = derive_rng(int(digest, 16) % (2**63), "object-signature")
     idx = rng.choice(d, size=n_ones, replace=False)
     sig = np.zeros(d)
-    sig[idx] = 1.0 / np.sqrt(n_ones)
+    sig[idx] = level
     return sig
 
 
 def _attribute_block(
-    objs: list[ObjectNode], registry: MatrixRegistry, signature_mode: bool, n_cap: int
+    objs: list[ObjectNode], registry: MatrixRegistry, signature_mode: bool
 ) -> tuple[np.ndarray, dict[str, slice | list[int]]]:
     """attr(theta) of every object as the columns of a (d, n) block, and the
     columns of each module; one product per module matrix."""
@@ -293,19 +299,17 @@ def _attribute_block(
         r1x = _sparse_matvec(registry.module_matrix(module, 1), np.array([o.attributes for o in members]).T)
         r2_e1 = registry.module_first_column(module).column(1)[:, None]
         if signature_mode:
-            sig = np.array([object_signature(o, n_cap, d) for o in members]).T
+            sig = np.array([object_signature(o, registry.params.n_cap, d) for o in members]).T
             out[:, columns[module]] = (r1x + r2_e1 + _sparse_matvec(registry.module_matrix(module, 3), sig)) / 3.0
         else:
             out[:, columns[module]] = 0.5 * r1x + 0.5 * r2_e1
     return out, columns
 
 
-def attribute_subsketch(
-    obj: ObjectNode, registry: MatrixRegistry, signature_mode: bool = False, n_cap: int | None = None
-) -> Sketch:
+def attribute_subsketch(obj: ObjectNode, registry: MatrixRegistry, signature_mode: bool = False) -> Sketch:
     """1/2 R_{M,1} x + 1/2 R_{M,2} e_1 (thirds, plus a signature term, when
     signature_mode is on)."""
-    block, _ = _attribute_block([obj], registry, signature_mode, n_cap or registry.params.n_cap)
+    block, _ = _attribute_block([obj], registry, signature_mode)
     return Sketch(values=block[:, 0], kind="attribute", depth=obj.depth, erased_prefix=registry.d)
 
 
@@ -337,7 +341,7 @@ def _sketch_pass(
         inp = _tuples(edges, children, len(objs), input_tuple_depth(k), registry)
         if k == 1:
             return levels, inp
-        attr, groups = _attribute_block(objs, registry, signature_mode, net.n_cap or registry.params.n_cap)
+        attr, groups = _attribute_block(objs, registry, signature_mode)
         # tuple(attr, input; 1/2, 1/2) from +0.0.  An empty input tuple adds no
         # term: (0 + R 0) * 0.5 * 0.5 is +0.0, which changes no sum begun at +0.0.
         pair = 0.0 + 0.5 * _transparent(registry.tuple_matrix(1, pair_tuple_depth(k)), attr)

@@ -279,6 +279,47 @@ def test_recover_infinite_noise_bound_exit_code(tmp_path):
     assert main(argv) == EXIT_VALIDATION
 
 
+def test_recover_sketch_of_another_dimension_exit_code(tmp_path, capsys):
+    # an unfingerprinted sketch skips the seed check, so recovery checks its d
+    d, registry_d = auto_params(1014, 6).d, auto_params(2048, 6).d
+    sk_path = tmp_path / "small.sketch"
+    save_sketch(Sketch(values=np.full(d, 0.01), kind="overall", depth=1, erased_prefix=d), str(sk_path))
+    path = [{"position": 1, "module": "m0"}]
+    for query in ({"kind": "frequency", "module": "m0"}, {"kind": "attributes_by_path", "path": path}):
+        rec = write_json(tmp_path / "rec.json", {"params": {"d_request": 2048, "n_cap": 6}, "query": query})
+        capsys.readouterr()
+        argv = ["recover", "--config", rec, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: sketch d={d}, registry d={registry_d}\n"
+
+
+def test_recover_signature_prints_match_and_residual(tmp_path, capsys):
+    # a zero signature sketch recovers the zero signature, with no residual
+    d = auto_params(1014, 6).d
+    sk_path = tmp_path / "zero.sketch"
+    save_sketch(Sketch(np.zeros(d), "overall", 1, d, signature_mode=True), str(sk_path))
+    query = {"kind": "signature", "module": "m0"}
+    rec = write_json(tmp_path / "rec.json", {"params": {"d_request": 1014, "n_cap": 6}, "query": query})
+    capsys.readouterr()
+    assert main(["recover", "--config", rec, "--sketch", str(sk_path), "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+    assert "signature: matched=True residual=0.0000\n" in capsys.readouterr().out
+    rows = (tmp_path / "r.csv").read_text().splitlines()
+    assert rows[0] == "kind,module,depth,weight,d,d_prime,seed,linf_error,predicted_error"
+    assert rows[1].startswith(f"signature,m0,2,1.0,{d},{d},0,,")
+
+
+def test_similarity_out_writes_one_results_row(tmp_path, capsys):
+    sk_path = tmp_path / "a.sketch"
+    save_sketch(Sketch(np.array([0.5, 0.25, 0.0]), "overall", 1, 3), str(sk_path))
+    out = tmp_path / "sim.csv"
+    assert main(["similarity", "--sketch-a", str(sk_path), "--sketch-b", str(sk_path), "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines() == [
+        "# modsketch-results v1",
+        "run_id,seed,d,b,q,depth,weight,d_prime,metric_name,value",
+        "similarity,0,0,0,0.0,0,0.0,0,similarity,0.3125",
+    ]
+
+
 def test_gen_network_too_few_modules_exit_code(tmp_path, capsys):
     # every object level below the output needs a module of its own
     cfg = write_json(

@@ -18,6 +18,7 @@ import contextlib
 import copy
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +233,18 @@ def test_insert_id_with_spaces_keeps_one_line_per_hit(files):
         assert main(["repo", "query", "--store", str(log), "--sketch", files["sketch"], "--k", "3"]) == 0
     ids = [line.split("\t")[0] for line in out.getvalue().splitlines()]
     assert sorted(ids) == ["a b", "first", "second"]
+
+
+@pytest.mark.parametrize("field,value", [(("query", "h"), 10**12), (("teacher", "depth"), 400)], ids=["h", "depth"])
+def test_huge_depth_ends_within_a_second(files, field, value):
+    # a depth is an exponent (beta = 2^(4h-3)/w, unroll tolerances eps/2^level),
+    # so it must not be raised to a power as an integer or overflow a float
+    command, argv, cfg = next(case for case in _configs(files) if field[1] in case[2].get(field[0], {}))
+    (files["root"] / "cfg.json").write_text(json.dumps(_replace(cfg, field, value)))
+    start = time.perf_counter()
+    rc, err = _cli([command, "--config", str(files["root"] / "cfg.json")] + argv)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, err) == (0, "") or (rc == 3 and err.startswith(PREFIX[3]) and err.count("\n") == 1), (rc, err)
 
 
 def _refused(argv: list[str], why: str) -> None:

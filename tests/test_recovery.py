@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modsketch.block_random import ParameterError, auto_params
+from modsketch.block_random import DimensionMismatchError, ParameterError, auto_params
 from modsketch.network import build_network
 from modsketch.recovery import (
     EmptyClassError,
@@ -414,6 +414,28 @@ def test_signature_sketch_recoveries_read_mode_from_sketch():
     np.testing.assert_array_equal(rep.estimate, truth)
 
 
+def test_signature_sparsity_comes_from_the_registry():
+    # the network's n_cap asks for 4 ones and the registry's for 3; the sketch
+    # and its recovery both follow the registry, so the match is its signature
+    reg = registry_for(8192, n_cap=8, seed=11)
+    net = build_network(
+        {
+            "modules": [{"id": "out", "output": True}, {"id": "leaf"}],
+            "objects": [
+                {"id": "root", "module": "out", "attributes": []},
+                {"id": "a", "module": "leaf", "attributes": list(ATTRS)},
+            ],
+            "edges": [("root", "a", 1.0)],
+        },
+        d=reg.params.d,
+        n_cap=16,
+    )
+    truth = object_signature(net.objects["a"], reg.params.n_cap, reg.params.d)
+    rep = recover_signature(overall_sketch(net, reg, signature_mode=True), "leaf", h=2, w=1.0, registry=reg)
+    assert rep.extras["matched"]
+    np.testing.assert_array_equal(rep.estimate, truth)
+
+
 def test_signature_equal_attributes_equal_signature():
     net = leaf_net(64)
     sig1 = object_signature(net.objects["a"], 16, 64)
@@ -478,6 +500,18 @@ def test_prefix_below_block_rejected():
     sk = erase_to_prefix(overall_sketch(net, reg), reg.params.b // 2)
     with pytest.raises(RecoveryError):
         recover_attributes_unique(sk, "leaf", 2, 1.0, reg)
+
+
+def test_sketch_of_another_dimension_rejected():
+    reg = registry_for(1024, seed=14)
+    other = registry_for(2048, seed=14)
+    sk = overall_sketch(leaf_net(other.params.d), other, signature_mode=True)
+    for recover in (recover_attributes_unique, recover_frequency, recover_summed_attributes,
+                    recover_mean_attributes, recover_signature):
+        with pytest.raises(DimensionMismatchError, match=f"sketch d={other.params.d}, registry d={reg.params.d}"):
+            recover(sk, "leaf", 2, 1.0, reg)
+    with pytest.raises(DimensionMismatchError):
+        recover_attributes_by_path(sk, [PathStep(1, "leaf")], reg, 1.0)
 
 
 def test_prefix_frequency_still_counts():
@@ -583,3 +617,15 @@ def test_similarity_invariant_under_object_relabeling():
     probe = overall_sketch(leaf_net(d), reg)
     assert sketch_similarity(s1, probe) == sketch_similarity(s2, probe)
     np.testing.assert_array_equal(s1.values, s2.values)
+
+
+def test_frequency_beta_override_scales_the_noise_bound():
+    # the bound of a report uses the beta of its estimate, overridden or not
+    reg = registry_for(1024, seed=3)
+    sk = overall_sketch(leaf_net(reg.params.d), reg)
+    for prefix in (sk.d, sk.d // 2):
+        part = erase_to_prefix(sk, prefix)
+        depth = recover_frequency(part, "leaf", 2, 1.0, reg)
+        flat = recover_frequency(part, "leaf", 2, 1.0, reg, beta=4.0)
+        assert (depth.beta, flat.beta) == (32.0, 4.0)
+        assert flat.predicted_error == pytest.approx(depth.predicted_error * 4.0 / 32.0)

@@ -127,13 +127,13 @@ def test_signature_mode_differs_only_by_third_term():
     reg = MatrixRegistry(PARAMS_MED, master_seed=5, allow_high_noise=True)
     obj = net.objects["a"]
     plain = attribute_subsketch(obj, reg, signature_mode=False)
-    signed = attribute_subsketch(obj, reg, signature_mode=True, n_cap=net.n_cap)
+    signed = attribute_subsketch(obj, reg, signature_mode=True)
     e1 = np.zeros(reg.d)
     e1[0] = 1.0
     r1 = reg.module_matrix("leaf", 1)
     r2 = reg.module_matrix("leaf", 2)
     r3 = reg.module_matrix("leaf", 3)
-    sig = object_signature(obj, net.n_cap, reg.d)
+    sig = object_signature(obj, reg.params.n_cap, reg.d)
     # plain uses halves, signature mode thirds: subtracting the shared parts
     # leaves exactly the signature term.
     diff = signed.values - (plain.values - (1 / 6) * (r1.matvec(obj.attributes) + r2.matvec(e1)))
@@ -152,10 +152,10 @@ def test_attribute_subsketch_bitwise_full_slot2(mode):
     e1[0] = 1.0
     r1, r2, r3 = (full.module_matrix("leaf", slot) for slot in (1, 2, 3))
     plain = 0.5 * r1.matvec(obj.attributes) + 0.5 * r2.matvec(e1)
-    sig = object_signature(obj, net.n_cap, params.d)
+    sig = object_signature(obj, params.n_cap, params.d)
     signed = (r1.matvec(obj.attributes) + r2.matvec(e1) + r3.matvec(sig)) / 3.0
     assert attribute_subsketch(obj, reg).values.tobytes() == plain.tobytes()
-    got = attribute_subsketch(obj, reg, signature_mode=True, n_cap=net.n_cap)
+    got = attribute_subsketch(obj, reg, signature_mode=True)
     assert got.values.tobytes() == signed.tobytes()
 
 
@@ -293,7 +293,7 @@ def per_object_pass(net, reg, signature_mode=False):
         r1x = reg.module_matrix(obj.producer, 1).matvec(obj.attributes)
         r2_e1 = reg.module_first_column(obj.producer).column(1)
         if signature_mode:
-            sig = object_signature(obj, net.n_cap, reg.d)
+            sig = object_signature(obj, reg.params.n_cap, reg.d)
             attr = (r1x + r2_e1 + reg.module_matrix(obj.producer, 3).matvec(sig)) / 3.0
         else:
             attr = 0.5 * r1x + 0.5 * r2_e1
