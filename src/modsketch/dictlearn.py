@@ -25,6 +25,10 @@ row) keys, and every set is rounded and decoded in one vectorized step.
 Only what depends on order stays a loop: clustering and installing columns,
 set by set, and writing coefficients, in seed order.
 
+Permutation matching against known matrices is one pass as well: every
+signature is compared with every true signature, and every column with its
+true column, by counting packed sign bits.
+
 ``unroll_network`` applies this level by level to overall sketches of a
 fixed-tree network, classifying recovered vectors into attribute vectors,
 unit markers (e_1), recursable object sketches, and garbage.
@@ -377,45 +381,83 @@ def match_permutation(learned: LearnedDictionary, truth: list) -> PermutationRep
     coordinates); each recovered column is then compared against its matched
     truth: full symmetric Hamming distance, the 0.2d criterion, and the
     signed distance restricted to the blocks the learner actually installed.
+
+    Both distances are counted over sign bits.  With |supp L| and |supp T|
+    the nonzero counts of the learned and the true column, ``same`` and
+    ``opp`` the coordinates where both are nonzero with equal and with
+    opposite signs:
+
+      sym_hamming = |supp L| + |supp T| - 2 (same + opp) + min(same, opp)
+      signed_mismatch_on_installed = |supp L| - same
+
+    Truth matrices of another d or b than the dictionary's, or holding fewer
+    than d columns, are refused with :class:`DimensionMismatchError`.
     """
     p = learned.config.params
-    m = p.sub_block
+    d, b, m = p.d, p.b, p.sub_block
+    for t, mat in enumerate(truth):
+        if mat.params.b != b or mat.csc.shape != (d, d):
+            raise DimensionMismatchError(
+                f"truth matrix {t} is {mat.csc.shape[0]} x {mat.csc.shape[1]} at b={mat.params.b}; "
+                f"the dictionary needs {d} x {d} at b={b}"
+            )
     radius = max(1, int(round(learned.config.sig_match_eps_factor * learned.config.eps_recover)))
-    true_sigs = [np.where(mat.sigma_m > 0, 1, -1).astype(np.int8) for mat in truth]
 
-    permutation: dict[int, int] = {}
-    ambiguous: list[int] = []
-    unmatched: list[int] = []
-    for i, sig in enumerate(learned.signatures):
-        pattern = np.where(sig > 0, 1, -1).astype(np.int8)
-        hits = [t for t, ts in enumerate(true_sigs) if _sym_hamming(pattern, ts) <= radius]
-        if len(hits) == 1:
-            permutation[i] = hits[0]
-        elif len(hits) > 1:
-            ambiguous.append(i)
-        else:
-            unmatched.append(i)
+    # one (clusters x truths) array of symmetric Hamming distances between
+    # signatures, read as +1 where positive and -1 elsewhere
+    learned_sigs = np.packbits(np.array(learned.signatures).reshape(-1, m) > 0, axis=1)
+    true_sigs = np.packbits(np.array([mat.sigma_m for mat in truth]).reshape(-1, m) > 0, axis=1)
+    differ = np.bitwise_count(learned_sigs[:, None] ^ true_sigs[None]).sum(axis=2, dtype=np.int64)
+    hits = np.minimum(differ, m - differ) <= radius
+    n_hits = np.count_nonzero(hits, axis=1)
+    matched = np.flatnonzero(n_hits == 1)
+    permutation = dict(zip(matched.tolist(), np.nonzero(hits[matched])[1].tolist()))
 
-    rows: list[dict] = []
-    for (i, j), col in sorted(learned.columns.items()):
-        if i not in permutation:
-            continue
-        true_col = truth[permutation[i]].column(j)
-        sym = _sym_hamming(np.sign(col), np.sign(true_col))
-        installed = np.nonzero(col)[0]
-        signed_on_installed = int(np.count_nonzero(np.sign(col[installed]) != np.sign(true_col[installed])))
-        rows.append(
-            {
-                "cluster": i,
-                "true_matrix": permutation[i],
-                "column": j,
-                "sym_hamming": sym,
-                "signed_mismatch_on_installed": signed_on_installed,
-                "within_criterion": sym <= 0.2 * p.d,
-            }
+    keys = [key for key in sorted(learned.columns) if key[0] in permutation]
+    cols = np.array([learned.columns[key] for key in keys]).reshape(len(keys), d)
+    true_of_key = np.array([permutation[i] for i, _ in keys], dtype=np.intp)
+    js = np.array([j for _, j in keys], dtype=np.intp)
+    # each key's true column as sign masks, written block by block: the CSC
+    # data holds every active (column, block) pair's b entries, column by
+    # column and by block within a column, so column j's r-th active block
+    # is row indptr[j - 1] / b + r of the data taken b entries at a time
+    true_pos = np.zeros((len(keys), d // b, b), dtype=bool)
+    true_neg = np.zeros_like(true_pos)
+    for t in np.unique(true_of_key).tolist():
+        sel = np.flatnonzero(true_of_key == t)
+        mat = truth[t]
+        active = mat.eta[:, js[sel] - 1].T
+        block_rows = (mat.csc.indptr[js[sel] - 1, None] // b + np.cumsum(active, axis=1) - 1)[active]
+        blocks = mat.csc.data.reshape(-1, b)[block_rows]
+        key_of_block, blk = np.nonzero(active)
+        true_pos[sel[key_of_block], blk] = blocks > 0
+        true_neg[sel[key_of_block], blk] = blocks < 0
+
+    # packbits pads each row with zero bits, which add to no count
+    l_pos, l_neg = np.packbits(cols > 0, axis=1), np.packbits(cols < 0, axis=1)
+    t_pos, t_neg = (np.packbits(x.reshape(len(keys), d), axis=1) for x in (true_pos, true_neg))
+    supp_l, supp_t, same, opp = np.bitwise_count(
+        np.stack([l_pos | l_neg, t_pos | t_neg, (l_pos & t_pos) | (l_neg & t_neg), (l_pos & t_neg) | (l_neg & t_pos)])
+    ).sum(axis=2, dtype=np.int64)
+    sym = supp_l + supp_t - 2 * (same + opp) + np.minimum(same, opp)
+    rows = [
+        {
+            "cluster": i,
+            "true_matrix": t,
+            "column": j,
+            "sym_hamming": s,
+            "signed_mismatch_on_installed": signed,
+            "within_criterion": within,
+        }
+        for (i, j), t, s, signed, within in zip(
+            keys, true_of_key.tolist(), sym.tolist(), (supp_l - same).tolist(), (sym <= 0.2 * d).tolist()
         )
+    ]
     return PermutationReport(
-        permutation=permutation, ambiguous=ambiguous, unmatched=unmatched, column_rows=rows
+        permutation=permutation,
+        ambiguous=np.flatnonzero(n_hits > 1).tolist(),
+        unmatched=np.flatnonzero(n_hits == 0).tolist(),
+        column_rows=rows,
     )
 
 

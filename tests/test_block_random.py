@@ -288,7 +288,8 @@ def test_sample_first_column_bitwise_full_draw(name):
     ids=["block-random", "orthonormal", "identity"],
 )
 def test_column_is_matvec_of_unit_vector_bitwise(make):
-    # the sketch's R_{M,2} e_1 term and match_permutation read columns this way
+    # the sketch's R_{M,2} e_1 term and the per-column match_permutation
+    # oracle in test_dictlearn.py read columns this way
     mat = make()
     d = mat.d
     for j in (1, d // 2, d):

@@ -7,6 +7,7 @@ learner, so every expectation is computable from the plant.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,14 +16,17 @@ import pytest
 from modsketch.block_random import (
     BlockParams,
     CorruptCodewordError,
+    DimensionMismatchError,
     ParameterError,
     auto_params,
     decode_column_signature,
+    sample_first_column,
     sample_matrix,
 )
 from modsketch.dictlearn import (
     DLConfig,
     LearnedDictionary,
+    PermutationReport,
     _modal_rows,
     _parse_matching_sets,
     _sym_hamming,
@@ -531,6 +535,159 @@ def test_modal_row_matches_unique_tie_rule():
             np.testing.assert_array_equal(got[g], uniq[np.argmax(counts)] > 0)
             ties += np.count_nonzero(counts == counts.max()) > 1
         assert ties > 0
+
+
+# ---------------------------------------------------------------------------
+# Permutation matching against the per-column loop
+# ---------------------------------------------------------------------------
+
+
+def reference_match(learned, truth):
+    """``match_permutation`` as it was before it counted sign bits of all
+    columns at once: each signature is compared with each truth, and each
+    column with ``column(j)`` of its truth, by ``_sym_hamming``."""
+    p = learned.config.params
+    radius = max(1, int(round(learned.config.sig_match_eps_factor * learned.config.eps_recover)))
+    true_sigs = [np.where(mat.sigma_m > 0, 1, -1).astype(np.int8) for mat in truth]
+    permutation, ambiguous, unmatched = {}, [], []
+    for i, sig in enumerate(learned.signatures):
+        pattern = np.where(sig > 0, 1, -1).astype(np.int8)
+        hits = [t for t, ts in enumerate(true_sigs) if _sym_hamming(pattern, ts) <= radius]
+        if len(hits) == 1:
+            permutation[i] = hits[0]
+        elif len(hits) > 1:
+            ambiguous.append(i)
+        else:
+            unmatched.append(i)
+    rows = []
+    for (i, j), col in sorted(learned.columns.items()):
+        if i not in permutation:
+            continue
+        true_col = truth[permutation[i]].column(j)
+        sym = _sym_hamming(np.sign(col), np.sign(true_col))
+        installed = np.nonzero(col)[0]
+        signed_on_installed = int(np.count_nonzero(np.sign(col[installed]) != np.sign(true_col[installed])))
+        rows.append(
+            {
+                "cluster": i,
+                "true_matrix": permutation[i],
+                "column": j,
+                "sym_hamming": sym,
+                "signed_mismatch_on_installed": signed_on_installed,
+                "within_criterion": sym <= 0.2 * p.d,
+            }
+        )
+    return PermutationReport(permutation=permutation, ambiguous=ambiguous, unmatched=unmatched, column_rows=rows)
+
+
+def assert_report_matches_reference(learned, truth):
+    """Equal field by field, with the type of every value, and return it."""
+    got, want = match_permutation(learned, truth), reference_match(learned, truth)
+    typed = lambda report: (
+        [(type(k), k, type(v), v) for k, v in report.permutation.items()],
+        [(type(i), i) for i in report.ambiguous],
+        [(type(i), i) for i in report.unmatched],
+        [[(key, type(v), v) for key, v in row.items()] for row in report.column_rows],
+    )
+    assert typed(got) == typed(want)
+    return got
+
+
+# planted like PLANT, at a d that is not a multiple of 8, so the packed sign
+# rows end in a padded byte
+ODD_PARAMS = BlockParams(b=45, q=0.5, d=45 * 31, n_cap=6)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(seed=0),
+        dict(seed=2, dominant_sign=-1),
+        dict(seed=9, n_matrices=3),
+        dict(seed=12, params=ODD_PARAMS),
+        dict(seed=13, n_matrices=3, params=ODD_PARAMS),
+    ],
+    ids=["plain", "negative-sign", "three-matrices", "odd-d", "odd-d-three-matrices"],
+)
+def test_match_permutation_per_column_oracle(kwargs):
+    mats, _xs, ys, _planted = plant_instance(n_samples=100, **kwargs)
+    learned = learn_dictionary(ys, config_for(kwargs.get("params", PLANT)))
+    report = assert_report_matches_reference(learned, mats)
+    assert len(report.column_rows) == len(learned.columns) > 0
+
+
+def test_match_permutation_empty_dictionary():
+    mats = plant_instance(seed=0, n_samples=1)[0]
+    learned = learn_dictionary(np.zeros((5, PLANT.d)), config_for())
+    report = assert_report_matches_reference(learned, mats)
+    assert (report.permutation, report.ambiguous, report.unmatched, report.column_rows) == ({}, [], [], [])
+
+
+def test_match_permutation_without_truth_leaves_every_cluster_unmatched():
+    _mats, _xs, ys, _planted = plant_instance(seed=0, n_samples=30)
+    learned = learn_dictionary(ys, config_for())
+    report = assert_report_matches_reference(learned, [])
+    assert report.unmatched == list(range(learned.n_atoms)) and report.column_rows == []
+
+
+def test_match_permutation_truth_no_cluster_matches():
+    mats, _xs, ys, _planted = plant_instance(seed=1, n_samples=30)
+    learned = learn_dictionary(ys, config_for())
+    spare = sample_matrix(PLANT, "plant:spare")
+    report = assert_report_matches_reference(learned, [spare] + mats)
+    assert 0 not in report.permutation.values() and report.unmatched == []
+    assert sorted(report.permutation.values()) == [1, 2]
+
+
+def test_match_permutation_hand_built_clusters():
+    """Cluster 0 matches truths 0 and 2 (truth 2 is truth 0 with one
+    signature bit flipped), cluster 1 matches truth 1 only, and cluster 2
+    matches none.  Cluster 1's columns are installed on some blocks only, one
+    of them with a negative global sign and one with a block of the wrong
+    sign."""
+    mats = plant_instance(seed=3, n_samples=1)[0]
+    near = mats[0].sigma_m.copy()
+    near[4] = -near[4]
+    truth = mats + [dataclasses.replace(mats[0], sigma_m=near)]
+    far = mats[1].sigma_m * np.where(np.arange(PLANT.sub_block) % 2, 1, -1)
+    b = PLANT.b
+    columns = {}
+    for n, j in enumerate((5, 700, PLANT.d)):
+        col = mats[1].column(j)
+        active = mats[1].active_blocks(j)
+        col.reshape(-1, b)[active[::3]] = 0.0  # a third of its blocks not installed
+        if n == 1:
+            col = -col
+        if n == 2:
+            col.reshape(-1, b)[active[1]] *= -1
+        columns[(1, j)] = col
+    columns[(0, 9)] = mats[0].column(9)
+    columns[(2, 9)] = mats[1].column(9)
+    learned = LearnedDictionary(
+        config=config_for(), n_atoms=3, signatures=[-mats[0].sigma_m, mats[1].sigma_m, far],
+        columns=columns, coefficients=[],
+    )
+    report = assert_report_matches_reference(learned, truth)
+    assert (report.permutation, report.ambiguous, report.unmatched) == ({1: 1}, [0], [2])
+    signed = [row["signed_mismatch_on_installed"] for row in report.column_rows]
+    assert signed[0] == 0 and signed[1] > 0 and signed[2] == b
+    assert [row["column"] for row in report.column_rows] == [5, 700, PLANT.d]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sample_matrix(BlockParams(b=45, q=0.5, d=1530, n_cap=6), "plant:0:1"),
+        lambda: sample_matrix(BlockParams(b=48, q=0.5, d=1440, n_cap=6), "plant:0:1"),
+        lambda: sample_first_column(PLANT, "plant:0:1"),  # truth 1's signature, one column
+    ],
+    ids=["other-d", "other-b", "first-column-only"],
+)
+def test_match_permutation_refuses_truth_of_other_dimensions(make):
+    mats, _xs, ys, _planted = plant_instance(seed=0, n_samples=30)
+    learned = learn_dictionary(ys, config_for())
+    with pytest.raises(DimensionMismatchError):
+        match_permutation(learned, mats[:1] + [make()])
 
 
 # ---------------------------------------------------------------------------
