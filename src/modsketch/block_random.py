@@ -48,6 +48,7 @@ __all__ = [
     "sample_matrix",
     "sample_first_column",
     "sample_orthonormal",
+    "transparent",
     "NoiseProfile",
     "measure_noise_profile",
 ]
@@ -277,7 +278,18 @@ class BlockRandomMatrix:
         return self.params.d
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csc @ x
+        """``csc @ x`` for x of shape (n,) or (n, k), bit for bit.  When at
+        most half of x's rows are nonzero, only the columns of those rows
+        multiply: a CSC product sums each entry column by column from +0.0,
+        and a zero row adds only a signed zero, which changes no such sum.
+        A denser x takes the whole product, as its slice would copy most of
+        the matrix to save little."""
+        if x.shape[:1] != (self.csc.shape[1],):
+            raise DimensionMismatchError(f"input of shape {x.shape} for a matrix of {self.csc.shape[1]} columns")
+        rows = np.flatnonzero(x if x.ndim == 1 else x.any(axis=1))
+        if 2 * len(rows) > len(x):
+            return self.csc @ x
+        return self.csc[:, rows] @ x[rows]
 
     @cached_property
     def _csc_t(self) -> sp.csr_matrix:
@@ -380,6 +392,12 @@ class IdentityMatrix:
 
 
 AnyMatrix = BlockRandomMatrix | OrthonormalMatrix | IdentityMatrix
+
+
+def transparent(mat: AnyMatrix, x: np.ndarray) -> np.ndarray:
+    """The transparent factor (I + R)/2 applied to x: an unrotated copy of x
+    beside the rotated one."""
+    return (x + mat.matvec(x)) * 0.5
 
 
 def _scale(params: BlockParams) -> float:
@@ -548,11 +566,7 @@ def _draw_factors(
 
 
 def _apply_factors(factors: Factors, x: np.ndarray) -> np.ndarray:
-    """Evaluate the factor product right-to-left on x.
-
-    Transparent factors compute (x + Rx)/2, keeping an unrotated copy of the
-    input alongside the rotated one.
-    """
+    """Evaluate the factor product right-to-left on x."""
     v = x
     for kind, mat in reversed(factors):
         if kind == "plain":
@@ -560,7 +574,7 @@ def _apply_factors(factors: Factors, x: np.ndarray) -> np.ndarray:
         elif kind == "transpose":
             v = mat.rmatvec(v)
         elif kind == "transparent":
-            v = (v + mat.matvec(v)) * 0.5
+            v = transparent(mat, v)
         elif kind != "identity":
             raise ParameterError(f"unknown factor kind {kind}")
     return v

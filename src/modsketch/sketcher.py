@@ -46,13 +46,13 @@ from modsketch._seeding import derive_rng
 from modsketch.block_random import (
     AnyMatrix,
     BlockParams,
-    BlockRandomMatrix,
     IdentityMatrix,
     ModsketchError,
     ParameterError,
     sample_first_column,
     sample_matrix,
     sample_orthonormal,
+    transparent,
 )
 from modsketch.calibrated import delta_iso_fit
 from modsketch.network import ModularNetwork, ObjectNode
@@ -198,21 +198,6 @@ class MatrixRegistry:
         return self._get(f"t:{position}:{tuple_depth}")
 
 
-def _transparent(mat: AnyMatrix, x: np.ndarray) -> np.ndarray:
-    return (x + mat.matvec(x)) * 0.5
-
-
-def _sparse_matvec(mat: AnyMatrix, x: np.ndarray) -> np.ndarray:
-    """``mat.matvec(x)`` from the nonzero rows of x alone.  In block-random
-    mode the bits are the same: a CSC product sums each entry column by
-    column from +0.0, and a zero row of x adds only a signed zero, which
-    changes no such sum."""
-    if not isinstance(mat, BlockRandomMatrix):
-        return mat.matvec(x)
-    rows = np.flatnonzero(x.any(axis=1))
-    return mat.csc[:, rows] @ x[rows]
-
-
 def _columns(cols: Sequence[int]) -> slice | list[int]:
     """cols as a slice when they count up by one, so that indexing a block
     with them makes a view instead of a copy."""
@@ -241,7 +226,7 @@ def _tuples(
     for pos in sorted(by_position):
         _, cols, kids, ws = zip(*by_position[pos])
         mat = registry.tuple_matrix(pos, depth)
-        acc[:, _columns(cols)] += np.array(ws) * _transparent(mat, children[:, _columns(kids)])
+        acc[:, _columns(cols)] += np.array(ws) * transparent(mat, children[:, _columns(kids)])
     return acc
 
 
@@ -296,11 +281,11 @@ def _attribute_block(
     out = np.empty((d, len(objs)))
     for module, cols in groups.items():
         members, columns[module] = [objs[j] for j in cols], _columns(cols)
-        r1x = _sparse_matvec(registry.module_matrix(module, 1), np.array([o.attributes for o in members]).T)
+        r1x = registry.module_matrix(module, 1).matvec(np.array([o.attributes for o in members]).T)
         r2_e1 = registry.module_first_column(module).column(1)[:, None]
         if signature_mode:
             sig = np.array([object_signature(o, registry.params.n_cap, d) for o in members]).T
-            out[:, columns[module]] = (r1x + r2_e1 + _sparse_matvec(registry.module_matrix(module, 3), sig)) / 3.0
+            out[:, columns[module]] = (r1x + r2_e1 + registry.module_matrix(module, 3).matvec(sig)) / 3.0
         else:
             out[:, columns[module]] = 0.5 * r1x + 0.5 * r2_e1
     return out, columns
@@ -344,13 +329,13 @@ def _sketch_pass(
         attr, groups = _attribute_block(objs, registry, signature_mode)
         # tuple(attr, input; 1/2, 1/2) from +0.0.  An empty input tuple adds no
         # term: (0 + R 0) * 0.5 * 0.5 is +0.0, which changes no sum begun at +0.0.
-        pair = 0.0 + 0.5 * _transparent(registry.tuple_matrix(1, pair_tuple_depth(k)), attr)
+        pair = 0.0 + 0.5 * transparent(registry.tuple_matrix(1, pair_tuple_depth(k)), attr)
         if edges:
             live = _columns(sorted({e[1] for e in edges}))
-            pair[:, live] += 0.5 * _transparent(registry.tuple_matrix(2, pair_tuple_depth(k)), inp[:, live])
+            pair[:, live] += 0.5 * transparent(registry.tuple_matrix(2, pair_tuple_depth(k)), inp[:, live])
         children, child_col = np.empty_like(pair), {obj.id: j for j, obj in enumerate(objs)}
         for module, cols in groups.items():
-            children[:, cols] = _transparent(registry.module_matrix(module, 0), pair[:, cols])
+            children[:, cols] = transparent(registry.module_matrix(module, 0), pair[:, cols])
         levels.append((objs, children))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from modsketch.block_random import (
     BlockParams,
     CorruptCodewordError,
+    DimensionMismatchError,
     IdentityMatrix,
     ParameterError,
     _apply_factors,
@@ -321,6 +323,50 @@ def test_matvec_of_a_block_is_matvec_of_each_column_bitwise(make):
         assert got.shape == x.shape
         for j in range(x.shape[1]):
             assert got[:, j].tobytes() == mat.matvec(np.ascontiguousarray(x[:, j])).tobytes(), j
+
+
+@pytest.mark.parametrize("draw", [sample_matrix, sample_first_column], ids=["full", "first-column"])
+@pytest.mark.parametrize("special", [1.0, np.nan, np.inf], ids=["finite", "nan", "inf"])
+@pytest.mark.parametrize("k", [None, 5], ids=["1-D", "block"])
+def test_matvec_bits_equal_the_whole_csc_product(draw, special, k):
+    # matvec multiplies only the nonzero rows when they are at most half;
+    # on both sides of that rule, and with -0.0 in the skipped rows, the
+    # bits are those of the whole product
+    mat = draw(P1014, "unit:matvec-rows")
+    n = mat.csc.shape[1]
+    rng = np.random.default_rng(13)
+    for n_live in sorted({0, 1, n // 2, n // 2 + 1, n}):
+        x = np.zeros((n,) if k is None else (n, k))
+        live = rng.permutation(n)[:n_live]
+        x[live] = rng.standard_normal(x[live].shape)
+        x[live[:1]] = special
+        x[np.setdiff1d(np.arange(n), live)[::2]] = -0.0
+        assert mat.matvec(x).tobytes() == (mat.csc @ x).tobytes(), n_live
+
+
+def test_matvec_refuses_an_input_of_the_wrong_length():
+    # a zero input of the wrong length would slice to no rows at all
+    mat = sample_matrix(P1014, "unit:matvec-length")
+    col = sample_first_column(P1014, "unit:matvec-length")
+    for m, x in ((mat, np.zeros(1)), (mat, np.ones((mat.d + 1, 2))), (col, np.zeros(mat.d))):
+        with pytest.raises(DimensionMismatchError):
+            m.matvec(x)
+
+
+def test_matvec_of_a_mostly_nonzero_block_copies_no_matrix():
+    # slicing d/2 + 1 of the rows would copy half the CSC arrays; the
+    # whole product allocates only its output and the row mask
+    mat = sample_matrix(P1014, "unit:matvec-alloc")
+    csc_bytes = mat.csc.data.nbytes + mat.csc.indices.nbytes + mat.csc.indptr.nbytes
+    x = np.zeros((mat.d, 4))
+    x[: mat.d // 2 + 1] = 1.0
+    tracemalloc.start()
+    try:
+        mat.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < csc_bytes / 4, f"matvec peaked at {peak / csc_bytes:.2f}x the CSC bytes"
 
 
 def test_rmatvec_reuses_one_transpose_sharing_the_csc_arrays():

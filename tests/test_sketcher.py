@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from modsketch.block_random import BlockParams, ParameterError, auto_params
+from modsketch.block_random import BlockParams, DimensionMismatchError, ParameterError, auto_params
 from modsketch.network import (
     SyntheticProfile,
     build_network,
@@ -544,6 +544,40 @@ def test_prototypes_reject_deep_networks():
         prototype_a_overall(net, reg)
     with pytest.raises(PrototypeScopeError):
         prototype_b_overall(net, reg)
+
+
+# ---------------------------------------------------------------------------
+# A network of another dimension than the registry's
+# ---------------------------------------------------------------------------
+
+
+def mismatched_pair():
+    """A 2070-d flat network and a 1014-d block-random registry."""
+    return single_leaf(d=2070), MatrixRegistry(auto_params(1014, 8), master_seed=0, allow_high_noise=True)
+
+
+def test_object_sketches_refuse_another_dimension():
+    net, reg = mismatched_pair()
+    with pytest.raises(DimensionMismatchError):
+        object_sketches(net, reg)
+
+
+def test_attribute_subsketch_refuses_another_dimension():
+    net, reg = mismatched_pair()
+    with pytest.raises(DimensionMismatchError):
+        attribute_subsketch(net.objects["a"], reg)
+
+
+def test_prototype_b_refuses_another_dimension():
+    net, reg = mismatched_pair()
+    with pytest.raises(DimensionMismatchError):
+        prototype_b_overall(net, reg)
+
+
+def test_prototype_a_refuses_another_dimension():
+    net, reg = mismatched_pair()
+    with pytest.raises(DimensionMismatchError):
+        prototype_a_overall(net, reg)
 
 
 # ---------------------------------------------------------------------------
