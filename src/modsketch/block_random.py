@@ -252,6 +252,12 @@ def decode_column_signature(z: np.ndarray, params: BlockParams) -> tuple[int, in
 # ---------------------------------------------------------------------------
 
 
+def _require_length(x: np.ndarray, n: int) -> None:
+    """Refuse a product input whose first axis is not n long."""
+    if x.shape[:1] != (n,):
+        raise DimensionMismatchError(f"input of shape {x.shape} for a product needing length {n}")
+
+
 @dataclass
 class BlockRandomMatrix:
     """A materialized draw from D(b, q, d) in compressed block storage.
@@ -284,8 +290,7 @@ class BlockRandomMatrix:
         and a zero row adds only a signed zero, which changes no such sum.
         A denser x takes the whole product, as its slice would copy most of
         the matrix to save little."""
-        if x.shape[:1] != (self.csc.shape[1],):
-            raise DimensionMismatchError(f"input of shape {x.shape} for a matrix of {self.csc.shape[1]} columns")
+        _require_length(x, self.csc.shape[1])
         rows = np.flatnonzero(x if x.ndim == 1 else x.any(axis=1))
         if 2 * len(rows) > len(x):
             return self.csc @ x
@@ -297,6 +302,7 @@ class BlockRandomMatrix:
         return self.csc.T
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        _require_length(x, self.csc.shape[0])
         return self._csc_t @ x
 
     def column(self, j: int) -> np.ndarray:
@@ -343,11 +349,13 @@ class OrthonormalMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``dense @ x``; a (d, n) x is multiplied column by column, because a
         matrix-matrix product rounds differently from a matrix-vector one."""
+        _require_length(x, self.d)
         if x.ndim == 1:
             return self.dense @ x
         return np.stack([self.dense @ col for col in np.ascontiguousarray(x.T)], axis=1)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        _require_length(x, self.d)
         return self.dense.T @ x
 
     def column(self, j: int) -> np.ndarray:
@@ -373,9 +381,11 @@ class IdentityMatrix:
         return self.dim
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        _require_length(x, self.dim)
         return np.array(x, dtype=np.float64)  # a copy
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        _require_length(x, self.dim)
         return np.asarray(x, dtype=np.float64).copy()
 
     def column(self, j: int) -> np.ndarray:

@@ -491,8 +491,8 @@ def cmd_repo_insert(args: argparse.Namespace) -> None:
     if args.id is not None and ("\t" in args.id or "".join(args.id.splitlines()) != args.id):
         raise ConfigError(f"--id {args.id!r} holds a tab or a line break")
     tags = dict(kv.split("=", 1) for kv in args.tag or [])
-    repo = SketchRepository.from_log(args.store, sk.d)
-    eid = repo.insert(sk, args.id, tags)
+    with SketchRepository.from_log(args.store, sk.d) as repo:
+        eid = repo.insert(sk, args.id, tags)
     print(f"inserted {eid} (store size {len(repo)})")
 
 

@@ -13,6 +13,13 @@ The vectors live in one contiguous ``(n, d)`` array, grown by doubling, with
 one bucket code per row, and an optional append-only log that only this
 module reads.  Many readers may query concurrently while one writer inserts
 (queries see a consistent prefix of the insert sequence).
+
+A logged store opens its log once, at its first insert, as an unbuffered
+binary append handle, and writes every record through it.  ``close()``
+(or leaving a ``with`` block) closes the handle, a later insert reopens it,
+and a dropped store closes it too.  Replay and queries never open it.  The
+handle holds the file it opened: a log removed or replaced under an open
+store keeps receiving that store's appends until it is closed.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import json
 import os
 import threading
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,19 +66,25 @@ class ClusterResult:
     assignments: list[int]  # aligned with insert order of the clustered entries
 
 
-def _log_line(eid: str, tags: dict, sketch: Sketch) -> str:
+def _log_line(eid: str, tags: dict, sketch: Sketch) -> bytes:
+    """The record's line: ``json.dumps(record, sort_keys=True)`` and a newline.
+
+    Only the metadata goes through ``json.dumps``.  The base64 values are
+    spliced in after it, which gives the same bytes: ``"values"`` sorts after
+    every other key, and base64 needs no JSON escaping.
+    """
     rec = {
         "id": eid,
         "tags": tags,
         "kind": sketch.kind,
         "depth": sketch.depth,
         "erased_prefix": sketch.erased_prefix,
-        "values": base64.b64encode(encode_values(sketch.values)).decode("ascii"),
     }
     if sketch.signature_mode:
         # written only when set, so logs of plain sketches keep their bytes
         rec["signature_mode"] = True
-    return json.dumps(rec, sort_keys=True)
+    head = json.dumps(rec, sort_keys=True).encode("ascii")
+    return b"".join((head[:-1], b', "values": "', base64.b64encode(encode_values(sketch.values)), b'"}\n'))
 
 
 def _parse_record(line: bytes, d: int) -> tuple[Sketch, str, dict]:
@@ -96,6 +110,8 @@ class SketchRepository:
     def __init__(self, d: int, log_path: str | None = None):
         self.d = d
         self.log_path = None  # set after the replay, which must not log again
+        self._log = None  # the append handle, opened by the first logged insert
+        self._log_closer = None  # closes it, at close() or once the store is dropped
         self._n = 0
         self._vectors = np.empty((0, d))
         self._codes = np.empty(0, dtype=np.int64)
@@ -116,8 +132,7 @@ class SketchRepository:
             eid = entry_id if entry_id is not None else f"sketch-{n}"
             tags = dict(tags or {})
             if self.log_path:
-                with open(self.log_path, "a", encoding="utf-8") as fh:
-                    fh.write(_log_line(eid, tags, sketch) + "\n")
+                self._append(_log_line(eid, tags, sketch))
             # readers take _n before the arrays, so publish new arrays only once
             # they hold every committed row, and count a row only once it is written
             if n == len(self._vectors):
@@ -131,6 +146,34 @@ class SketchRepository:
             self._meta.append((eid, tags, sketch.kind, sketch.depth, sketch.erased_prefix, sketch.signature_mode))
             self._n = n + 1
             return eid
+
+    def _append(self, record: bytes) -> None:
+        if self._log is None:
+            self._log = open(self.log_path, "ab", buffering=0)
+            self._log_closer = weakref.finalize(self, self._log.close)
+        try:
+            view = memoryview(record)
+            while view:  # a raw write may take only part of the buffer
+                view = view[self._log.write(view) :]
+        except BaseException:
+            self._close_log()  # the next insert reopens the log
+            raise
+
+    def _close_log(self) -> None:
+        if self._log is not None:
+            self._log = None
+            self._log_closer()
+
+    def close(self) -> None:
+        """Close the log's append handle, if open; a later insert reopens it."""
+        with self._write_lock:
+            self._close_log()
+
+    def __enter__(self) -> "SketchRepository":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def __len__(self) -> int:
         return self._n

@@ -351,6 +351,9 @@ def test_matvec_refuses_an_input_of_the_wrong_length():
     for m, x in ((mat, np.zeros(1)), (mat, np.ones((mat.d + 1, 2))), (col, np.zeros(mat.d))):
         with pytest.raises(DimensionMismatchError):
             m.matvec(x)
+    for m, x in ((mat, np.zeros(mat.d + 1)), (col, np.zeros(1))):
+        with pytest.raises(DimensionMismatchError):
+            m.rmatvec(x)
 
 
 def test_matvec_of_a_mostly_nonzero_block_copies_no_matrix():

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 
+from modsketch import repository
 from modsketch.block_random import auto_params
 from modsketch.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from modsketch.network import build_network, save_network
@@ -206,6 +207,36 @@ def test_repo_commands(tmp_path):
     empty.write_text("")
     assert main(["repo", "cluster", "--store", str(missing), "--k", "1"]) == EXIT_VALIDATION
     assert main(["repo", "cluster", "--store", str(empty), "--k", "1"]) == EXIT_VALIDATION
+
+
+def test_repo_commands_open_the_log_to_append_only_to_insert(tmp_path, monkeypatch):
+    sk = tmp_path / "s.sketch"
+    save_sketch(Sketch(values=np.arange(8.0), kind="overall", depth=1, erased_prefix=8), str(sk))
+    store = tmp_path / "s.log"
+    appends = []
+
+    def spy_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "a" in mode:
+            appends.append(fh)
+        return fh
+
+    closed = []
+    close = repository.SketchRepository.close
+
+    def spy_close(self):
+        closed.append(self)  # kept alive, so no finalizer can be what closes its log
+        close(self)
+
+    monkeypatch.setattr(repository, "open", spy_open, raising=False)
+    monkeypatch.setattr(repository.SketchRepository, "close", spy_close)
+    for _ in range(2):
+        assert main(["repo", "insert", "--store", str(store), "--sketch", str(sk)]) == EXIT_OK
+    assert len(closed) == 2 and len(appends) == 2 and all(fh.closed for fh in appends)
+    assert main(["repo", "query", "--store", str(store), "--sketch", str(sk), "--k", "1"]) == EXIT_OK
+    assert main(["repo", "query", "--store", str(store), "--sketch", str(sk), "--k", "1", "--bucketed"]) == EXIT_OK
+    assert main(["repo", "cluster", "--store", str(store), "--k", "1"]) == EXIT_OK
+    assert len(appends) == 2
 
 
 def test_config_error_exit_code(tmp_path):

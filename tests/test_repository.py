@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import base64
+import gc
 import hashlib
+import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +17,7 @@ from modsketch._seeding import derive_rng
 from modsketch.block_random import DimensionMismatchError, ParameterError, auto_params
 from modsketch.network import build_network
 from modsketch.repository import QueryHit, SketchEntry, SketchRepository
-from modsketch.sketcher import MatrixRegistry, Sketch, erase_to_prefix, overall_sketch
+from modsketch.sketcher import MatrixRegistry, Sketch, encode_values, erase_to_prefix, overall_sketch
 
 D = 64
 
@@ -239,6 +243,143 @@ def test_from_log_refuses_missing_or_empty_store(tmp_path):
     empty.write_text("")
     with pytest.raises(ParameterError, match="complete record"):
         SketchRepository.from_log(str(empty))
+
+
+# -- the log's bytes and its append handle ------------------------------------
+
+
+def oracle_record(eid: str, tags: dict, sketch: Sketch) -> bytes:
+    """A log record as ``json.dumps`` of the whole record writes it."""
+    rec = {
+        "id": eid,
+        "tags": tags,
+        "kind": sketch.kind,
+        "depth": sketch.depth,
+        "erased_prefix": sketch.erased_prefix,
+        "values": base64.b64encode(encode_values(sketch.values)).decode("ascii"),
+    }
+    if sketch.signature_mode:
+        rec["signature_mode"] = True
+    return (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_log_records_equal_json_of_the_whole_record(tmp_path):
+    rng = np.random.default_rng(11)
+    records = []
+    for signed in (False, True):
+        for eid, tags in [
+            ('a"b\\c/d', {'q"uote': 'back\\slash/', "k": "v"}),
+            ("ünï\u00e7ødé ☃ \U0001f600", {"ключ": "值", "\t": "\n"}),
+            ("plain", {}),
+        ]:
+            values = rng.standard_normal(D)
+            values[:4] = [-0.0, 5e-324, -2.2250738585072014e-308 / 3, np.inf]  # signed zero, subnormals, inf
+            records.append((eid, tags, replace(make_sketch(values), signature_mode=signed)))
+    log = tmp_path / "repo.log"
+    with SketchRepository(D, log_path=str(log)) as repo:
+        for eid, tags, sk in records:
+            repo.insert(sk, eid, tags)
+    assert log.read_bytes().splitlines(keepends=True) == [oracle_record(*r) for r in records]
+
+
+def test_dropping_a_logged_store_closes_its_log_without_warning(tmp_path):
+    repo = SketchRepository(D, log_path=str(tmp_path / "repo.log"))
+    repo.insert(rand_sketch(np.random.default_rng(12)), "e0")
+    handle = repo._log
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del repo
+        gc.collect()
+    assert handle.closed
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_close_is_idempotent_and_a_later_insert_reopens_the_log(tmp_path):
+    log = tmp_path / "repo.log"
+    rng = np.random.default_rng(13)
+    with SketchRepository(D, log_path=str(log)) as repo:
+        repo.insert(rand_sketch(rng), "e0")
+    assert repo._log is None
+    repo.close()
+    repo.close()
+    repo.insert(rand_sketch(rng), "e1")
+    repo.close()
+    again = SketchRepository(D, log_path=str(log))
+    assert [h.entry.id for h in again.query_similar(make_sketch(np.zeros(D)), k=3)] == ["e0", "e1"]
+
+
+def test_replay_and_queries_never_open_the_log(tmp_path):
+    log = tmp_path / "repo.log"
+    rng = np.random.default_rng(14)
+    with SketchRepository(D, log_path=str(log)) as repo:
+        repo.insert(rand_sketch(rng), "e0")
+    again = SketchRepository(D, log_path=str(log))
+    again.query_similar(rand_sketch(rng), k=1, bucketed=True)
+    again.cluster(k=1)
+    assert again._log is None
+
+
+def test_two_stores_on_one_log_interleave_their_appends(tmp_path):
+    log = tmp_path / "repo.log"
+    rng = np.random.default_rng(15)
+    stores = [SketchRepository(D, log_path=str(log)) for _ in range(2)]
+    for i in range(6):
+        stores[i % 2].insert(rand_sketch(rng), f"e{i}")
+    for store in stores:
+        store.close()
+    again = SketchRepository(D, log_path=str(log))
+    assert [h.entry.id for h in again.query_similar(make_sketch(np.zeros(D)), k=6)] == [f"e{i}" for i in range(6)]
+
+
+class FailingHandle:
+    def __init__(self, inner):
+        self.inner = inner
+
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+
+class HalvingHandle:
+    """Writes at most half of the first buffer it is given, all of later ones."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def write(self, data):
+        self.calls += 1
+        return self.inner.write(data[: (len(data) + 1) // 2] if self.calls == 1 else data)
+
+
+def test_a_failed_append_publishes_no_row_and_the_next_insert_reopens(tmp_path, monkeypatch):
+    log = tmp_path / "repo.log"
+    rng = np.random.default_rng(16)
+    repo = SketchRepository(D, log_path=str(log))
+    repo.insert(rand_sketch(rng), "e0")
+    real = repo._log
+    monkeypatch.setattr(repo, "_log", FailingHandle(real))
+    with pytest.raises(OSError, match="No space left"):
+        repo.insert(rand_sketch(rng), "lost")
+    assert len(repo) == 1 and repo._log is None and real.closed
+    repo.insert(rand_sketch(rng), "e1")
+    assert len(repo) == 2
+    repo.close()
+    again = SketchRepository(D, log_path=str(log))
+    assert [h.entry.id for h in again.query_similar(make_sketch(np.zeros(D)), k=3)] == ["e0", "e1"]
+
+
+def test_a_short_write_is_continued_until_the_record_is_whole(tmp_path, monkeypatch):
+    log = tmp_path / "repo.log"
+    rng = np.random.default_rng(17)
+    repo = SketchRepository(D, log_path=str(log))
+    first, second = rand_sketch(rng), rand_sketch(rng)
+    repo.insert(first, "e0")
+    halving = HalvingHandle(repo._log)
+    monkeypatch.setattr(repo, "_log", halving)
+    repo.insert(second, "e1", {"k": "v"})
+    repo.close()
+    assert halving.calls == 2
+    assert log.read_bytes() == oracle_record("e0", {}, first) + oracle_record("e1", {"k": "v"}, second)
 
 
 # -- reference: a store of one Sketch per entry -------------------------------

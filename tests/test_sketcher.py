@@ -551,9 +551,9 @@ def test_prototypes_reject_deep_networks():
 # ---------------------------------------------------------------------------
 
 
-def mismatched_pair():
-    """A 2070-d flat network and a 1014-d block-random registry."""
-    return single_leaf(d=2070), MatrixRegistry(auto_params(1014, 8), master_seed=0, allow_high_noise=True)
+def mismatched_pair(mode="block-random"):
+    """A 2070-d flat network and a 1014-d registry, block-random by default."""
+    return single_leaf(d=2070), MatrixRegistry(auto_params(1014, 8), master_seed=0, mode=mode, allow_high_noise=True)
 
 
 def test_object_sketches_refuse_another_dimension():
@@ -578,6 +578,23 @@ def test_prototype_a_refuses_another_dimension():
     net, reg = mismatched_pair()
     with pytest.raises(DimensionMismatchError):
         prototype_a_overall(net, reg)
+
+
+@pytest.mark.parametrize(
+    "sketch_of",
+    [
+        object_sketches,
+        lambda net, reg: attribute_subsketch(net.objects["a"], reg),
+        prototype_a_overall,
+        prototype_b_overall,
+    ],
+    ids=["object_sketches", "attribute_subsketch", "prototype_a_overall", "prototype_b_overall"],
+)
+@pytest.mark.parametrize("mode", ["orthonormal", "identity"])
+def test_other_matrix_modes_refuse_another_dimension(mode, sketch_of):
+    net, reg = mismatched_pair(mode)
+    with pytest.raises(DimensionMismatchError):
+        sketch_of(net, reg)
 
 
 # ---------------------------------------------------------------------------
