@@ -19,6 +19,11 @@ Columns are unit norm in expectation, and the family behaves like a noisy
 rotation: ``<Rx, Rx>`` concentrates on ``<x, x>`` (isometry) and ``<Rx, y>``
 concentrates on zero for independent x, y (desynchronization).
 :func:`measure_noise_profile` measures both deviations empirically.
+
+A draw reads one run of raw outputs of its seed's Philox stream (draw format
+v1, see :func:`_draw`).  Products go through the CSC form; transposed
+products read the same data as a 1 x b block (BSR) view, one index per
+active block.
 """
 
 from __future__ import annotations
@@ -264,7 +269,8 @@ class BlockRandomMatrix:
 
     ``flips`` stacks the per-(block, column) sign triples in the order
     (f_s, f_c, f_m); ``eta`` marks active blocks.  The scipy CSC form is what
-    actually multiplies vectors; the structured fields exist so that tests
+    actually multiplies vectors (its transpose through a block view of the
+    same data); the structured fields exist so that tests
     and the dictionary learner can inspect ground truth, and so the matrix is
     re-derivable bit-exactly from ``seed_key``.  It holds the draw's first n
     columns: all d, or one from :func:`sample_first_column`.
@@ -297,13 +303,23 @@ class BlockRandomMatrix:
         return self.csc[:, rows] @ x[rows]
 
     @cached_property
-    def _csc_t(self) -> sp.csr_matrix:
-        """The transpose as a CSR view sharing the CSC arrays, built once."""
-        return self.csc.T
+    def _blocks_t(self) -> sp.bsr_matrix:
+        """The transpose as 1 x b blocks, built once.  Every active block is b
+        consecutive rows of one column, so the CSC data is the blocks' data
+        (shared, not copied), and one index per block replaces b."""
+        b = self.params.b
+        csc = self.csc
+        return sp.bsr_matrix(
+            (csc.data.reshape(-1, 1, b), csc.indices[::b] // b, csc.indptr // b),
+            shape=csc.shape[::-1],
+            blocksize=(1, b),
+        )
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """``csc.T @ x`` for x of shape (d,) or (d, k), bit for bit: the block
+        product adds each column's entries in the CSC order from +0.0."""
         _require_length(x, self.csc.shape[0])
-        return self._csc_t @ x
+        return self._blocks_t @ x
 
     def column(self, j: int) -> np.ndarray:
         """Dense column j (1-based), equal bit for bit to ``matvec(e_j)``."""
@@ -430,22 +446,41 @@ def _sq_sum_table(params: BlockParams, length: int) -> np.ndarray:
     return table
 
 
+def _signs(words: np.ndarray) -> np.ndarray:
+    """int8 +-1 of bit 7 of each byte of ``words`` (32-bit words, least
+    significant byte first): +1 where it is set."""
+    signs = (words.view(np.uint8) >> 7).view(np.int8)
+    signs += signs
+    signs -= 1
+    return signs
+
+
 def _draw(params: BlockParams, seed_key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The random part of a draw: int8 signs of sigma_m (b/3,) and sigma_s
     (d, b/3), int8 flips (3, n_blocks, d) and bool eta (n_blocks, d).
 
-    Draw order is part of the format (v1): sigma_m, sigma_s, flips, eta.
+    Draw order is part of the format (v1): sigma_m, sigma_s, flips, eta, all
+    read from one run of raw 64-bit Philox outputs.  The three int8 arrays
+    take bit 7 of successive bytes of 32-bit words, least significant byte
+    first; each 64-bit output gives its low half, then its high half, and
+    each array starts on a fresh word, so a half left over by one array
+    starts the next.  eta takes the next n_blocks*d outputs u, past any
+    half left over, as ``(u >> 11) * 2**-53 < q``.  These are the bits that
+    ``rng.integers(0, 2, dtype=np.int8)`` and ``rng.random`` draw.
     """
     params.require_alignment()
     d, m, n_blocks = params.d, params.sub_block, params.n_blocks
+    sizes = (m, d * m, 3 * n_blocks * d)
+    ends = np.cumsum([0] + [-(-n // 4) for n in sizes])  # word offsets; each array starts on a fresh word
+    n_halves = -(-int(ends[-1]) // 2)
     rng = derive_rng(0, "block-matrix", seed_key, params.b, params.q, d)
-    sign_m = rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1
-    sign_s = rng.integers(0, 2, size=(d, m), dtype=np.int8) * 2 - 1
-    flips = rng.integers(0, 2, size=(3, n_blocks, d), dtype=np.int8)
-    flips += flips
-    flips -= 1
-    eta = rng.random(size=(n_blocks, d)) < params.q
-    return sign_m, sign_s, flips, eta
+    raw = rng.bit_generator.random_raw(n_halves + n_blocks * d)
+    words = raw[:n_halves].astype("<u8", copy=False).view("<u4")
+    sign_m, sign_s, flips = (_signs(words[lo:hi])[:n] for lo, hi, n in zip(ends[:-1], ends[1:], sizes))
+    # (u >> 11) * 2**-53 < q, in integers: the product is exact, and an
+    # integer is below q * 2**53 exactly when it is below its ceiling
+    eta = (raw[n_halves:] >> 11) < math.ceil(params.q * 2.0**53)
+    return sign_m, sign_s.reshape(d, m), flips.reshape(3, n_blocks, d), eta.reshape(n_blocks, d)
 
 
 # (f_s, f_c, f_m) of sign pattern k: -1 where bit 2, 1 or 0 of k is set

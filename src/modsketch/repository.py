@@ -19,7 +19,10 @@ binary append handle, and writes every record through it.  ``close()``
 (or leaving a ``with`` block) closes the handle, a later insert reopens it,
 and a dropped store closes it too.  Replay and queries never open it.  The
 handle holds the file it opened: a log removed or replaced under an open
-store keeps receiving that store's appends until it is closed.
+store keeps receiving that store's appends until it is closed.  An append
+that fails cuts the log back to its length before the record, so a later
+insert starts on a clean line, and ``insert`` refuses a sketch with a
+non-finite value before logging it, as replay would refuse its record.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from modsketch._seeding import derive_rng
 from modsketch.block_random import DimensionMismatchError, ParameterError
-from modsketch.sketcher import Sketch, decode_values, encode_values, sketch_from_metadata
+from modsketch.sketcher import Sketch, decode_values, encode_values, require_finite, sketch_from_metadata
 
 __all__ = ["SketchEntry", "QueryHit", "ClusterResult", "SketchRepository"]
 
@@ -127,6 +130,7 @@ class SketchRepository:
     def insert(self, sketch: Sketch, entry_id: str | None = None, tags: dict | None = None) -> str:
         if sketch.d != self.d:
             raise DimensionMismatchError(f"sketch d={sketch.d}, store d={self.d}")
+        require_finite(sketch.values)  # replay refuses such a record, so never log one
         with self._write_lock:
             n = self._n
             eid = entry_id if entry_id is not None else f"sketch-{n}"
@@ -151,12 +155,16 @@ class SketchRepository:
         if self._log is None:
             self._log = open(self.log_path, "ab", buffering=0)
             self._log_closer = weakref.finalize(self, self._log.close)
+        start = self._log.seek(0, os.SEEK_END)  # where the record starts, with one writer
         try:
             view = memoryview(record)
             while view:  # a raw write may take only part of the buffer
                 view = view[self._log.write(view) :]
         except BaseException:
-            self._close_log()  # the next insert reopens the log
+            try:
+                self._log.truncate(start)  # cut what was written, so replay sees clean lines
+            finally:
+                self._close_log()  # the next insert reopens the log
             raise
 
     def _close_log(self) -> None:

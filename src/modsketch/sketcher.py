@@ -438,14 +438,19 @@ def save_sketch(sk: Sketch, path: str, seed_fingerprint: str = "") -> None:
         fh.write(encode_values(sk.values))
 
 
-def sketch_from_metadata(values: np.ndarray, kind, depth, erased_prefix, signature_mode) -> Sketch:
-    """A sketch from metadata read from outside the program (a ``.sketch``
-    header or a store's log record), refused unless every field is well-typed
-    and in range and every value is finite."""
+def require_finite(values: np.ndarray) -> None:
+    """Refuse sketch values holding an inf or a nan."""
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))  # the first non-finite value
         raise ParameterError(f"sketch values must be finite, value {i} is {float(values[i])!r}")
+
+
+def sketch_from_metadata(values: np.ndarray, kind, depth, erased_prefix, signature_mode) -> Sketch:
+    """A sketch from metadata read from outside the program (a ``.sketch``
+    header or a store's log record), refused unless every field is well-typed
+    and in range and every value is finite."""
+    require_finite(values)
     if kind not in get_args(SketchKind):
         raise ParameterError(f"unknown sketch kind {kind!r}")
     if not (type(depth) is int and depth >= 1):

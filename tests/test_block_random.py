@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modsketch._seeding import derive_rng
 from modsketch.block_random import (
     BlockParams,
     CorruptCodewordError,
@@ -16,6 +17,7 @@ from modsketch.block_random import (
     IdentityMatrix,
     ParameterError,
     _apply_factors,
+    _draw,
     _index_code_table,
     auto_params,
     decode_column_signature,
@@ -245,6 +247,49 @@ def test_draw_format_v1_golden(name):
         assert draw_digest(sample_matrix(GOLDEN_PARAMS[name], key)) == GOLDEN_V1[(name, key)], key
 
 
+def reference_draw(params, seed_key):
+    """Draw format v1 as the generator calls that defined it."""
+    d, m, n_blocks = params.d, params.sub_block, params.n_blocks
+    rng = derive_rng(0, "block-matrix", seed_key, params.b, params.q, d)
+    sign_m = rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1
+    sign_s = rng.integers(0, 2, size=(d, m), dtype=np.int8) * 2 - 1
+    flips = rng.integers(0, 2, size=(3, n_blocks, d), dtype=np.int8)
+    flips += flips
+    flips -= 1
+    eta = rng.random(size=(n_blocks, d)) < params.q
+    return sign_m, sign_s, flips, eta
+
+
+# Draws whose int8 arrays end inside a 32-bit word and whose word counts end
+# inside a 64-bit output: d*m mod 4 is 1, 2 or 3, and the words before
+# flips, or before eta, are odd in number.
+DRAW_EDGE_PARAMS = {
+    "dm1-odd-odd": BlockParams(b=39, q=0.37, d=117, n_cap=8),
+    "dm2-odd-even": BlockParams(b=33, q=0.37, d=66, n_cap=8),
+    "dm3-even-odd": BlockParams(b=33, q=0.37, d=33, n_cap=8),
+    "dm3-odd-odd": BlockParams(b=45, q=0.37, d=45, n_cap=8),
+    "dm1-even-even": BlockParams(b=45, q=0.37, d=315, n_cap=8),
+    "dm2-even-odd-q0": BlockParams(b=39, q=0.0, d=78, n_cap=8),
+    "dm2-even-odd-q1": BlockParams(b=39, q=1.0, d=78, n_cap=8),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PARAMS) + list(DRAW_EDGE_PARAMS))
+def test_draw_equals_the_generator_calls_of_format_v1(name):
+    params = {**GOLDEN_PARAMS, **DRAW_EDGE_PARAMS}[name]
+    for key in GOLDEN_SEED_KEYS:
+        for got, want in zip(_draw(params, key), reference_draw(params, key), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape, key
+            assert got.tobytes() == want.tobytes(), key
+        first = sample_first_column(params, key)
+        sign_m, sign_s, flips, eta = reference_draw(params, key)
+        scale = params.entry_scale if params.q > 0 else 0.0
+        assert first.sigma_m.tobytes() == (sign_m * scale).tobytes()
+        assert first.sigma_s.tobytes() == (sign_s[:1] * scale).tobytes()
+        assert first.flips.tobytes() == np.ascontiguousarray(flips[:, :, :1]).tobytes()
+        assert first.eta.tobytes() == np.ascontiguousarray(eta[:, :1]).tobytes()
+
+
 @pytest.mark.parametrize("name", ["d936-q0", "d936-q1", "d1014", "b45-q0.5-d1440", "d2070"])
 def test_prefix_col_sq_norms_bitwise_cumsum_oracle(name):
     params = GOLDEN_PARAMS[name]
@@ -372,15 +417,30 @@ def test_matvec_of_a_mostly_nonzero_block_copies_no_matrix():
     assert peak < csc_bytes / 4, f"matvec peaked at {peak / csc_bytes:.2f}x the CSC bytes"
 
 
-def test_rmatvec_reuses_one_transpose_sharing_the_csc_arrays():
+def test_rmatvec_reuses_one_block_view_sharing_the_csc_data():
+    # the transpose is read through one 1 x b block view, whose data is the
+    # CSC data; its bits are those of the CSR transpose product
     mat = sample_matrix(GOLDEN_PARAMS["d1014"], "unit:rmatvec")
-    x = np.random.default_rng(12).standard_normal(mat.d)
-    assert mat.rmatvec(x).tobytes() == (mat.csc.T @ x).tobytes()
-    assert mat._csc_t is mat._csc_t
-    for arr in ("data", "indices", "indptr"):
-        assert np.shares_memory(getattr(mat._csc_t, arr), getattr(mat.csc, arr)), arr
-    col = sample_first_column(GOLDEN_PARAMS["d1014"], "unit:rmatvec")
-    assert col.rmatvec(x).tobytes() == (col.csc.T @ x).tobytes()
+    assert mat._blocks_t is mat._blocks_t
+    assert np.shares_memory(mat._blocks_t.data, mat.csc.data)
+    rng = np.random.default_rng(12)
+    for params, draw in [
+        (GOLDEN_PARAMS["d1014"], sample_matrix),
+        (GOLDEN_PARAMS["d1014"], sample_first_column),
+        (GOLDEN_PARAMS["d936-q0"], sample_matrix),
+        (GOLDEN_PARAMS["d936-q1"], sample_matrix),
+    ]:
+        m = draw(params, "unit:rmatvec")
+        d = params.d
+        for shape in ((d,), (d, 5)):
+            erased = rng.standard_normal(shape)
+            erased[: d // 2] = -0.0
+            special = rng.standard_normal(shape)
+            special[3], special[d - 1] = np.inf, np.nan
+            for x in (rng.standard_normal(shape), erased, special):
+                want = m.csc.T @ x
+                got = m.rmatvec(x)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, draw.__name__, shape)
 
 
 def test_index_code_table_is_read_only():

@@ -273,7 +273,7 @@ def test_log_records_equal_json_of_the_whole_record(tmp_path):
             ("plain", {}),
         ]:
             values = rng.standard_normal(D)
-            values[:4] = [-0.0, 5e-324, -2.2250738585072014e-308 / 3, np.inf]  # signed zero, subnormals, inf
+            values[:4] = [-0.0, 5e-324, -2.2250738585072014e-308 / 3, -1.2345678901234567e300]  # signed zero, subnormals, huge
             records.append((eid, tags, replace(make_sketch(values), signature_mode=signed)))
     log = tmp_path / "repo.log"
     with SketchRepository(D, log_path=str(log)) as repo:
@@ -331,19 +331,34 @@ def test_two_stores_on_one_log_interleave_their_appends(tmp_path):
     assert [h.entry.id for h in again.query_similar(make_sketch(np.zeros(D)), k=6)] == [f"e{i}" for i in range(6)]
 
 
-class FailingHandle:
+class WrappedHandle:
+    """The append handle, with ``write`` replaced by a subclass."""
+
     def __init__(self, inner):
         self.inner = inner
 
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class FailingHandle(WrappedHandle):
     def write(self, data):
         raise OSError(28, "No space left on device")
 
 
-class HalvingHandle:
+class TornHandle(WrappedHandle):
+    """Writes half of the buffer, then fails, as a full disk may."""
+
+    def write(self, data):
+        self.inner.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+class HalvingHandle(WrappedHandle):
     """Writes at most half of the first buffer it is given, all of later ones."""
 
     def __init__(self, inner):
-        self.inner = inner
+        super().__init__(inner)
         self.calls = 0
 
     def write(self, data):
@@ -366,6 +381,46 @@ def test_a_failed_append_publishes_no_row_and_the_next_insert_reopens(tmp_path, 
     repo.close()
     again = SketchRepository(D, log_path=str(log))
     assert [h.entry.id for h in again.query_similar(make_sketch(np.zeros(D)), k=3)] == ["e0", "e1"]
+
+
+@pytest.mark.parametrize("handle", [FailingHandle, TornHandle], ids=["nothing-written", "half-written"])
+def test_a_failed_append_cuts_its_partial_record_off_the_log(tmp_path, monkeypatch, handle):
+    log = tmp_path / "repo.log"
+    rng = np.random.default_rng(18)
+    first, lost, second = rand_sketch(rng), rand_sketch(rng), rand_sketch(rng)
+    repo = SketchRepository(D, log_path=str(log))
+    repo.insert(first, "e0")
+    monkeypatch.setattr(repo, "_log", handle(repo._log))
+    with pytest.raises(OSError, match="No space left"):
+        repo.insert(lost, "lost")
+    assert log.read_bytes() == oracle_record("e0", {}, first)
+    repo.insert(second, "e1", {"k": "v"})
+    repo.close()
+    assert log.read_bytes() == oracle_record("e0", {}, first) + oracle_record("e1", {"k": "v"}, second)
+    again = SketchRepository(D, log_path=str(log))
+    hits = again.query_similar(make_sketch(np.zeros(D)), k=3)
+    assert [(h.entry.id, h.entry.tags) for h in hits] == [("e0", {}), ("e1", {"k": "v"})]
+    assert [h.entry.sketch.values.tobytes() for h in hits] == [first.values.tobytes(), second.values.tobytes()]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_insert_refuses_non_finite_values_before_logging(tmp_path, bad):
+    log = tmp_path / "repo.log"
+    rng = np.random.default_rng(19)
+    first = rand_sketch(rng)
+    with SketchRepository(D, log_path=str(log)) as repo:
+        repo.insert(first, "e0")
+        values = rng.standard_normal(D)
+        values[5] = bad
+        with pytest.raises(ParameterError, match="sketch values must be finite, value 5 is"):
+            repo.insert(make_sketch(values), "bad")
+        assert len(repo) == 1
+    assert log.read_bytes() == oracle_record("e0", {}, first)
+    assert len(SketchRepository.from_log(str(log))) == 1
+    unlogged = SketchRepository(D)
+    with pytest.raises(ParameterError, match="sketch values must be finite"):
+        unlogged.insert(make_sketch(values))
+    assert len(unlogged) == 0
 
 
 def test_a_short_write_is_continued_until_the_record_is_whole(tmp_path, monkeypatch):
