@@ -13,21 +13,17 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_key", "derive_rng"]
-
-
-def derive_key(*parts: object) -> str:
-    """Join key parts into the canonical printable key string."""
-    return ":".join(str(p) for p in parts)
+__all__ = ["derive_rng"]
 
 
 def derive_rng(master_seed: int, *parts: object) -> np.random.Generator:
     """Return a Generator keyed by (master_seed, *parts).
 
-    The key is hashed with BLAKE2b into the 128-bit Philox key, so distinct
-    part tuples give statistically independent streams.
+    The key string ``<master_seed>|<part>:<part>:...`` is hashed with BLAKE2b
+    into the 128-bit Philox key, so distinct part tuples give statistically
+    independent streams.
     """
-    tag = f"{master_seed}|{derive_key(*parts)}"
+    tag = f"{master_seed}|" + ":".join(str(p) for p in parts)
     digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=16).digest()
     key = np.frombuffer(digest, dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -86,16 +86,20 @@ def _ceil_log2(n: int) -> int:
     return int(math.ceil(math.log2(n)))
 
 
+def _min_block(d: int, n_cap: int) -> int:
+    """The smallest admissible b: 3 * max(ceil(log2 n_cap), ceil(log2 d) + 3)."""
+    return 3 * max(_ceil_log2(n_cap), _ceil_log2(d) + 3)
+
+
 @dataclass(frozen=True)
 class BlockParams:
     """Parameters of the block-sparse matrix family.
 
     b must be a multiple of 3 and large enough that a third of a block can
-    hold the column-index code: b >= 3 * max(ceil(log2 n_cap),
-    ceil(log2 d) + 3).  Matrix sampling additionally requires d to be a
-    multiple of b (the signature code alone does not); use
-    :func:`auto_params` to round a requested dimension up to the next
-    aligned value.
+    hold the column-index code (see :func:`_min_block`).  Matrix sampling
+    additionally requires d to be a multiple of b (the signature code alone
+    does not); use :func:`auto_params` to round a requested dimension up to
+    the next aligned value.
     """
 
     b: int
@@ -110,7 +114,7 @@ class BlockParams:
             raise ParameterError(f"n_cap must be >= 2, got {self.n_cap}")
         if self.b % 3 != 0:
             raise ParameterError(f"b must be a multiple of 3, got {self.b}")
-        floor = 3 * max(_ceil_log2(self.n_cap), _ceil_log2(self.d) + 3)
+        floor = _min_block(self.d, self.n_cap)
         if self.b < floor:
             raise ParameterError(
                 f"b={self.b} too small for d={self.d}, n_cap={self.n_cap}; need b >= {floor}"
@@ -172,7 +176,7 @@ def auto_params(d_request: int, n_cap: int, q: float | None = None) -> BlockPara
         raise ParameterError(f"n_cap must be >= 2, got {n_cap}")
     d = d_request
     for _ in range(8):
-        b = 3 * max(_ceil_log2(n_cap), _ceil_log2(d) + 3)
+        b = _min_block(d, n_cap)
         d_aligned = ((d + b - 1) // b) * b
         if d_aligned == d:
             break
@@ -400,9 +404,7 @@ class IdentityMatrix:
         _require_length(x, self.dim)
         return np.array(x, dtype=np.float64)  # a copy
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        _require_length(x, self.dim)
-        return np.asarray(x, dtype=np.float64).copy()
+    rmatvec = matvec  # I is its own transpose
 
     def column(self, j: int) -> np.ndarray:
         col = np.zeros(self.dim)
@@ -591,8 +593,6 @@ class NoiseProfile:
     delta_iso: float
     delta_desync: float
     alpha: float
-    trials: int
-    quantile: float
 
 
 FactorKind = Literal["plain", "transpose", "transparent", "identity"]
@@ -705,10 +705,4 @@ def measure_noise_profile(
         alpha_d, delta_d = fit(des_raw, des_ip)
 
     alpha = alpha_i if want_iso else alpha_d
-    return NoiseProfile(
-        delta_iso=delta_i,
-        delta_desync=delta_d,
-        alpha=alpha,
-        trials=trials,
-        quantile=quantile,
-    )
+    return NoiseProfile(delta_iso=delta_i, delta_desync=delta_d, alpha=alpha)

@@ -42,6 +42,7 @@ from modsketch.dictlearn import (
     unroll_network,
 )
 from modsketch.network import (
+    ModularNetwork,
     SyntheticProfile,
     build_network,
     generate_synthetic,
@@ -338,15 +339,13 @@ def cmd_run(args: argparse.Namespace) -> None:
         attrs = _optional(cfg, "attributes", [0.6, 0.0, 0.8], list[float])
         for d_req in dims:
             params = auto_params(d_req, n_cap)
+            net = _star_network(params.d, 32, [("leaf", attrs, 1.0)])
+            truth = net.objects["leaf"].attributes[: len(attrs)]
             errors = []
             for trial in range(n_seeds):
-                reg = MatrixRegistry(
-                    params, master_seed=seed * 10007 + trial, allow_high_noise=True
-                )
-                net = _single_leaf_network(params.d, attrs)
+                reg = MatrixRegistry(params, master_seed=seed * 10007 + trial, allow_high_noise=True)
                 sk = overall_sketch(net, reg)
                 rep = recover_attributes_unique(sk, "leaf", 2, 1.0, reg)
-                truth = net.objects["a"].attributes[: len(attrs)]
                 errors.append(float(np.max(np.abs(rep.estimate[: len(attrs)] - truth))))
             rows.append(
                 _result_row(run_id, seed, params, "attr_linf_median", float(np.median(errors)), depth=2, weight=1.0)
@@ -354,10 +353,12 @@ def cmd_run(args: argparse.Namespace) -> None:
     else:
         n_seeds = _optional(cfg, "seeds", 20, "count")
         params = auto_params(_optional(cfg, "d", 1024, int), _optional(cfg, "n_cap", 32, int))
+        net1 = _star_network(params.d, 32, [("m1", [1.0], 1.0)])
+        net2 = _star_network(params.d, 32, [("m2", [0.5, 0.5], 1.0)])
         for trial in range(n_seeds):
             reg = MatrixRegistry(params, master_seed=seed * 10007 + trial, allow_high_noise=True)
-            s1 = overall_sketch(_single_leaf_network(params.d, [1.0], module="m1"), reg)
-            s2 = overall_sketch(_single_leaf_network(params.d, [0.5, 0.5], module="m2"), reg)
+            s1 = overall_sketch(net1, reg)
+            s2 = overall_sketch(net2, reg)
             rows.append(
                 _result_row(
                     run_id, seed * 10007 + trial, params, "disjoint_dot", sketch_similarity(s1, s2)
@@ -366,18 +367,18 @@ def cmd_run(args: argparse.Namespace) -> None:
     _write_results(args.out, rows)
 
 
-def _single_leaf_network(d: int, attrs, module="leaf"):
+def _star_network(d: int, n_cap: int, leaves: list[tuple[str, list[float], float]]) -> ModularNetwork:
+    """The output pseudo-object ``root`` fed, in order, by one object per
+    ``(module, attributes, weight)`` leaf, each object named after its module."""
     return build_network(
         {
-            "modules": [{"id": "out", "output": True}, {"id": module}],
-            "objects": [
-                {"id": "root", "module": "out", "attributes": []},
-                {"id": "a", "module": module, "attributes": list(attrs)},
-            ],
-            "edges": [("root", "a", 1.0)],
+            "modules": [{"id": "out", "output": True}] + [{"id": m} for m, _, _ in leaves],
+            "objects": [{"id": "root", "module": "out", "attributes": []}]
+            + [{"id": m, "module": m, "attributes": list(attrs)} for m, attrs, _ in leaves],
+            "edges": [("root", m, w) for m, _, w in leaves],
         },
         d=d,
-        n_cap=32,
+        n_cap=n_cap,
     )
 
 
@@ -403,9 +404,7 @@ def cmd_learn_dict(args: argparse.Namespace) -> None:
             i = int(rng.integers(n_matrices))
             j = int(rng.integers(params.d)) + 1
             planted.append((i, j))
-            x = np.zeros(params.d)
-            x[j - 1] = dominant
-            ys[k] = mats[i].matvec(x)
+            ys[k] += dominant * mats[i].column(j)  # summed from +0.0, as a one-hot matvec is
         learned = learn_dictionary(ys, DLConfig(params=params, eps_recover=eps))
         report = match_permutation(learned, mats)
         save_dictionary_artifacts(learned, args.out, report)
@@ -444,24 +443,12 @@ def cmd_learn_dict(args: argparse.Namespace) -> None:
         n_sketches = _optional(teacher, "n_sketches", 500, "count", "teacher")
         attrs_a = _optional(teacher, "attrs_a", [0.6, 0.0, 0.8], list[float], "teacher")
         attrs_b = _optional(teacher, "attrs_b", [0.0, 1.0], list[float], "teacher")
-        net = build_network(
-            {
-                "modules": [{"id": "out", "output": True}, {"id": "A"}, {"id": "B"}],
-                "objects": [
-                    {"id": "root", "module": "out", "attributes": []},
-                    {"id": "a", "module": "A", "attributes": attrs_a},
-                    {"id": "b", "module": "B", "attributes": attrs_b},
-                ],
-                "edges": [("root", "a", w), ("root", "b", w)],
-            },
-            d=params.d,
-            n_cap=params.n_cap,
-        )
+        net = _star_network(params.d, params.n_cap, [("A", attrs_a, w), ("B", attrs_b, w)])
         registry = MatrixRegistry(params, master_seed=seed, allow_high_noise=True)
         rng = derive_rng(seed, "cli-unroll-attrs")
         sketches = []
         for _k in range(n_sketches):
-            for obj, base in (("a", attrs_a), ("b", attrs_b)):
+            for obj, base in (("A", attrs_a), ("B", attrs_b)):
                 attrs = np.zeros(params.d)
                 attrs[: len(base)] = base
                 attrs = np.abs(attrs + 0.05 * rng.standard_normal(params.d) * (attrs > 0))
@@ -498,6 +485,8 @@ def cmd_repo_insert(args: argparse.Namespace) -> None:
 
 def cmd_repo_query(args: argparse.Namespace) -> None:
     probe, _ = load_sketch(args.sketch)
+    if not os.path.exists(args.store):  # from_log would open it empty, for an insert
+        raise ParameterError(f"no sketch store at {args.store}")
     repo = SketchRepository.from_log(args.store, probe.d)
     if args.bucketed:
         hits, recall = repo.query_similar(probe, args.k, bucketed=True)

@@ -283,11 +283,9 @@ class SketchRepository:
         if k > n:
             raise ParameterError(f"k={k} exceeds repository size {n}")
         keys = [hashlib.blake2b(np.round(row, 9).tobytes(), digest_size=8).hexdigest() for row in data]
-        # the first k content-distinct vectors, in content-key order, seed the centroids
-        first: dict[str, int] = {}
-        for i in sorted(range(n), key=lambda i: (keys[i], i)):
-            first.setdefault(keys[i], i)
-        seeds = list(first.values())[:k]
+        # the first k content-distinct vectors, in content-key order, seed the
+        # centroids: each key's first occurrence, as np.unique returns it
+        seeds = list(np.unique(keys, return_index=True)[1][:k])
         centers = data[seeds + seeds[:1] * (k - len(seeds))]
 
         assign = np.full(n, -1, dtype=np.int64)

@@ -209,6 +209,38 @@ def test_repo_commands(tmp_path):
     assert main(["repo", "cluster", "--store", str(empty), "--k", "1"]) == EXIT_VALIDATION
 
 
+def test_repo_query_refuses_a_missing_store_as_cluster_does(tmp_path, capsys):
+    sk = tmp_path / "s.sketch"
+    save_sketch(Sketch(values=np.arange(8.0), kind="overall", depth=1, erased_prefix=8), str(sk))
+    missing = tmp_path / "missing.log"
+    query = ["repo", "query", "--store", str(missing), "--sketch", str(sk)]
+    for argv in (query, query + ["--bucketed"], ["repo", "cluster", "--store", str(missing), "--k", "1"]):
+        assert main(argv) == EXIT_VALIDATION, argv
+        assert capsys.readouterr() == ("", f"validation error: no sketch store at {missing}\n")
+    assert not missing.exists()
+
+
+def test_explicit_params_form_writes_the_same_bytes(tmp_path):
+    """A ``{b, q, d, n_cap}`` params object naming the aligned params that a
+    ``{d_request, n_cap}`` one picks writes the same sketch and report."""
+    gen_cfg = write_json(
+        tmp_path / "gen.json", {"seed": 3, "dimension": 1014, "profile": {"n_modules": 1, "depth": 2, "fan_in": 1}}
+    )
+    net = tmp_path / "net.txt"
+    assert main(["gen-network", "--config", gen_cfg, "--out", str(net)]) == EXIT_OK
+    p = auto_params(1014, 6)
+    written = {}
+    for form, params in (("auto", {"d_request": 1014, "n_cap": 6}), ("explicit", {"b": p.b, "q": p.q, "d": p.d, "n_cap": 6})):
+        sk, report = tmp_path / f"{form}.sketch", tmp_path / f"{form}.csv"
+        cfg = {"seed": 3, "allow_high_noise": True, "params": params}
+        sk_cfg = write_json(tmp_path / "sk.json", cfg)
+        assert main(["sketch", "--config", sk_cfg, "--network", str(net), "--out", str(sk)]) == EXIT_OK
+        rec_cfg = write_json(tmp_path / "rec.json", {**cfg, "query": {"kind": "attributes_unique", "module": "m0"}})
+        assert main(["recover", "--config", rec_cfg, "--sketch", str(sk), "--out", str(report)]) == EXIT_OK
+        written[form] = (sk.read_bytes(), report.read_bytes())
+    assert written["explicit"] == written["auto"]
+
+
 def test_repo_commands_open_the_log_to_append_only_to_insert(tmp_path, monkeypatch):
     sk = tmp_path / "s.sketch"
     save_sketch(Sketch(values=np.arange(8.0), kind="overall", depth=1, erased_prefix=8), str(sk))

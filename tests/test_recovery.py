@@ -3,6 +3,7 @@ signatures, and erased-prefix variants."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -492,6 +493,20 @@ def test_prefix_error_inflation_about_sqrt2():
         errs_half.append(np.max(np.abs(part.estimate[:3] - ATTRS)))
     ratio = np.median(errs_half) / np.median(errs_full)
     assert ratio <= 1.9
+
+
+@pytest.mark.parametrize("mode", ["block-random", "orthonormal", "identity"])
+def test_path_recovery_rescales_an_erased_sketch_by_d_over_d_prime(mode):
+    # the estimate on a half prefix is d/d' times the one on the same values
+    # taken as unerased, and its noise bound sqrt(d/d') times as large
+    reg = registry_for(546, seed=21, mode=mode)
+    d = reg.params.d
+    half = erase_to_prefix(overall_sketch(chain_net(d), reg), d // 2)
+    path = [PathStep(1, "mid"), PathStep(1, "deep")]
+    erased = recover_attributes_by_path(half, path, reg, w=0.3)
+    as_full = recover_attributes_by_path(replace(half, erased_prefix=d), path, reg, w=0.3)
+    assert erased.estimate.tobytes() == ((d / (d // 2)) * as_full.estimate).tobytes()
+    assert erased.predicted_error == as_full.predicted_error * math.sqrt(d / (d // 2))
 
 
 def test_prefix_below_block_rejected():

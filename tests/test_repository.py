@@ -6,6 +6,9 @@ import base64
 import gc
 import hashlib
 import json
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -565,3 +568,52 @@ def test_cluster_peak_memory_stays_near_the_store_size():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * d * 8, f"cluster(8) peaked at {peak / (n * d * 8):.1f}x the stored vectors"
+
+
+def test_queries_beside_one_writer_and_one_registry_shared_by_two_threads():
+    """The store's promise: a query beside one inserting writer sees a prefix
+    of the inserts, every hit whole.  And the registry's lock: two threads
+    asking for the same key get one matrix."""
+    rng = np.random.default_rng(31)
+    rows = rng.standard_normal((300, D))
+    probe = rand_sketch(rng)
+    repo = SketchRepository(D)
+    bucket_of = repo._bucket_of
+
+    def yielding_bucket_of(values):  # the writer yields mid-insert, before the row is published
+        time.sleep(0)
+        return bucket_of(values)
+
+    repo._bucket_of = yielding_bucket_of
+    writer = threading.Thread(target=lambda: [repo.insert(make_sketch(row)) for row in rows])
+    reg = MatrixRegistry(auto_params(1014, 6), master_seed=0, allow_high_noise=True)
+    barrier, got = threading.Barrier(2, timeout=30), []
+
+    def ask():
+        barrier.wait()
+        got.append(reg.module_matrix("m", 1))
+
+    asker = threading.Thread(target=ask)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer.start()
+        queries = 0
+        while writer.is_alive() or not queries:
+            hits = repo.query_similar(probe, k=10)
+            n = len(repo)
+            for hit in hits:
+                seq = hit.entry.seq
+                assert seq < n and hit.entry.id == f"sketch-{seq}"
+                assert hit.entry.sketch.values.tobytes() == rows[seq].tobytes()
+                assert hit.score == float(rows[seq] @ probe.values)
+            queries += 1
+        writer.join(timeout=30)
+        asker.start()
+        barrier.wait()
+        mine = reg.module_matrix("m", 1)
+        asker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive() and len(repo) == len(rows)
+    assert not asker.is_alive() and got[0] is mine
