@@ -21,16 +21,17 @@ concentrates on zero for independent x, y (desynchronization).
 :func:`measure_noise_profile` measures both deviations empirically.
 
 A draw reads one run of raw outputs of its seed's Philox stream (draw format
-v1, see :func:`_draw`).  Products go through the CSC form; transposed
-products read the same data as a 1 x b block (BSR) view, one index per
-active block.
+v1, see :func:`_draw`).  Assembly multiplies one int8 base row per column by
+the 8 sign masks of a block, and gathers a pattern per active block.
+Products go through the CSC form; transposed products read the same data as
+a 1 x b block (BSR) view, built with the matrix, one index per active block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
@@ -273,11 +274,12 @@ class BlockRandomMatrix:
 
     ``flips`` stacks the per-(block, column) sign triples in the order
     (f_s, f_c, f_m); ``eta`` marks active blocks.  The scipy CSC form is what
-    actually multiplies vectors (its transpose through a block view of the
-    same data); the structured fields exist so that tests
-    and the dictionary learner can inspect ground truth, and so the matrix is
-    re-derivable bit-exactly from ``seed_key``.  It holds the draw's first n
-    columns: all d, or one from :func:`sample_first_column`.
+    actually multiplies vectors; its transpose goes through ``_blocks_t``, a
+    1 x b block view of the same data that assembly builds with it.  The
+    structured fields exist so that tests and the dictionary learner can
+    inspect ground truth, and so the matrix is re-derivable bit-exactly from
+    ``seed_key``.  It holds the draw's first n columns: all d, or one from
+    :func:`sample_first_column`.
     """
 
     params: BlockParams
@@ -288,6 +290,7 @@ class BlockRandomMatrix:
     eta: np.ndarray  # (n_blocks, n) bool
     csc: sp.csc_matrix = field(repr=False)  # d x n
     col_sq_norms: np.ndarray = field(repr=False)  # (n,)
+    _blocks_t: sp.bsr_matrix = field(repr=False)  # n x d, the CSC data as 1 x b blocks
 
     @property
     def d(self) -> int:
@@ -305,19 +308,6 @@ class BlockRandomMatrix:
         if 2 * len(rows) > len(x):
             return self.csc @ x
         return self.csc[:, rows] @ x[rows]
-
-    @cached_property
-    def _blocks_t(self) -> sp.bsr_matrix:
-        """The transpose as 1 x b blocks, built once.  Every active block is b
-        consecutive rows of one column, so the CSC data is the blocks' data
-        (shared, not copied), and one index per block replaces b."""
-        b = self.params.b
-        csc = self.csc
-        return sp.bsr_matrix(
-            (csc.data.reshape(-1, 1, b), csc.indices[::b] // b, csc.indptr // b),
-            shape=csc.shape[::-1],
-            blocksize=(1, b),
-        )
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """``csc.T @ x`` for x of shape (d,) or (d, k), bit for bit: the block
@@ -491,11 +481,15 @@ _PATTERN_FLIPS = 1 - 2 * ((np.arange(8, dtype=np.int8)[:, None] >> np.array([2, 
 
 def _assemble(
     params: BlockParams, sign_m: np.ndarray, sign_s: np.ndarray, flips: np.ndarray, eta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """CSC data, indices and indptr of the draw's leading eta.shape[1]
-    columns.
+    columns, and ``ia``, the row block of each active block.
 
-    Each active block is built as an int8 sign product and scaled once:
+    A block of column j is one of 8 sign patterns, one per (f_s, f_c, f_m):
+    the column's int8 base row sigma_s_j | Enc(j, sigma_m[0], sigma_s_j[0]) |
+    sigma_m times a +-1 mask that repeats f_s, f_c and f_m over the thirds,
+    with f_c*f_m and f_c*f_s at the parity places.  One multiply makes all 8,
+    each active block gathers its own, and the int8 result is scaled once:
     every entry is +-1 times +-scale, which is exact, so the floats equal
     those of assembling in float64.
     """
@@ -505,25 +499,21 @@ def _assemble(
     ja, ia = np.divmod(np.flatnonzero(eta.T), n_blocks)
     fs, fc, fm = np.take(flips.reshape(3, -1), ia * d + ja, axis=1)
 
-    # A block of column j is one of 8 sign patterns, one per (f_s, f_c, f_m):
-    # build each column's 8, then gather one row per active block.
-    f = _PATTERN_FLIPS
-    sign_s = sign_s[:n_cols]
-    patterns = np.empty((n_cols, 8, b), dtype=np.int8)
-    np.multiply(f[None, :, 0, None], sign_s[:, None, :], out=patterns[:, :, :m])
-    code = patterns[:, :, m : 2 * m]
-    code[:] = _index_code_table(d, m)[:n_cols, None, :]
-    code[:, :, t + 1] = f[:, 2] * sign_m[0]
-    code[:, :, t + 2] = f[None, :, 0] * sign_s[:, :1]
-    code *= f[None, :, 1, None]
-    np.multiply(f[:, 2, None], sign_m, out=patterns[:, :, 2 * m :])
+    base = np.empty((n_cols, b), dtype=np.int8)
+    base[:, :m] = sign_s[:n_cols]
+    base[:, m : 2 * m] = _index_code_table(d, m)[:n_cols]
+    base[:, m + t + 1] = sign_m[0]
+    base[:, m + t + 2] = sign_s[:n_cols, 0]
+    base[:, 2 * m :] = sign_m
+    masks = np.repeat(_PATTERN_FLIPS, m, axis=1)
+    masks[:, m + t + 1 : m + t + 3] *= _PATTERN_FLIPS[:, [2, 0]]
     which = ja * 8 + 4 * (fs < 0) + 2 * (fc < 0) + (fm < 0)
-    block = patterns.reshape(-1, b)[which]
+    block = (base[:, None, :] * masks).reshape(-1, b)[which]
 
     data = block.ravel() * _scale(params)
     indices = np.arange(d, dtype=np.int32).reshape(-1, b)[ia].ravel()
     counts = eta.sum(axis=0).astype(np.int64) * b
-    return data, indices, np.concatenate([[0], np.cumsum(counts)])
+    return data, indices, np.concatenate([[0], np.cumsum(counts)]), ia
 
 
 def _matrix(
@@ -531,9 +521,11 @@ def _matrix(
 ) -> BlockRandomMatrix:
     """The draw's first eta.shape[1] columns.  ``flips`` and ``sign_s`` are the
     whole draw's (``_assemble`` reads flips with stride d); the matrix keeps
-    contiguous copies of its own columns, as a view would keep the draw alive."""
-    n_cols, scale = eta.shape[1], _scale(params)
-    csc = sp.csc_matrix(_assemble(params, sign_m, sign_s, flips, eta), shape=(params.d, n_cols))
+    contiguous copies of its own columns, as a view would keep the draw alive.
+    Its transposed block view shares the CSC data, indexed by ``ia``."""
+    d, b, n_cols, scale = params.d, params.b, eta.shape[1], _scale(params)
+    data, indices, indptr, ia = _assemble(params, sign_m, sign_s, flips, eta)
+    csc = sp.csc_matrix((data, indices, indptr), shape=(d, n_cols))
     return BlockRandomMatrix(
         params=params,
         seed_key=seed_key,
@@ -542,7 +534,9 @@ def _matrix(
         flips=np.ascontiguousarray(flips[:, :, :n_cols]),
         eta=np.ascontiguousarray(eta),
         csc=csc,
-        col_sq_norms=eta.sum(axis=0).astype(np.float64) * params.b * (scale**2),
+        col_sq_norms=eta.sum(axis=0).astype(np.float64) * b * (scale**2),
+        _blocks_t=sp.bsr_matrix((csc.data.reshape(-1, 1, b), ia.astype(csc.indices.dtype), csc.indptr // b),
+                                shape=(n_cols, d), blocksize=(1, b)),
     )
 
 

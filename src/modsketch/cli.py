@@ -8,8 +8,8 @@ only the seed and output paths.  Results tables share one schema,
 
 written deterministically (no timestamps), so reruns are byte-identical.
 
-Exit codes: 0 ok, 2 for a ``ConfigError``, 3 for any other ``ModsketchError``;
-anything else is a bug.
+Exit codes: 0 ok, 2 for a ``ConfigError``, 3 for any other ``ModsketchError``
+or a path the OS refuses; anything else is a bug.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -575,6 +575,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except ModsketchError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # a path the OS refuses: a missing directory, a file for a directory, ...
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"file error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 

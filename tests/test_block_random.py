@@ -274,9 +274,31 @@ DRAW_EDGE_PARAMS = {
 }
 
 
+def reference_csc(params, sign_m, sign_s, flips, eta):
+    """CSC data, indices and indptr of the leading eta.shape[1] columns of a
+    draw, each entry from the format's definition in float64: active block i
+    of column j is f_s sigma_s_j | f_c Enc(j, f_m sigma_m[0], f_s sigma_s_j[0])
+    | f_m sigma_m, times the scale, on rows i*b to i*b + b - 1."""
+    b, t = params.b, params.index_bits
+    scale = params.entry_scale if params.q > 0 else 0.0
+    ja, ia = np.nonzero(eta.T)  # column-major, as CSC stores them
+    f_s, f_c, f_m = (flips[k, ia, ja].astype(np.float64)[:, None] for k in range(3))
+    s_j, s_m = sign_s[ja].astype(np.float64), sign_m.astype(np.float64)
+    code = np.ones((len(ja), params.sub_block))  # leading +1 and padding
+    for k in range(t):  # MSB-first bits of j - 1 (0-based ja), 0 -> -1
+        code[:, 1 + k] = np.where((ja >> (t - 1 - k)) & 1, 1.0, -1.0)
+    code[:, t + 1] = f_m[:, 0] * s_m[0]
+    code[:, t + 2] = f_s[:, 0] * s_j[:, 0]
+    data = np.hstack([f_s * s_j, f_c * code, f_m * s_m]) * scale
+    rows = ia[:, None] * b + np.arange(b)
+    indptr = np.concatenate([[0], np.cumsum(b * eta.sum(axis=0))])
+    return data.ravel(), rows.ravel().astype(np.int32), indptr.astype(np.int32)
+
+
 @pytest.mark.parametrize("name", list(GOLDEN_PARAMS) + list(DRAW_EDGE_PARAMS))
 def test_draw_equals_the_generator_calls_of_format_v1(name):
     params = {**GOLDEN_PARAMS, **DRAW_EDGE_PARAMS}[name]
+    b = params.b
     for key in GOLDEN_SEED_KEYS:
         for got, want in zip(_draw(params, key), reference_draw(params, key), strict=True):
             assert got.dtype == want.dtype and got.shape == want.shape, key
@@ -288,6 +310,13 @@ def test_draw_equals_the_generator_calls_of_format_v1(name):
         assert first.sigma_s.tobytes() == (sign_s[:1] * scale).tobytes()
         assert first.flips.tobytes() == np.ascontiguousarray(flips[:, :, :1]).tobytes()
         assert first.eta.tobytes() == np.ascontiguousarray(eta[:, :1]).tobytes()
+        # the assembled arrays, and the transposed block view's one index per block
+        for mat in (sample_matrix(params, key), first):
+            want = reference_csc(params, sign_m, sign_s, flips, eta[:, : mat.csc.shape[1]])
+            for got, ref in zip((mat.csc.data, mat.csc.indices, mat.csc.indptr), want, strict=True):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (key, mat.csc.shape)
+            assert mat._blocks_t.indices.tobytes() == (mat.csc.indices[::b] // b).tobytes(), key
+            assert mat._blocks_t.indptr.tobytes() == (mat.csc.indptr // b).tobytes(), key
 
 
 @pytest.mark.parametrize("name", ["d936-q0", "d936-q1", "d1014", "b45-q0.5-d1440", "d2070"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from modsketch import repository
 from modsketch.block_random import auto_params
@@ -618,6 +619,56 @@ def test_missing_input_file_exit_code(tmp_path, capsys):
         assert main(argv) == EXIT_VALIDATION, argv
         err = capsys.readouterr().err
         assert err.startswith("validation error: cannot read ") and absent in err and err.count("\n") == 1, err
+
+
+def refused_path_argv(tmp_path, command):
+    """The argv of ``command`` with one path the OS refuses, and that path."""
+    save_sketch(Sketch(values=np.arange(8.0), kind="overall", depth=1, erased_prefix=8), str(tmp_path / "s.sketch"))
+    net = build_network(
+        {"modules": [{"id": "out", "output": True}, {"id": "leaf"}],
+         "objects": [{"id": "root", "module": "out", "attributes": []}, {"id": "a", "module": "leaf", "attributes": [0.6]}],
+         "edges": [("root", "a", 1.0)]},
+        d=90,  # aligned for the network's n_cap
+    )
+    save_network(net, str(tmp_path / "net.txt"))
+    (tmp_path / "afile").write_text("")
+    sk, cfg = str(tmp_path / "s.sketch"), write_json(tmp_path / "cfg.json", {"seed": 0, "allow_high_noise": True})
+    gen = write_json(tmp_path / "gen.json", {"seed": 0, "dimension": 64, "profile": {"n_modules": 1, "depth": 2, "fan_in": 1}})
+    run = write_json(tmp_path / "run.json", {"experiment": "similarity-pairs", "seeds": 1, "d": 64, "n_cap": 8})
+    nodir, afile, adir = str(tmp_path / "nodir" / "x"), str(tmp_path / "afile"), str(tmp_path)
+    return {
+        "sketch": (["sketch", "--config", cfg, "--network", str(tmp_path / "net.txt"), "--out", nodir], nodir),
+        "gen-network": (["gen-network", "--config", gen, "--out", nodir], nodir),
+        "run": (["run", "--config", run, "--out", nodir], nodir),
+        "similarity": (["similarity", "--sketch-a", sk, "--sketch-b", sk, "--out", nodir], nodir),
+        "repo-insert-no-dir": (["repo", "insert", "--store", nodir, "--sketch", sk], nodir),
+        "repo-insert-file-as-dir": (["repo", "insert", "--store", afile + "/x.log", "--sketch", sk], afile + "/x.log"),
+        "calibrate-out-a-file": (["calibrate", "--config", cfg, "--out", afile], afile),
+        "learn-dict-out-a-file": (["learn-dict", "--config", cfg, "--out", afile], afile),
+        "repo-query-store-a-dir": (["repo", "query", "--store", adir, "--sketch", sk], adir),
+        "repo-cluster-store-a-dir": (["repo", "cluster", "--store", adir, "--k", "1"], adir),
+        "recover-config-a-dir": (["recover", "--config", adir, "--sketch", sk, "--out", nodir], adir),
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["sketch", "gen-network", "run", "similarity", "repo-insert-no-dir", "repo-insert-file-as-dir",
+     "calibrate-out-a-file", "learn-dict-out-a-file", "repo-query-store-a-dir", "repo-cluster-store-a-dir",
+     "recover-config-a-dir"],
+)
+def test_path_the_os_refuses_exit_code(tmp_path, capsys, command):
+    # a missing directory, a file where a directory must be, or the reverse:
+    # one stderr line naming the path and the reason, not a traceback
+    argv, path = refused_path_argv(tmp_path, command)
+    capsys.readouterr()
+    config = command == "recover-config-a-dir"
+    assert main(argv) == (EXIT_CONFIG if config else EXIT_VALIDATION)
+    err = capsys.readouterr().err
+    prefix = f"config error: cannot read config file {path}: " if config else f"file error: {path}: "
+    reason = ("No such file or directory", "Not a directory", "File exists", "Is a directory")
+    assert err.startswith(prefix) and err.rstrip("\n").endswith(reason) and err.count("\n") == 1, err
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_malformed_log_record_metadata_exit_code(tmp_path, capsys):

@@ -22,7 +22,10 @@ from modsketch.cli import EXIT_CONFIG, ConfigError, build_parser, main
 from modsketch.dictlearn import DLConfig, learn_dictionary
 from modsketch.network import (
     DepthConsistencyError,
+    ModularNetwork,
+    Module,
     NetworkValidationError,
+    ObjectNode,
     OutputModuleError,
     SyntheticProfile,
     UnknownFieldError,
@@ -57,6 +60,13 @@ def star(d=24, root_attrs=(), n_cap=None, chained=False):
     return build_network({"modules": modules, "objects": objects, "edges": edges}, d=d, n_cap=n_cap)
 
 
+def dangling() -> ModularNetwork:
+    """A hand-built network whose root has an edge to an object it does not
+    hold; ``build_network`` and ``load_network`` refuse such an edge."""
+    root = ObjectNode("root", "out", np.zeros(0), inputs=[("ghost", 0.5)])
+    return ModularNetwork({"out": Module("out", is_output=True)}, {"root": root}, "root", d=24, n_cap=12)
+
+
 def network_file(tmp_path, old: str, new: str):
     path = tmp_path / "net.txt"
     path.write_text(NETWORK_TEXT.replace(old, new))
@@ -79,6 +89,8 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: star(chained=True), DepthConsistencyError, "module 'leaf' has objects at depths 2 and 3"),
         (lambda tmp: effective_weight(star(), ["a"]), NetworkValidationError, "start at the output"),
         (lambda tmp: effective_weight(star(), ["root", "b"]), NetworkValidationError, "no edge"),
+        (lambda tmp: effective_weight(dangling(), ["root", "ghost", "x"]), NetworkValidationError,
+         "unknown object 'ghost' on path"),
         (lambda tmp: SyntheticProfile(1, 2, 1, weight_scheme="zipf"), NetworkValidationError, "weight scheme"),
         (lambda tmp: load_network(network_file(tmp, "[edges]", "[links]")), UnknownFieldError, r"section \[links\]"),
         (lambda tmp: load_network(network_file(tmp, "0:0.6", "0:x")), UnknownFieldError, "bad attribute pair '0:x'"),
@@ -95,6 +107,7 @@ def network_file(tmp_path, old: str, new: str):
     ids=[
         "entry-scale-at-q0", "auto-params-d0", "parity-bit", "codeword-length", "factor-kind", "pairs-per-trial",
         "output-attributes", "n-cap-floor", "module-at-two-depths", "path-not-from-output", "path-without-edge",
+        "path-through-a-dangling-edge",
         "weight-scheme", "network-section", "network-attribute-pair",
         "tuple-sketch-d", "overall-sketch-d", "slot-4",
         "learn-dictionary-width", "beta-weight", "similarity-d", "cluster-k0",
