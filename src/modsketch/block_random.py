@@ -21,15 +21,21 @@ concentrates on zero for independent x, y (desynchronization).
 :func:`measure_noise_profile` measures both deviations empirically.
 
 A draw reads one run of raw outputs of its seed's Philox stream (draw format
-v1, see :func:`_draw`).  Assembly multiplies one int8 base row per column by
-the 8 sign masks of a block, and gathers a pattern per active block.
-Products go through the CSC form; transposed products read the same data as
-a 1 x b block (BSR) view, built with the matrix, one index per active block.
+v1, see :func:`_draw`).  A matrix keeps that compact draw and assembles it
+only as far as its products read it.  Assembly multiplies one int8 base row
+per column by the 8 sign masks of a block, and gathers a pattern per active
+block.  A forward product of an input with at most half its rows nonzero
+assembles only the columns of those rows, and keeps nothing.  The first
+transposed product, or ``column``, assembles every column once, as a 1 x b
+block (BSR) view: the float data and one row index per active block.  The
+first other forward product, or ``csc``, adds the int32 row index of every
+entry and wraps the same data as the CSC form.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, Sequence
@@ -270,56 +276,108 @@ def _require_length(x: np.ndarray, n: int) -> None:
 
 @dataclass
 class BlockRandomMatrix:
-    """A materialized draw from D(b, q, d) in compressed block storage.
+    """A draw from D(b, q, d), held compact and assembled on demand.
 
     ``flips`` stacks the per-(block, column) sign triples in the order
-    (f_s, f_c, f_m); ``eta`` marks active blocks.  The scipy CSC form is what
-    actually multiplies vectors; its transpose goes through ``_blocks_t``, a
-    1 x b block view of the same data that assembly builds with it.  The
-    structured fields exist so that tests and the dictionary learner can
-    inspect ground truth, and so the matrix is re-derivable bit-exactly from
-    ``seed_key``.  It holds the draw's first n columns: all d, or one from
+    (f_s, f_c, f_m); ``eta`` marks active blocks; ``sign_s`` holds the int8
+    signs of the random strings, and ``sigma_s`` scales them on access.
+    These, ``sigma_m`` and the norms are all the matrix holds until a
+    product reads it.  Then:
+
+    * ``matvec`` of an input with at most half its rows nonzero assembles
+      only those columns, and keeps nothing;
+    * the first ``rmatvec`` or ``column`` assembles every column once, as
+      ``_blocks_t``: an n x d view of the float data as 1 x b blocks, with
+      one row index per active block;
+    * the first other ``matvec``, or ``csc``, adds the int32 row index of
+      every entry and wraps the view's data as the d x n CSC form.
+
+    So a matrix read only through sparse products never holds its entries,
+    and one read only transposed never holds their row indices.  The
+    structured fields let tests and the dictionary learner inspect ground
+    truth, and the matrix is re-derivable bit-exactly from ``seed_key``.  It
+    holds the draw's first n columns: all d, or one from
     :func:`sample_first_column`.
     """
 
     params: BlockParams
     seed_key: str
     sigma_m: np.ndarray  # (b/3,) scaled floats
-    sigma_s: np.ndarray  # (n, b/3) scaled floats
+    sign_s: np.ndarray = field(repr=False)  # (n, b/3) int8
     flips: np.ndarray  # (3, n_blocks, n) int8
     eta: np.ndarray  # (n_blocks, n) bool
-    csc: sp.csc_matrix = field(repr=False)  # d x n
     col_sq_norms: np.ndarray = field(repr=False)  # (n,)
-    _blocks_t: sp.bsr_matrix = field(repr=False)  # n x d, the CSC data as 1 x b blocks
+    _blocks_t: sp.bsr_matrix | None = field(default=None, init=False, repr=False, compare=False)
+    _csc: sp.csc_matrix | None = field(default=None, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
         return self.params.d
 
+    @property
+    def sigma_s(self) -> np.ndarray:
+        """(n, b/3) scaled floats of the random strings."""
+        return self.sign_s.astype(np.float64) * _scale(self.params)
+
+    def _arrays(self, cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_assemble`` of the given sorted columns (0-based), or of all."""
+        # sigma_m keeps its signs at q = 0 too, where they scale to -0.0
+        sign_m = np.where(np.signbit(self.sigma_m), -1, 1).astype(np.int8)
+        return _assemble(self.params, sign_m, self.sign_s, self.flips, self.eta, cols)
+
+    def _view(self) -> sp.bsr_matrix:
+        """The n x d block view of every column, assembled on first use."""
+        if self._blocks_t is None:
+            with self._lock:
+                if self._blocks_t is None:
+                    data, indptr, ia = self._arrays()
+                    b = self.params.b
+                    self._blocks_t = sp.bsr_matrix((data.reshape(-1, 1, b), ia, indptr // b),
+                                                   shape=(self.eta.shape[1], self.d), blocksize=(1, b))
+        return self._blocks_t
+
+    @property
+    def csc(self) -> sp.csc_matrix:
+        """The d x n CSC form, sharing the block view's data."""
+        if self._csc is None:
+            view = self._view()
+            with self._lock:
+                if self._csc is None:
+                    self._csc = sp.csc_matrix(
+                        (view.data.reshape(-1), _row_indices(self.params, view.indices), view.indptr * self.params.b),
+                        shape=(self.d, self.eta.shape[1]),
+                    )
+        return self._csc
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``csc @ x`` for x of shape (n,) or (n, k), bit for bit.  When at
         most half of x's rows are nonzero, only the columns of those rows
-        multiply: a CSC product sums each entry column by column from +0.0,
-        and a zero row adds only a signed zero, which changes no such sum.
-        A denser x takes the whole product, as its slice would copy most of
-        the matrix to save little."""
-        _require_length(x, self.csc.shape[1])
+        are assembled and multiply: a CSC product sums each entry column by
+        column from +0.0, and a zero row adds only a signed zero, which
+        changes no such sum.  A denser x takes the whole product, as most
+        of the matrix would be assembled for little saving."""
+        _require_length(x, self.eta.shape[1])
         rows = np.flatnonzero(x if x.ndim == 1 else x.any(axis=1))
         if 2 * len(rows) > len(x):
             return self.csc @ x
-        return self.csc[:, rows] @ x[rows]
+        data, indptr, ia = self._arrays(rows)
+        part = sp.csc_matrix((data, _row_indices(self.params, ia), indptr), shape=(self.d, len(rows)))
+        return part @ x[rows]
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """``csc.T @ x`` for x of shape (d,) or (d, k), bit for bit: the block
         product adds each column's entries in the CSC order from +0.0."""
-        _require_length(x, self.csc.shape[0])
-        return self._blocks_t @ x
+        _require_length(x, self.d)
+        return self._view() @ x
 
     def column(self, j: int) -> np.ndarray:
-        """Dense column j (1-based), equal bit for bit to ``matvec(e_j)``."""
-        lo, hi = self.csc.indptr[j - 1], self.csc.indptr[j]
+        """Dense column j (1-based), equal bit for bit to ``matvec(e_j)``,
+        read from the block view."""
+        view = self._view()
+        lo, hi = view.indptr[j - 1], view.indptr[j]
         out = np.zeros(self.d)
-        out[self.csc.indices[lo:hi]] = self.csc.data[lo:hi]
+        out.reshape(-1, self.params.b)[view.indices[lo:hi]] = view.data[lo:hi, 0]
         return out
 
     def active_blocks(self, j: int) -> np.ndarray:
@@ -480,10 +538,17 @@ _PATTERN_FLIPS = 1 - 2 * ((np.arange(8, dtype=np.int8)[:, None] >> np.array([2, 
 
 
 def _assemble(
-    params: BlockParams, sign_m: np.ndarray, sign_s: np.ndarray, flips: np.ndarray, eta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """CSC data, indices and indptr of the draw's leading eta.shape[1]
-    columns, and ``ia``, the row block of each active block.
+    params: BlockParams,
+    sign_m: np.ndarray,
+    sign_s: np.ndarray,
+    flips: np.ndarray,
+    eta: np.ndarray,
+    cols: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC data and int32 indptr of the given sorted columns (0-based) of a
+    matrix's draw, or of all of them, and int32 ``ia``, the row block of
+    each active block; :func:`_row_indices` turns ``ia`` into the CSC row
+    indices.  ``sign_s``, ``flips`` and ``eta`` hold the matrix's n columns.
 
     A block of column j is one of 8 sign patterns, one per (f_s, f_c, f_m):
     the column's int8 base row sigma_s_j | Enc(j, sigma_m[0], sigma_s_j[0]) |
@@ -494,49 +559,53 @@ def _assemble(
     those of assembling in float64.
     """
     d, b, m, t = params.d, params.b, params.sub_block, params.index_bits
+    code = _index_code_table(d, m)
+    if cols is None:
+        code = code[: eta.shape[1]]
+    else:
+        sign_s, flips, eta, code = sign_s[cols], flips[:, :, cols], eta[:, cols], code[cols]
     n_blocks, n_cols = eta.shape
     # column-major (column, block) pairs, so the CSC arrays come out sorted
     ja, ia = np.divmod(np.flatnonzero(eta.T), n_blocks)
-    fs, fc, fm = np.take(flips.reshape(3, -1), ia * d + ja, axis=1)
+    fs, fc, fm = np.take(flips.reshape(3, -1), ia * n_cols + ja, axis=1)
 
     base = np.empty((n_cols, b), dtype=np.int8)
-    base[:, :m] = sign_s[:n_cols]
-    base[:, m : 2 * m] = _index_code_table(d, m)[:n_cols]
+    base[:, :m] = sign_s
+    base[:, m : 2 * m] = code
     base[:, m + t + 1] = sign_m[0]
-    base[:, m + t + 2] = sign_s[:n_cols, 0]
+    base[:, m + t + 2] = sign_s[:, 0]
     base[:, 2 * m :] = sign_m
     masks = np.repeat(_PATTERN_FLIPS, m, axis=1)
     masks[:, m + t + 1 : m + t + 3] *= _PATTERN_FLIPS[:, [2, 0]]
     which = ja * 8 + 4 * (fs < 0) + 2 * (fc < 0) + (fm < 0)
     block = (base[:, None, :] * masks).reshape(-1, b)[which]
 
-    data = block.ravel() * _scale(params)
-    indices = np.arange(d, dtype=np.int32).reshape(-1, b)[ia].ravel()
-    counts = eta.sum(axis=0).astype(np.int64) * b
-    return data, indices, np.concatenate([[0], np.cumsum(counts)]), ia
+    indptr = np.zeros(n_cols + 1, dtype=np.int32)
+    np.cumsum(eta.sum(axis=0) * b, out=indptr[1:])
+    return block.ravel() * _scale(params), indptr, ia.astype(np.int32)
+
+
+def _row_indices(params: BlockParams, ia: np.ndarray) -> np.ndarray:
+    """int32 CSC row indices of the blocks whose row blocks are ``ia``."""
+    return np.arange(params.d, dtype=np.int32).reshape(-1, params.b)[ia].ravel()
 
 
 def _matrix(
     params: BlockParams, seed_key: str, sign_m: np.ndarray, sign_s: np.ndarray, flips: np.ndarray, eta: np.ndarray
 ) -> BlockRandomMatrix:
-    """The draw's first eta.shape[1] columns.  ``flips`` and ``sign_s`` are the
-    whole draw's (``_assemble`` reads flips with stride d); the matrix keeps
-    contiguous copies of its own columns, as a view would keep the draw alive.
-    Its transposed block view shares the CSC data, indexed by ``ia``."""
-    d, b, n_cols, scale = params.d, params.b, eta.shape[1], _scale(params)
-    data, indices, indptr, ia = _assemble(params, sign_m, sign_s, flips, eta)
-    csc = sp.csc_matrix((data, indices, indptr), shape=(d, n_cols))
+    """The unassembled matrix of the draw's first eta.shape[1] columns.
+    ``flips`` and ``sign_s`` are the whole draw's; the matrix keeps
+    contiguous copies of its own columns, as a view would keep the draw
+    alive."""
+    b, n_cols, scale = params.b, eta.shape[1], _scale(params)
     return BlockRandomMatrix(
         params=params,
         seed_key=seed_key,
         sigma_m=sign_m.astype(np.float64) * scale,
-        sigma_s=sign_s[:n_cols].astype(np.float64) * scale,
+        sign_s=np.ascontiguousarray(sign_s[:n_cols]),
         flips=np.ascontiguousarray(flips[:, :, :n_cols]),
         eta=np.ascontiguousarray(eta),
-        csc=csc,
         col_sq_norms=eta.sum(axis=0).astype(np.float64) * b * (scale**2),
-        _blocks_t=sp.bsr_matrix((csc.data.reshape(-1, 1, b), ia.astype(csc.indices.dtype), csc.indptr // b),
-                                shape=(n_cols, d), blocksize=(1, b)),
     )
 
 

@@ -396,9 +396,9 @@ def match_permutation(learned: LearnedDictionary, truth: list) -> PermutationRep
     p = learned.config.params
     d, b, m = p.d, p.b, p.sub_block
     for t, mat in enumerate(truth):
-        if mat.params.b != b or mat.csc.shape != (d, d):
+        if mat.params.b != b or (mat.d, mat.eta.shape[1]) != (d, d):
             raise DimensionMismatchError(
-                f"truth matrix {t} is {mat.csc.shape[0]} x {mat.csc.shape[1]} at b={mat.params.b}; "
+                f"truth matrix {t} is {mat.d} x {mat.eta.shape[1]} at b={mat.params.b}; "
                 f"the dictionary needs {d} x {d} at b={b}"
             )
     radius = max(1, int(round(learned.config.sig_match_eps_factor * learned.config.eps_recover)))

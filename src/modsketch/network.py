@@ -428,54 +428,58 @@ def load_network(path: str) -> ModularNetwork:
     sparse_attrs: dict[str, list[tuple[int, float]]] = {}
 
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise NetworkValidationError(f"cannot read network file {path}: {exc.strerror}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1]
-                if section not in ("network", "modules", "objects", "edges"):
-                    raise UnknownFieldError(f"line {lineno}: unknown section [{section}]")
-                continue
-            if section == "network":
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in ("dimension", "n_cap", "n_multiplier"):
-                    raise UnknownFieldError(f"line {lineno}: unknown network field {key!r}")
-                meta[key] = _parse_number(int, value.strip(), f"line {lineno}: {key}")
-            elif section == "modules":
-                kind, _, mid = line.partition(" ")
-                if kind not in ("module", "output"):
-                    raise UnknownFieldError(f"line {lineno}: unknown module kind {kind!r}")
-                modules.append({"id": mid.strip(), "output": kind == "output"})
-            elif section == "objects":
-                parts = line.split()
-                if parts[0] != "object" or len(parts) < 3:
-                    raise UnknownFieldError(f"line {lineno}: malformed object record")
-                oid, producer = parts[1], parts[2]
-                pairs: list[tuple[int, float]] = []
-                for tok in parts[3:]:
-                    idx_s, _, val_s = tok.partition(":")
-                    try:
-                        pairs.append((int(idx_s), float(val_s)))
-                    except ValueError as exc:
-                        raise UnknownFieldError(
-                            f"line {lineno}: bad attribute pair {tok!r}"
-                        ) from exc
-                sparse_attrs[oid] = pairs
-                objects.append({"id": oid, "module": producer})
-            elif section == "edges":
-                parts = line.split()
-                if len(parts) != 3:
-                    raise UnknownFieldError(f"line {lineno}: malformed edge record")
-                weight = _parse_number(float, parts[2], f"line {lineno}: edge weight")
-                edges.append((parts[0], parts[1], weight))
-            else:
-                raise UnknownFieldError(f"line {lineno}: content outside any section")
+    except UnicodeDecodeError as exc:
+        raise NetworkValidationError(
+            f"network file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+            if section not in ("network", "modules", "objects", "edges"):
+                raise UnknownFieldError(f"line {lineno}: unknown section [{section}]")
+            continue
+        if section == "network":
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in ("dimension", "n_cap", "n_multiplier"):
+                raise UnknownFieldError(f"line {lineno}: unknown network field {key!r}")
+            meta[key] = _parse_number(int, value.strip(), f"line {lineno}: {key}")
+        elif section == "modules":
+            kind, _, mid = line.partition(" ")
+            if kind not in ("module", "output"):
+                raise UnknownFieldError(f"line {lineno}: unknown module kind {kind!r}")
+            modules.append({"id": mid.strip(), "output": kind == "output"})
+        elif section == "objects":
+            parts = line.split()
+            if parts[0] != "object" or len(parts) < 3:
+                raise UnknownFieldError(f"line {lineno}: malformed object record")
+            oid, producer = parts[1], parts[2]
+            pairs: list[tuple[int, float]] = []
+            for tok in parts[3:]:
+                idx_s, _, val_s = tok.partition(":")
+                try:
+                    pairs.append((int(idx_s), float(val_s)))
+                except ValueError as exc:
+                    raise UnknownFieldError(
+                        f"line {lineno}: bad attribute pair {tok!r}"
+                    ) from exc
+            sparse_attrs[oid] = pairs
+            objects.append({"id": oid, "module": producer})
+        elif section == "edges":
+            parts = line.split()
+            if len(parts) != 3:
+                raise UnknownFieldError(f"line {lineno}: malformed edge record")
+            weight = _parse_number(float, parts[2], f"line {lineno}: edge weight")
+            edges.append((parts[0], parts[1], weight))
+        else:
+            raise UnknownFieldError(f"line {lineno}: content outside any section")
 
     if "dimension" not in meta:
         raise UnknownFieldError("missing [network] dimension")

@@ -116,6 +116,15 @@ class MatrixRegistry:
     is only ever read as its first column, ``R_{M,2} e_1``, so
     :meth:`module_first_column` serves it; in block-random mode that is a
     d x 1 matrix holding only that column, cached under ``m:<module>:2:e1``.
+
+    A block-random entry holds its compact draw (about 0.43 MB at d=2070)
+    and assembles as its products read it (see
+    :class:`~modsketch.block_random.BlockRandomMatrix`): the float data and
+    block indices at its first transposed product (about 6.1 MB in the
+    README quick start, d=2070), and the CSC row indices at its first dense
+    forward product (3.0 MB more).  So the sketch pass leaves each ``R_{M,1}``, read
+    only through the attribute block's sparse rows, at its draw, and a
+    registry that only recovers never builds CSC row indices.
     """
 
     def __init__(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,8 +19,10 @@ from modsketch.block_random import (
     IdentityMatrix,
     ParameterError,
     _apply_factors,
+    _assemble,
     _draw,
     _index_code_table,
+    _row_indices,
     auto_params,
     decode_column_signature,
     encode_column_signature,
@@ -405,9 +409,11 @@ def test_matvec_of_a_block_is_matvec_of_each_column_bitwise(make):
 def test_matvec_bits_equal_the_whole_csc_product(draw, special, k):
     # matvec multiplies only the nonzero rows when they are at most half;
     # on both sides of that rule, and with -0.0 in the skipped rows, the
-    # bits are those of the whole product
+    # bits are those of the whole product, taken on an independent draw so
+    # that the sparse cases run on a matrix not yet assembled
     mat = draw(P1014, "unit:matvec-rows")
-    n = mat.csc.shape[1]
+    whole = draw(P1014, "unit:matvec-rows").csc
+    n = mat.eta.shape[1]
     rng = np.random.default_rng(13)
     for n_live in sorted({0, 1, n // 2, n // 2 + 1, n}):
         x = np.zeros((n,) if k is None else (n, k))
@@ -415,7 +421,7 @@ def test_matvec_bits_equal_the_whole_csc_product(draw, special, k):
         x[live] = rng.standard_normal(x[live].shape)
         x[live[:1]] = special
         x[np.setdiff1d(np.arange(n), live)[::2]] = -0.0
-        assert mat.matvec(x).tobytes() == (mat.csc @ x).tobytes(), n_live
+        assert mat.matvec(x).tobytes() == (whole @ x).tobytes(), n_live
 
 
 def test_matvec_refuses_an_input_of_the_wrong_length():
@@ -447,11 +453,16 @@ def test_matvec_of_a_mostly_nonzero_block_copies_no_matrix():
 
 
 def test_rmatvec_reuses_one_block_view_sharing_the_csc_data():
-    # the transpose is read through one 1 x b block view, whose data is the
-    # CSC data; its bits are those of the CSR transpose product
+    # the transpose is read through one 1 x b block view, built by the first
+    # product, whose data is the CSC data; its bits are those of the CSR
+    # transpose product of an independent draw's CSC form
     mat = sample_matrix(GOLDEN_PARAMS["d1014"], "unit:rmatvec")
-    assert mat._blocks_t is mat._blocks_t
-    assert np.shares_memory(mat._blocks_t.data, mat.csc.data)
+    mat.rmatvec(np.ones(mat.d))
+    view = mat._blocks_t
+    mat.rmatvec(np.ones(mat.d))
+    assert mat._blocks_t is view
+    assert np.shares_memory(view.data, mat.csc.data)
+    assert mat._blocks_t is view
     rng = np.random.default_rng(12)
     for params, draw in [
         (GOLDEN_PARAMS["d1014"], sample_matrix),
@@ -460,6 +471,7 @@ def test_rmatvec_reuses_one_block_view_sharing_the_csc_data():
         (GOLDEN_PARAMS["d936-q1"], sample_matrix),
     ]:
         m = draw(params, "unit:rmatvec")
+        whole = draw(params, "unit:rmatvec").csc
         d = params.d
         for shape in ((d,), (d, 5)):
             erased = rng.standard_normal(shape)
@@ -467,9 +479,96 @@ def test_rmatvec_reuses_one_block_view_sharing_the_csc_data():
             special = rng.standard_normal(shape)
             special[3], special[d - 1] = np.inf, np.nan
             for x in (rng.standard_normal(shape), erased, special):
-                want = m.csc.T @ x
+                want = whole.T @ x
                 got = m.rmatvec(x)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, draw.__name__, shape)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PARAMS))
+def test_assemble_of_a_column_list_equals_the_csc_slice(name):
+    # what a sparse matvec assembles: the data, row indices and indptr of
+    # the whole matrix's columns cols, in dtype and bytes
+    params = GOLDEN_PARAMS[name]
+    d = params.d
+    rng = np.random.default_rng(14)
+    for key in GOLDEN_SEED_KEYS[:2]:
+        sign_m = _draw(params, key)[0]
+        mat, whole = sample_matrix(params, key), sample_matrix(params, key).csc
+        col_sets = [np.arange(0), np.array([0]), np.array([d - 1]), np.arange(d)]
+        col_sets += [np.sort(rng.choice(d, size=n, replace=False)) for n in (2, 7, d // 2)]
+        for cols in col_sets:
+            data, indptr, ia = _assemble(params, sign_m, mat.sign_s, mat.flips, mat.eta, cols)
+            want = whole[:, cols]
+            for got, ref in zip((data, _row_indices(params, ia), indptr), (want.data, want.indices, want.indptr)):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (key, len(cols))
+        first = sample_first_column(params, key)
+        data, indptr, ia = _assemble(params, sign_m, first.sign_s, first.flips, first.eta, np.array([0]))
+        assert data.tobytes() == whole[:, [0]].data.tobytes() and indptr.tobytes() == whole[:, [0]].indptr.tobytes()
+
+
+def test_sparse_matvec_assembles_only_the_columns_it_reads():
+    # a product of an input with few nonzero rows, as the attribute block
+    # is, keeps the matrix unassembled and peaks at a small multiple of the
+    # bytes of those columns (an 8-byte value and a 4-byte row index per
+    # entry) besides its output, not at the matrix's
+    params = GOLDEN_PARAMS["d2070"]
+    warm = np.zeros(params.d)
+    warm[:3] = 1.0
+    sample_matrix(params, "unit:sparse-warm").matvec(warm)  # the code table is cached once
+    rng = np.random.default_rng(15)
+    for n_rows, k in ((1, None), (16, None), (16, 3)):
+        mat = sample_matrix(params, "unit:sparse")
+        rows = np.sort(rng.choice(params.d, size=n_rows, replace=False))
+        x = np.zeros((params.d,) if k is None else (params.d, k))
+        x[rows] = rng.standard_normal(x[rows].shape)
+        tracemalloc.start()
+        try:
+            got = mat.matvec(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat._blocks_t is None and mat._csc is None
+        whole = sample_matrix(params, "unit:sparse").csc
+        assert got.tobytes() == (whole @ x).tobytes(), n_rows
+        col_bytes = 12 * int(mat.eta[:, rows].sum()) * params.b
+        assert peak - got.nbytes < 3 * col_bytes, f"{n_rows} columns peaked at {peak} B against {col_bytes} B"
+        assert peak < (whole.data.nbytes + whole.indices.nbytes) / 50
+
+
+def test_threads_making_the_first_product_share_one_assembly():
+    # the first product assembles the matrix once, under its lock: every
+    # thread, more than there are cores, gets the bits of an independent
+    # draw's CSC products, and the one block view they read shares its data
+    # with the CSC form
+    params = GOLDEN_PARAMS["d2070"]
+    rng = np.random.default_rng(16)
+    x, y = rng.standard_normal(params.d), rng.standard_normal(params.d)
+    whole = sample_matrix(params, "unit:threads").csc
+    want = ((whole.T @ y).tobytes(), (whole @ x).tobytes())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(3):
+            mat = sample_matrix(params, "unit:threads")
+            barrier, got, views = threading.Barrier(4), [], []
+
+            def first_products():
+                barrier.wait()
+                out = (mat.rmatvec(y).tobytes(), mat.matvec(x).tobytes())
+                got.append(out)
+                views.append(mat._blocks_t)
+
+            threads = [threading.Thread(target=first_products) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive(), trial
+            assert got == [want] * 4, trial
+            assert all(view is mat._blocks_t for view in views), trial
+            assert np.shares_memory(mat._blocks_t.data, mat.csc.data), trial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_index_code_table_is_read_only():

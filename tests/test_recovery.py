@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from modsketch.block_random import DimensionMismatchError, ParameterError, auto_params
-from modsketch.network import build_network
+from modsketch.network import SyntheticProfile, build_network, effective_weight, generate_synthetic
 from modsketch.recovery import (
     EmptyClassError,
     ModeMismatchError,
@@ -268,6 +268,28 @@ def test_path_agrees_with_unique_when_unique():
         via_path = recover_attributes_by_path(sk, [PathStep(1, "leaf")], reg, w=0.8)
         gap = np.max(np.abs(uni.estimate[:3] - via_path.estimate[:3]))
         assert gap <= 2 * (uni.predicted_error + via_path.predicted_error)
+
+
+def test_path_recovery_assembles_only_what_it_reads_transposed():
+    # as a recover command does: a fresh registry draws only the matrices
+    # the path reads, each read transposed, so none builds its CSC row
+    # indices; the estimate has the bits of one taken on the sketch's own
+    # registry, whose walk matrices were assembled whole by the sketch
+    net = generate_synthetic(SyntheticProfile(3, 3, 2, weight_scheme="random"), seed=7, d=2070)
+    params = auto_params(net.d, net.n_cap)
+    sketched = MatrixRegistry(params, master_seed=7, allow_high_noise=True)
+    sk = overall_sketch(net, sketched)
+    ids, path, obj = [net.output_object_id], [], net.objects[net.output_object_id]
+    while obj.inputs:
+        obj = net.objects[obj.inputs[0][0]]
+        ids.append(obj.id)
+        path.append(PathStep(1, obj.producer))
+    w = effective_weight(net, ids)
+    fresh = MatrixRegistry(params, master_seed=7, allow_high_noise=True)
+    got = recover_attributes_by_path(sk, path, fresh, w)
+    assert len(fresh._cache) == 3 * len(path) + 1
+    assert all(mat._blocks_t is not None and mat._csc is None for mat in fresh._cache.values())
+    assert got.estimate.tobytes() == recover_attributes_by_path(sk, path, sketched, w).estimate.tobytes()
 
 
 def test_path_recovery_validates():

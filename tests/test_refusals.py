@@ -18,7 +18,7 @@ from modsketch.block_random import (
     encode_column_signature,
     measure_noise_profile,
 )
-from modsketch.cli import EXIT_CONFIG, ConfigError, build_parser, main
+from modsketch.cli import EXIT_CONFIG, EXIT_VALIDATION, ConfigError, build_parser, main
 from modsketch.dictlearn import DLConfig, learn_dictionary
 from modsketch.network import (
     DepthConsistencyError,
@@ -136,20 +136,39 @@ def learn_from_files(tmp_path, dims):
     return ["learn-dict", "--config", str(cfg), "--out", str(tmp_path / "dict")]
 
 
+NOT_UTF8 = bytes.fromhex("fffe0062696e")
+
+
+def config_not_utf8(tmp_path):
+    (tmp_path / "cfg.json").write_bytes(NOT_UTF8)
+    return ["calibrate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "cal.csv")]
+
+
+def network_not_utf8(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"d_request": 546, "n_cap": 8}))
+    (tmp_path / "net.txt").write_bytes(NOT_UTF8)
+    return ["sketch", "--config", str(tmp_path / "cfg.json"), "--network", str(tmp_path / "net.txt"),
+            "--out", str(tmp_path / "out.sketch")]
+
+
 @pytest.mark.parametrize(
-    "argv_of, message",
+    "argv_of, error, message",
     [
-        (config_not_json, "config is not valid JSON"),
-        (lambda tmp: learn_from_files(tmp, []), "no .sketch files under"),
-        (lambda tmp: learn_from_files(tmp, [8]), "dimension 8 != params d 1440"),
+        (config_not_json, ConfigError, "config is not valid JSON"),
+        (lambda tmp: learn_from_files(tmp, []), ConfigError, "no .sketch files under"),
+        (lambda tmp: learn_from_files(tmp, [8]), ConfigError, "dimension 8 != params d 1440"),
+        (config_not_utf8, ConfigError, "is not UTF-8 text: invalid start byte at byte 0"),
+        (network_not_utf8, NetworkValidationError, "is not UTF-8 text: invalid start byte at byte 0"),
     ],
-    ids=["config-not-json", "files-without-sketches", "files-of-another-d"],
+    ids=["config-not-json", "files-without-sketches", "files-of-another-d", "config-not-utf8", "network-not-utf8"],
 )
-def test_cli_refusal(tmp_path, capsys, argv_of, message):
+def test_cli_refusal(tmp_path, capsys, argv_of, error, message):
     argv = argv_of(tmp_path)
     args = build_parser().parse_args(argv)
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(error, match=message):
         args.handler(args)
-    assert main(argv) == EXIT_CONFIG
+    code, prefix = (EXIT_CONFIG, "config error: ") if error is ConfigError else (EXIT_VALIDATION, "validation error: ")
+    assert main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err and err.count("\n") == 1, err
+    assert err.startswith(prefix) and message in err and err.count("\n") == 1, err
+    assert not any(tmp_path.glob("out.*")) and not any(tmp_path.glob("cal.*"))

@@ -358,6 +358,24 @@ def test_leaf_level_draws_no_input_tuple_matrix():
     assert "t:2:4" not in reg._cache
 
 
+def quick_start_network():
+    """The README quick start's teacher network: d=2070, 3 modules, depth 3."""
+    return generate_synthetic(SyntheticProfile(3, 3, 2, weight_scheme="random"), seed=7, d=2070)
+
+
+def test_overall_sketch_assembles_no_attribute_matrix():
+    # R_{M,1} multiplies only the attribute block, whose rows are zero past
+    # the attributes, so it is read only through sparse products and never
+    # holds its entries; every other full matrix multiplies dense blocks
+    net = quick_start_network()
+    reg = MatrixRegistry(auto_params(net.d, net.n_cap), master_seed=7, allow_high_noise=True)
+    overall_sketch(net, reg)
+    unassembled = {key for key, mat in reg._cache.items() if mat._blocks_t is None}
+    attribute_keys = {key for key in reg._cache if key.startswith("m:") and key.endswith(":1")}
+    assert len(attribute_keys) == 2 and unassembled == attribute_keys
+    assert all(reg._cache[key]._csc is None for key in unassembled)
+
+
 def test_overall_determinism_and_seed_sensitivity():
     net = generate_synthetic(SyntheticProfile(3, 3, 2), seed=1, d=PARAMS_MED.d)
     reg1 = MatrixRegistry(PARAMS_MED, master_seed=11, allow_high_noise=True)
