@@ -40,6 +40,7 @@ import glob
 import math
 import os
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -93,7 +94,7 @@ class DLConfig:
     params: BlockParams
     eps_recover: float = 0.1
     set_floor_frac: float = 0.9**3
-    sig_match_eps_factor: float = 10.0
+    sig_match_eps_factor: ClassVar[float] = 10.0  # match_permutation's signature radius over eps_recover
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_recover <= 1.0:

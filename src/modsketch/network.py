@@ -135,6 +135,15 @@ def _pad_and_normalize(values: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _require_id(what: str, ident: str) -> str:
+    """ident, refused when the text form cannot carry it: :func:`save_network`
+    writes ids as whitespace-separated tokens, and :func:`load_network` skips a
+    line that starts with '#'."""
+    if ident.startswith("#") or ident.split() != [ident]:
+        raise NetworkValidationError(f"{what} id {ident!r} is empty, holds whitespace or starts with '#'")
+    return ident
+
+
 def build_network(
     spec: dict,
     d: int,
@@ -151,11 +160,12 @@ def build_network(
 
     Attribute vectors are zero-padded to d and l2-normalized.  Raises a
     distinct error per failure mode (cycle, weight sums, depth consistency,
-    output module count).
+    output module count), and an id that is empty, holds whitespace or
+    starts with '#'.
     """
     modules: dict[str, Module] = {}
     for mdesc in spec.get("modules", []):
-        mod = Module(id=str(mdesc["id"]), is_output=bool(mdesc.get("output", False)))
+        mod = Module(id=_require_id("module", str(mdesc["id"])), is_output=bool(mdesc.get("output", False)))
         if mod.id in modules:
             raise NetworkValidationError(f"duplicate module id {mod.id!r}")
         modules[mod.id] = mod
@@ -166,7 +176,7 @@ def build_network(
 
     objects: dict[str, ObjectNode] = {}
     for odesc in spec.get("objects", []):
-        oid = str(odesc["id"])
+        oid = _require_id("object", str(odesc["id"]))
         if oid in objects:
             raise NetworkValidationError(f"duplicate object id {oid!r}")
         producer = str(odesc["module"])

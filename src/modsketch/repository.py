@@ -21,8 +21,9 @@ and a dropped store closes it too.  Replay and queries never open it.  The
 handle holds the file it opened: a log removed or replaced under an open
 store keeps receiving that store's appends until it is closed.  An append
 that fails cuts the log back to its length before the record, so a later
-insert starts on a clean line, and ``insert`` refuses a sketch with a
-non-finite value before logging it, as replay would refuse its record.
+insert starts on a clean line.  Insert and replay check a record by one rule
+(``sketch_from_metadata``, a string id, string tags), so ``insert`` refuses,
+before logging a byte, any record replay would refuse.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ import os
 import threading
 import warnings
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from modsketch._seeding import derive_rng
 from modsketch.block_random import DimensionMismatchError, ParameterError
-from modsketch.sketcher import Sketch, decode_values, encode_values, require_finite, sketch_from_metadata
+from modsketch.sketcher import Sketch, as_integer, decode_values, encode_values, sketch_from_metadata
 
 __all__ = ["SketchEntry", "QueryHit", "ClusterResult", "SketchRepository"]
 
@@ -76,13 +78,7 @@ def _log_line(eid: str, tags: dict, sketch: Sketch) -> bytes:
     spliced in after it, which gives the same bytes: ``"values"`` sorts after
     every other key, and base64 needs no JSON escaping.
     """
-    rec = {
-        "id": eid,
-        "tags": tags,
-        "kind": sketch.kind,
-        "depth": sketch.depth,
-        "erased_prefix": sketch.erased_prefix,
-    }
+    rec = {"id": eid, "tags": tags, "kind": sketch.kind, "depth": sketch.depth, "erased_prefix": sketch.erased_prefix}
     if sketch.signature_mode:
         # written only when set, so logs of plain sketches keep their bytes
         rec["signature_mode"] = True
@@ -90,21 +86,13 @@ def _log_line(eid: str, tags: dict, sketch: Sketch) -> bytes:
     return b"".join((head[:-1], b', "values": "', base64.b64encode(encode_values(sketch.values)), b'"}\n'))
 
 
-def _parse_record(line: bytes, d: int) -> tuple[Sketch, str, dict]:
+def _parse_record(line: bytes, d: int | None) -> tuple[Sketch, str, dict]:
+    """A log line's sketch, id and tags, unchecked; d=None reads d from the
+    payload, which must then hold whole float64s."""
     rec = json.loads(line)
-    tags = rec["tags"]
-    if not (isinstance(tags, dict) and all(isinstance(v, str) for v in tags.values())):
-        raise ParameterError(f"tags must map strings to strings, got {tags!r}")
-    if not isinstance(rec["id"], str):
-        raise ParameterError(f"id must be a string, got {rec['id']!r}")
-    sk = sketch_from_metadata(
-        decode_values(base64.b64decode(rec["values"]), d),
-        rec["kind"],
-        rec["depth"],
-        rec["erased_prefix"],
-        rec.get("signature_mode", False),
-    )
-    return sk, rec["id"], tags
+    tags, eid, payload = rec["tags"], rec["id"], base64.b64decode(rec["values"])
+    values = decode_values(payload, len(payload) // 8 if d is None else d)
+    return Sketch(values, rec["kind"], rec["depth"], rec["erased_prefix"], rec.get("signature_mode", False)), eid, tags
 
 
 class SketchRepository:
@@ -116,8 +104,7 @@ class SketchRepository:
         self._log = None  # the append handle, opened by the first logged insert
         self._log_closer = None  # closes it, at close() or once the store is dropped
         self._n = 0
-        self._vectors = np.empty((0, d))
-        self._codes = np.empty(0, dtype=np.int64)
+        self._vectors, self._codes = np.empty((0, d)), np.empty(0, dtype=np.int64)
         self._meta: list[tuple] = []  # (id, tags, kind, depth, erased_prefix, signature_mode) per row
         self._write_lock = threading.Lock()
         self._planes = derive_rng(0, "repository-hyperplanes").standard_normal((len(_PLANE_BITS), d))
@@ -128,28 +115,37 @@ class SketchRepository:
     # -- insertion ---------------------------------------------------------
 
     def insert(self, sketch: Sketch, entry_id: str | None = None, tags: dict | None = None) -> str:
+        with self._write_lock:
+            return self._insert(sketch, f"sketch-{self._n}" if entry_id is None else entry_id, tags or {})
+
+    def _insert(self, sketch: Sketch, eid: str, tags: dict) -> str:
+        """Log and store a record once it passes the rule replay reads it by;
+        the caller holds the write lock, or replays a store not yet shared."""
         if sketch.d != self.d:
             raise DimensionMismatchError(f"sketch d={sketch.d}, store d={self.d}")
-        require_finite(sketch.values)  # replay refuses such a record, so never log one
-        with self._write_lock:
-            n = self._n
-            eid = entry_id if entry_id is not None else f"sketch-{n}"
-            tags = dict(tags or {})
-            if self.log_path:
-                self._append(_log_line(eid, tags, sketch))
-            # readers take _n before the arrays, so publish new arrays only once
-            # they hold every committed row, and count a row only once it is written
-            if n == len(self._vectors):
-                vectors = np.empty((max(1, 2 * n), self.d))
-                vectors[:n] = self._vectors[:n]
-                codes = np.empty(len(vectors), dtype=np.int64)
-                codes[:n] = self._codes[:n]
-                self._vectors, self._codes = vectors, codes
-            self._vectors[n] = sketch.values
-            self._codes[n] = self._bucket_of(sketch.values)
-            self._meta.append((eid, tags, sketch.kind, sketch.depth, sketch.erased_prefix, sketch.signature_mode))
-            self._n = n + 1
-            return eid
+        if not (isinstance(tags, Mapping) and all(isinstance(k, str) and isinstance(v, str) for k, v in tags.items())):
+            raise ParameterError(f"tags must map strings to strings, got {tags!r}")
+        if not isinstance(eid, str):
+            raise ParameterError(f"id must be a string, got {eid!r}")
+        sketch = sketch_from_metadata(
+            sketch.values, sketch.kind, sketch.depth, sketch.erased_prefix, sketch.signature_mode
+        )
+        tags, n = dict(tags), self._n
+        if self.log_path:
+            self._append(_log_line(eid, tags, sketch))
+        # readers take _n before the arrays, so publish new arrays only once
+        # they hold every committed row, and count a row only once it is written
+        if n == len(self._vectors):
+            vectors = np.empty((max(1, 2 * n), self.d))
+            vectors[:n] = self._vectors[:n]
+            codes = np.empty(len(vectors), dtype=np.int64)
+            codes[:n] = self._codes[:n]
+            self._vectors, self._codes = vectors, codes
+        self._vectors[n] = sketch.values
+        self._codes[n] = self._bucket_of(sketch.values)
+        self._meta.append((eid, tags, sketch.kind, sketch.depth, sketch.erased_prefix, sketch.signature_mode))
+        self._n = n + 1
+        return eid
 
     def _append(self, record: bytes) -> None:
         if self._log is None:
@@ -200,16 +196,14 @@ class SketchRepository:
                 if not line.endswith(b"\n"):
                     break
                 try:
-                    sk, eid, tags = _parse_record(line, self.d)
+                    self._insert(*_parse_record(line, self.d))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ParameterError(f"{path}: malformed record at byte {complete}: {exc}") from None
-                self.insert(sk, eid, tags)
                 complete += len(line)
         torn = os.path.getsize(path) - complete
         if torn:
             warnings.warn(f"{path}: dropped a torn final record of {torn} bytes", RuntimeWarning, stacklevel=3)
-            with open(path, "r+b") as fh:
-                fh.truncate(complete)
+            os.truncate(path, complete)
 
     @classmethod
     def from_log(cls, log_path: str, d: int | None = None) -> "SketchRepository":
@@ -219,7 +213,7 @@ class SketchRepository:
             with open(log_path, "rb") as fh:
                 first = fh.readline()
             if first.endswith(b"\n") or d is None:
-                d = len(base64.b64decode(json.loads(first)["values"])) // 8
+                d = _parse_record(first, None)[0].d
         except FileNotFoundError:
             if d is None:
                 raise ParameterError(f"no sketch store at {log_path}") from None
@@ -239,6 +233,8 @@ class SketchRepository:
         ranks only the probe's hyperplane bucket and additionally reports
         the recall it achieved against brute force on this probe.
         """
+        if as_integer(k) is None:
+            raise ParameterError(f"k must be an integer, got {k!r}")
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
         if probe.d != self.d:
@@ -278,6 +274,8 @@ class SketchRepository:
         """
         n = self._n
         data = self._vectors[:n]
+        if as_integer(k) is None:
+            raise ParameterError(f"k must be an integer, got {k!r}")
         if k < 1:
             raise ParameterError("k must be >= 1")
         if k > n:

@@ -428,47 +428,49 @@ def encode_values(values: np.ndarray) -> bytes:
 
 
 def decode_values(payload: bytes, d: int) -> np.ndarray:
-    """Inverse of :func:`encode_values`; a payload of the wrong length is
-    refused rather than read short."""
+    """Inverse of :func:`encode_values`, refusing a payload of the wrong length."""
     if len(payload) != 8 * d:
         raise ParameterError(f"sketch payload holds {len(payload)} bytes, d={d} needs {8 * d}")
     return np.frombuffer(payload, dtype="<f8").astype(np.float64)
 
 
 def save_sketch(sk: Sketch, path: str, seed_fingerprint: str = "") -> None:
-    """Header line + little-endian float64 payload."""
-    header = (
-        f"{_SKETCH_MAGIC} d={sk.d} kind={sk.kind} depth={sk.depth} "
-        f"erased_prefix={sk.erased_prefix} sig={int(sk.signature_mode)} "
-        f"seed={seed_fingerprint or 'unknown'}\n"
-    )
+    """Header line + little-endian float64 payload.  Refuses, before opening
+    the file, a sketch :func:`sketch_from_metadata` refuses and a fingerprint
+    with whitespace or a non-ASCII character, which the header cannot carry."""
+    sk = sketch_from_metadata(sk.values, sk.kind, sk.depth, sk.erased_prefix, sk.signature_mode)
+    seed = seed_fingerprint or "unknown"
+    if not (isinstance(seed, str) and seed.isascii() and seed.split() == [seed]):
+        raise ParameterError(f"seed fingerprint {seed_fingerprint!r} must be ASCII without whitespace")
+    header = (f"{_SKETCH_MAGIC} d={sk.d} kind={sk.kind} depth={sk.depth} erased_prefix={sk.erased_prefix} "
+              f"sig={int(sk.signature_mode)} seed={seed}\n")
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(encode_values(sk.values))
+        fh.writelines((header.encode("ascii"), encode_values(sk.values)))
 
 
-def require_finite(values: np.ndarray) -> None:
-    """Refuse sketch values holding an inf or a nan."""
+def as_integer(value) -> int | None:
+    """value as the int it equals (a numpy integer too); None for a bool, a float or a string."""
+    return int(value) if isinstance(value, (int, np.integer)) and not isinstance(value, bool) else None
+
+
+def sketch_from_metadata(values: np.ndarray, kind, depth, erased_prefix, signature_mode) -> Sketch:
+    """The rule of a sketch record, which the store and ``.sketch`` writers
+    apply before writing and their readers after reading: finite values, a
+    known kind, integer depth >= 1 and prefix in [1, d], boolean signature mode."""
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))  # the first non-finite value
         raise ParameterError(f"sketch values must be finite, value {i} is {float(values[i])!r}")
-
-
-def sketch_from_metadata(values: np.ndarray, kind, depth, erased_prefix, signature_mode) -> Sketch:
-    """A sketch from metadata read from outside the program (a ``.sketch``
-    header or a store's log record), refused unless every field is well-typed
-    and in range and every value is finite."""
-    require_finite(values)
     if kind not in get_args(SketchKind):
         raise ParameterError(f"unknown sketch kind {kind!r}")
-    if not (type(depth) is int and depth >= 1):
+    depth_int, prefix_int = as_integer(depth), as_integer(erased_prefix)
+    if depth_int is None or depth_int < 1:
         raise ParameterError(f"sketch depth must be an integer >= 1, got {depth!r}")
-    if not (type(erased_prefix) is int and 1 <= erased_prefix <= len(values)):
+    if prefix_int is None or not 1 <= prefix_int <= len(values):
         raise ParameterError(f"erased prefix must be an integer in [1, {len(values)}], got {erased_prefix!r}")
-    if type(signature_mode) is not bool:
+    if not isinstance(signature_mode, (bool, np.bool_)):
         raise ParameterError(f"signature mode must be a boolean, got {signature_mode!r}")
-    return Sketch(values, kind, depth, erased_prefix, signature_mode)
+    return Sketch(values, kind, depth_int, prefix_int, bool(signature_mode))
 
 
 def load_sketch(path: str) -> tuple[Sketch, str]:
@@ -483,8 +485,7 @@ def load_sketch(path: str) -> tuple[Sketch, str]:
         try:
             fields = dict(tok.split("=", 1) for tok in header[len(_SKETCH_MAGIC) :].split())
             d, depth, erased_prefix = (int(fields[k]) for k in ("d", "depth", "erased_prefix"))
-            sig = fields.get("sig", "0")
-            kind, seed = fields["kind"], fields["seed"]
+            kind, seed, sig = fields["kind"], fields["seed"], fields.get("sig", "0")
         except (KeyError, ValueError) as exc:
             # a missing field, a token without "=", or a non-integer value
             raise ParameterError(f"{path}: malformed sketch header ({exc!r})") from None

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from modsketch.network import (
     CycleError,
     DepthConsistencyError,
+    NetworkValidationError,
     OutputModuleError,
     SyntheticProfile,
     UnknownFieldError,
@@ -203,3 +206,46 @@ def test_unreachable_objects_keep_depth_zero():
     spec["objects"].append({"id": "s", "module": "stray", "attributes": [1.0]})
     net = build_network(spec, d=D)
     assert net.objects["s"].depth == 0
+
+
+def two_level_spec(leaf="a", leaf_module="leaf", grandchild="b"):
+    """root -> leaf -> grandchild, the leaf made by leaf_module."""
+    return {
+        "modules": [{"id": "out", "output": True}, {"id": leaf_module}, {"id": "deep"}],
+        "objects": [
+            {"id": "root", "module": "out"},
+            {"id": leaf, "module": leaf_module, "attributes": [0.6, 0.8]},
+            {"id": grandchild, "module": "deep", "attributes": [1.0]},
+        ],
+        "edges": [("root", leaf, 1.0), (leaf, grandchild, 1.0)],
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (two_level_spec(leaf="#a"), "object id '#a'"),
+        (two_level_spec(grandchild="#b"), "object id '#b'"),
+        (two_level_spec(leaf_module="m x"), "module id 'm x'"),
+        (two_level_spec(leaf_module="#m"), "module id '#m'"),
+        (two_level_spec(leaf_module=""), "module id ''"),
+        (two_level_spec(leaf=""), "object id ''"),
+        (two_level_spec(leaf="a\tb"), "object id 'a\\tb'"),
+        (two_level_spec(grandchild="b\u2028"), "object id 'b\\u2028'"),
+    ],
+    ids=["object-hash-with-input", "object-hash-leaf", "module-space", "module-hash", "module-empty", "object-empty",
+         "object-tab", "object-line-separator"],
+)
+def test_build_refuses_an_id_the_text_form_cannot_carry(spec, message):
+    # save_network writes ids as whitespace-separated tokens and load_network
+    # skips lines that start with '#', so such an id would not come back
+    with pytest.raises(NetworkValidationError, match=re.escape(f"{message} is empty, holds whitespace or starts with")):
+        build_network(spec, d=D)
+
+
+def test_an_id_with_a_hash_inside_keeps_every_edge(tmp_path):
+    net = build_network(two_level_spec(leaf="a#1", leaf_module="m#"), d=D)
+    save_network(net, str(tmp_path / "n.txt"))
+    again = load_network(str(tmp_path / "n.txt"))
+    assert [(o.id, o.depth, o.inputs) for o in again.objects.values()] == [
+        ("root", 1, [("a#1", 1.0)]), ("a#1", 2, [("b", 1.0)]), ("b", 3, [])]

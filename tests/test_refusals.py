@@ -103,6 +103,12 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: beta_factor(2, 0.0), RecoveryError, "must be positive"),
         (lambda tmp: sketch_similarity(sketch(8), sketch(12)), ParameterError, "8 vs 12"),
         (lambda tmp: SketchRepository(8).cluster(k=0), ParameterError, "k must be >= 1"),
+        (lambda tmp: SketchRepository(8).cluster(k=2.5), ParameterError, "k must be an integer, got 2.5"),
+        (lambda tmp: SketchRepository(8).cluster(k=2.0), ParameterError, "k must be an integer, got 2.0"),
+        (lambda tmp: SketchRepository(8).cluster(k="2"), ParameterError, "k must be an integer, got '2'"),
+        (lambda tmp: SketchRepository(8).query_similar(sketch(8), k=2.5), ParameterError, "k must be an integer"),
+        (lambda tmp: SketchRepository(8).query_similar(sketch(8), k=2.0), ParameterError, "k must be an integer"),
+        (lambda tmp: SketchRepository(8).query_similar(sketch(8), k="2"), ParameterError, "k must be an integer"),
     ],
     ids=[
         "entry-scale-at-q0", "auto-params-d0", "parity-bit", "codeword-length", "factor-kind", "pairs-per-trial",
@@ -111,6 +117,7 @@ def network_file(tmp_path, old: str, new: str):
         "weight-scheme", "network-section", "network-attribute-pair",
         "tuple-sketch-d", "overall-sketch-d", "slot-4",
         "learn-dictionary-width", "beta-weight", "similarity-d", "cluster-k0",
+        "cluster-k-fraction", "cluster-k-float", "cluster-k-str", "query-k-fraction", "query-k-float", "query-k-str",
     ],
 )
 def test_library_refusal(tmp_path, call, error, match):
@@ -172,3 +179,14 @@ def test_cli_refusal(tmp_path, capsys, argv_of, error, message):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and message in err and err.count("\n") == 1, err
     assert not any(tmp_path.glob("out.*")) and not any(tmp_path.glob("cal.*"))
+
+
+def test_cli_refuses_a_network_id_the_text_form_cannot_carry(tmp_path, capsys):
+    # "module leaf x" declares the module id "leaf x", which no object line can name
+    (tmp_path / "cfg.json").write_text(json.dumps({"d_request": 24, "n_cap": 8, "allow_high_noise": True}))
+    net = network_file(tmp_path, "module leaf", "module leaf x")
+    argv = ["sketch", "--config", str(tmp_path / "cfg.json"), "--network", net, "--out", str(tmp_path / "out.sketch")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "validation error: module id 'leaf x' is empty, holds whitespace or starts with '#'\n", err
+    assert not any(tmp_path.glob("out.*"))

@@ -6,6 +6,7 @@ import base64
 import gc
 import hashlib
 import json
+import re
 import sys
 import threading
 import time
@@ -617,3 +618,107 @@ def test_queries_beside_one_writer_and_one_registry_shared_by_two_threads():
         sys.setswitchinterval(interval)
     assert not writer.is_alive() and len(repo) == len(rows)
     assert not asker.is_alive() and got[0] is mine
+
+
+# -- one rule for a record: what insert logs, replay reads back ---------------
+
+
+def logged_store(tmp_path):
+    """A logged store holding one entry, e0; its log's path; e0's sketch."""
+    log = tmp_path / "repo.log"
+    repo = SketchRepository(D, log_path=str(log))
+    first = rand_sketch(np.random.default_rng(21))
+    repo.insert(first, "e0", {"k": "v"})
+    return repo, log, first
+
+
+def assert_reopens_with_only(log, first):
+    again = SketchRepository.from_log(str(log))
+    assert len(again) == 1
+    (hit,) = again.query_similar(first, k=1)
+    assert (hit.entry.id, hit.entry.tags) == ("e0", {"k": "v"})
+    assert hit.entry.sketch.values.tobytes() == first.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("e1", {"n": 1}), "tags must map strings to strings, got {'n': 1}"),
+        (("e1", {1: "v"}), "tags must map strings to strings, got {1: 'v'}"),
+        (("e1", ["k"]), "tags must map strings to strings"),
+        ((7,), "id must be a string, got 7"),
+        ((b"e1",), "id must be a string"),
+    ],
+    ids=["tag-value-int", "tag-key-int", "tags-list", "id-int", "id-bytes"],
+)
+def test_insert_refuses_an_id_or_tags_replay_would_refuse(tmp_path, args, message):
+    repo, log, first = logged_store(tmp_path)
+    before = log.read_bytes()
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        repo.insert(rand_sketch(np.random.default_rng(22)), *args)
+    assert len(repo) == 1 and log.read_bytes() == before
+    repo.close()
+    assert_reopens_with_only(log, first)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("kind", "bogus", "unknown sketch kind 'bogus'"),
+        ("depth", 0, "sketch depth must be an integer >= 1, got 0"),
+        ("depth", 1.0, "sketch depth must be an integer >= 1, got 1.0"),
+        ("depth", True, "sketch depth must be an integer >= 1, got True"),
+        ("depth", "1", "sketch depth must be an integer >= 1, got '1'"),
+        ("erased_prefix", D + 1, f"erased prefix must be an integer in [1, {D}], got {D + 1}"),
+        ("erased_prefix", np.float64(3.0), f"erased prefix must be an integer in [1, {D}], got"),
+        ("signature_mode", 1, "signature mode must be a boolean, got 1"),
+    ],
+    ids=["kind-bogus", "depth-0", "depth-float", "depth-bool", "depth-str", "prefix-above-d", "prefix-numpy-float",
+         "signature-int"],
+)
+def test_insert_refuses_a_sketch_replay_would_refuse(tmp_path, field, value, message):
+    repo, log, first = logged_store(tmp_path)
+    before = log.read_bytes()
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        repo.insert(replace(rand_sketch(np.random.default_rng(23)), **{field: value}), "e1")
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        SketchRepository(D).insert(replace(rand_sketch(np.random.default_rng(23)), **{field: value}))
+    assert len(repo) == 1 and log.read_bytes() == before
+    repo.close()
+    assert_reopens_with_only(log, first)
+
+
+def test_numpy_integer_depth_and_prefix_are_logged_as_their_ints(tmp_path):
+    repo, log, first = logged_store(tmp_path)
+    sk = replace(rand_sketch(np.random.default_rng(24)), kind="object", depth=np.int64(3), erased_prefix=np.int32(D))
+    repo.insert(sk, "e1")
+    repo.close()
+    as_ints = replace(sk, depth=3, erased_prefix=D)
+    assert log.read_bytes() == oracle_record("e0", {"k": "v"}, first) + oracle_record("e1", {}, as_ints)
+    hits = SketchRepository.from_log(str(log)).query_similar(make_sketch(np.zeros(D)), k=2)
+    assert [(type(h.entry.sketch.depth), type(h.entry.sketch.erased_prefix)) for h in hits] == [(int, int)] * 2
+    assert (hits[1].entry.sketch.depth, hits[1].entry.sketch.erased_prefix) == (3, D)
+
+
+def test_replay_refuses_what_insert_refuses_with_its_own_message(tmp_path):
+    repo, log, _ = logged_store(tmp_path)
+    repo.close()
+    good = log.read_bytes()
+    bad = json.loads(good)
+    for field, value, message in [("kind", "bogus", "unknown sketch kind 'bogus'"), ("id", 7, "id must be a string"),
+                                  ("tags", {"n": 1}, "tags must map strings to strings")]:
+        log.write_bytes(good + json.dumps({**bad, field: value}, sort_keys=True).encode() + b"\n")
+        with pytest.raises(ParameterError, match=re.escape(f"malformed record at byte {len(good)}: {message}")):
+            SketchRepository.from_log(str(log))
+
+
+def test_from_log_reads_d_from_a_first_record_of_whole_float64s(tmp_path):
+    repo, log, _ = logged_store(tmp_path)
+    repo.close()
+    rec = json.loads(log.read_bytes())
+    rec["values"] = base64.b64encode(bytes(8 * D + 4)).decode("ascii")
+    log.write_text(json.dumps(rec, sort_keys=True) + "\n")
+    with pytest.raises(ParameterError, match="does not start with a complete record"):
+        SketchRepository.from_log(str(log))
+    with pytest.raises(ParameterError, match="does not start with a complete record"):
+        SketchRepository.from_log(str(log), D)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -662,3 +663,42 @@ def test_sketch_file_roundtrip(tmp_path):
     first = csv_path.read_text().splitlines()
     assert first[0] == "index,value"
     assert len(first) == PARAMS_MED.d + 1
+
+
+@pytest.mark.parametrize(
+    "change, fingerprint, message",
+    [
+        ({"kind": "bogus"}, "", "unknown sketch kind 'bogus'"),
+        ({"values": np.array([0.5, np.nan, 0.0])}, "", "sketch values must be finite, value 1 is nan"),
+        ({"depth": 1.0}, "", "sketch depth must be an integer >= 1, got 1.0"),
+        ({"erased_prefix": 4}, "", "erased prefix must be an integer in [1, 3], got 4"),
+        ({"signature_mode": "no"}, "", "signature mode must be a boolean, got 'no'"),
+        ({}, "a b", "seed fingerprint 'a b' must be ASCII without whitespace"),
+        ({}, "ab\n", "seed fingerprint 'ab\\n' must be ASCII without whitespace"),
+        ({}, "\t", "seed fingerprint '\\t' must be ASCII without whitespace"),
+        ({}, "séed", "seed fingerprint 'séed' must be ASCII without whitespace"),
+    ],
+    ids=["kind-bogus", "nan", "depth-float", "prefix-above-d", "signature-str", "fingerprint-space",
+         "fingerprint-newline", "fingerprint-tab", "fingerprint-non-ascii"],
+)
+def test_save_sketch_refuses_what_load_sketch_would_refuse(tmp_path, change, fingerprint, message):
+    good = Sketch(values=np.array([0.5, -0.25, 0.0]), kind="overall", depth=1, erased_prefix=3)
+    path = tmp_path / "s.sketch"
+    save_sketch(good, str(path), "0123abcd")
+    before = path.read_bytes()
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        save_sketch(Sketch(**{**vars(good), **change}), str(path), fingerprint)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        save_sketch(Sketch(**{**vars(good), **change}), str(tmp_path / "new.sketch"), fingerprint)
+    assert path.read_bytes() == before and not (tmp_path / "new.sketch").exists()
+    loaded, fp = load_sketch(str(path))
+    assert (loaded.values.tobytes(), fp) == (good.values.tobytes(), "0123abcd")
+
+
+def test_save_sketch_writes_a_numpy_integer_depth_as_its_int(tmp_path):
+    values = np.array([0.5, -0.25, 0.0])
+    save_sketch(Sketch(values, "object", np.int64(2), np.uint8(2), np.True_), str(tmp_path / "np.sketch"))
+    save_sketch(Sketch(values, "object", 2, 2, True), str(tmp_path / "int.sketch"))
+    assert (tmp_path / "np.sketch").read_bytes() == (tmp_path / "int.sketch").read_bytes()
+    loaded, _ = load_sketch(str(tmp_path / "np.sketch"))
+    assert (loaded.depth, loaded.erased_prefix, loaded.signature_mode) == (2, 2, True)
