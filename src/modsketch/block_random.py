@@ -82,6 +82,11 @@ class CorruptCodewordError(ModsketchError):
     """A column-signature codeword decoded to an out-of-range index."""
 
 
+def as_integer(value) -> int | None:
+    """value as the int it equals (a numpy integer too); None for a bool, a float or a string."""
+    return int(value) if isinstance(value, (int, np.integer)) and not isinstance(value, bool) else None
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -718,6 +723,8 @@ def measure_noise_profile(
         raise ParameterError("quantile must lie strictly inside (0, 1)")
     if pairs_per_trial < 1:
         raise ParameterError("need at least one vector pair per trial")
+    if as_integer(master_seed) is None:
+        raise ParameterError(f"master seed must be an integer, got {master_seed!r}")
     d = params.d
 
     n_samples = trials * pairs_per_trial

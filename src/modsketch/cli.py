@@ -480,27 +480,19 @@ def cmd_repo_insert(args: argparse.Namespace) -> None:
     if args.id is not None and ("\t" in args.id or "".join(args.id.splitlines()) != args.id):
         raise ConfigError(f"--id {args.id!r} holds a tab or a line break")
     tags = dict(kv.split("=", 1) for kv in args.tag or [])
-    with SketchRepository.from_log(args.store, sk.d) as repo:
+    with SketchRepository(sk.d, args.store) as repo:
         eid = repo.insert(sk, args.id, tags)
     print(f"inserted {eid} (store size {len(repo)})")
 
 
 def cmd_repo_query(args: argparse.Namespace) -> None:
     probe, _ = load_sketch(args.sketch)
-    if not os.path.exists(args.store):  # from_log would open it empty, for an insert
-        raise ParameterError(f"no sketch store at {args.store}")
-    repo = SketchRepository.from_log(args.store, probe.d)
-    if args.bucketed:
-        hits, recall = repo.query_similar(probe, args.k, bucketed=True)
-        print(f"recall={recall!r}")
-    else:
-        hits = repo.query_similar(probe, args.k)
-    for hit in hits:
+    for hit in SketchRepository(log_path=args.store).query_similar(probe, args.k):
         print(f"{hit.entry.id}\t{hit.score!r}")
 
 
 def cmd_repo_cluster(args: argparse.Namespace) -> None:
-    result = SketchRepository.from_log(args.store).cluster(k=args.k)
+    result = SketchRepository(log_path=args.store).cluster(k=args.k)
     for idx, assign in enumerate(result.assignments):
         print(f"{idx}\t{assign}")
 
@@ -561,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--store", required=True)
     pq.add_argument("--sketch", required=True)
     pq.add_argument("--k", type=int, default=5)
-    pq.add_argument("--bucketed", action="store_true")
     pc = add_command("cluster", cmd_repo_cluster, config=False, group=repo_sub)
     pc.add_argument("--store", required=True)
     pc.add_argument("--k", type=int, required=True)

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from modsketch._seeding import derive_rng
-from modsketch.block_random import ModsketchError
+from modsketch.block_random import ModsketchError, ParameterError, as_integer
 
 __all__ = [
     "NetworkValidationError",
@@ -137,10 +137,12 @@ def _pad_and_normalize(values: np.ndarray, d: int) -> np.ndarray:
 
 def _require_id(what: str, ident: str) -> str:
     """ident, refused when the text form cannot carry it: :func:`save_network`
-    writes ids as whitespace-separated tokens, and :func:`load_network` skips a
-    line that starts with '#'."""
+    writes ids as whitespace-separated UTF-8 tokens, and :func:`load_network`
+    skips a line that starts with '#'."""
     if ident.startswith("#") or ident.split() != [ident]:
         raise NetworkValidationError(f"{what} id {ident!r} is empty, holds whitespace or starts with '#'")
+    if any("\ud800" <= c <= "\udfff" for c in ident):
+        raise NetworkValidationError(f"{what} id {ident!r} holds a lone surrogate, which UTF-8 cannot encode")
     return ident
 
 
@@ -323,6 +325,8 @@ class SyntheticProfile:
 
 def generate_synthetic(profile: SyntheticProfile, seed: int, d: int) -> ModularNetwork:
     """Deterministically generate a tree-shaped network for experiments."""
+    if as_integer(seed) is None:
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
     rng = derive_rng(seed, "synthetic-network")
     levels = profile.depth - 1  # object levels below the output
     module_names = [f"m{i}" for i in range(profile.n_modules)]
@@ -409,8 +413,9 @@ def save_network(net: ModularNetwork, path: str) -> None:
     for obj in net.objects.values():
         for child, w in obj.inputs:
             lines.append(f"{obj.id} {child} {float(w)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = ("\n".join(lines) + "\n").encode("utf-8")  # before the file is opened, so a failure writes nothing
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
 def _parse_number(kind: type, text: str, where: str):

@@ -5,14 +5,18 @@ sharing heavy same-module objects correlate, a plain inner-product top-k over
 the store retrieves related computations, and k-means over sketch vectors
 surfaces candidate new modules as clusters.  Retrieval scores every stored
 row against the probe in one ``np.vecdot`` pass and ranks the exact top-k.
-An optional bucketing by 16 constant random hyperplanes ranks only the
-probe's bucket and reports its recall against the exact top-k; it reads the
-same scores, so it costs what the exact query costs and saves no time.
+The library's optional bucketing by 16 constant random hyperplanes ranks
+only the probe's bucket and reports its recall against the exact top-k; it
+reads the same scores, so it costs what the exact query costs.
 
 The vectors live in one contiguous ``(n, d)`` array, grown by doubling, with
 one bucket code per row, and an optional append-only log that only this
 module reads.  Many readers may query concurrently while one writer inserts
 (queries see a consistent prefix of the insert sequence).
+
+``SketchRepository(d, log_path)`` opens every store.  Replay, the only code
+that reads a log, takes d from its first complete record; ``d`` sizes a store
+whose log is missing or has no complete record yet, refused without it.
 
 A logged store opens its log once, at its first insert, as an unbuffered
 binary append handle, and writes every record through it.  ``close()``
@@ -41,8 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from modsketch._seeding import derive_rng
-from modsketch.block_random import DimensionMismatchError, ParameterError
-from modsketch.sketcher import Sketch, as_integer, decode_values, encode_values, sketch_from_metadata
+from modsketch.block_random import DimensionMismatchError, ParameterError, as_integer
+from modsketch.sketcher import Sketch, decode_values, encode_values, sketch_from_metadata
 
 __all__ = ["SketchEntry", "QueryHit", "ClusterResult", "SketchRepository"]
 
@@ -95,22 +99,38 @@ def _parse_record(line: bytes, d: int | None) -> tuple[Sketch, str, dict]:
     return Sketch(values, rec["kind"], rec["depth"], rec["erased_prefix"], rec.get("signature_mode", False)), eid, tags
 
 
+def _require_k(k, n: int | None = None) -> None:
+    """Refuse a k that is not an integer >= 1, or (given n, as clustering
+    does) above the n entries."""
+    if as_integer(k) is None:
+        raise ParameterError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}" if n is None else "k must be >= 1")
+    if n is not None and k > n:
+        raise ParameterError(f"k={k} exceeds repository size {n}")
+
+
 class SketchRepository:
     """In-memory sketch store with an optional append-only log file."""
 
-    def __init__(self, d: int, log_path: str | None = None):
-        self.d = d
+    def __init__(self, d: int | None = None, log_path: str | None = None):
         self.log_path = None  # set after the replay, which must not log again
         self._log = None  # the append handle, opened by the first logged insert
         self._log_closer = None  # closes it, at close() or once the store is dropped
         self._n = 0
-        self._vectors, self._codes = np.empty((0, d)), np.empty(0, dtype=np.int64)
         self._meta: list[tuple] = []  # (id, tags, kind, depth, erased_prefix, signature_mode) per row
         self._write_lock = threading.Lock()
-        self._planes = derive_rng(0, "repository-hyperplanes").standard_normal((len(_PLANE_BITS), d))
+        self._set_dimension(d)
         if log_path and os.path.exists(log_path):
             self._replay_log(log_path)
+        elif d is None:
+            raise ParameterError(f"no sketch store at {log_path}" if log_path else "a store without a log needs d")
         self.log_path = log_path
+
+    def _set_dimension(self, d: int | None) -> None:
+        self.d = d
+        self._vectors, self._codes = np.empty((0, d or 0)), np.empty(0, dtype=np.int64)
+        self._planes = derive_rng(0, "repository-hyperplanes").standard_normal((len(_PLANE_BITS), d or 0))
 
     # -- insertion ---------------------------------------------------------
 
@@ -183,7 +203,7 @@ class SketchRepository:
         return self._n
 
     def _replay_log(self, path: str) -> None:
-        """Re-insert every logged record.
+        """Re-insert every logged record, at the d of the first.
 
         A record is committed by its newline.  A final line without one is a
         torn append that ``insert`` never returned from: it is dropped with a
@@ -196,30 +216,19 @@ class SketchRepository:
                 if not line.endswith(b"\n"):
                     break
                 try:
-                    self._insert(*_parse_record(line, self.d))
+                    sketch, eid, tags = _parse_record(line, self.d if complete else None)
+                    if not complete:
+                        self._set_dimension(sketch.d)
+                    self._insert(sketch, eid, tags)
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ParameterError(f"{path}: malformed record at byte {complete}: {exc}") from None
                 complete += len(line)
+        if self.d is None:
+            raise ParameterError(f"{path} does not start with a complete record")
         torn = os.path.getsize(path) - complete
         if torn:
             warnings.warn(f"{path}: dropped a torn final record of {torn} bytes", RuntimeWarning, stacklevel=3)
             os.truncate(path, complete)
-
-    @classmethod
-    def from_log(cls, log_path: str, d: int | None = None) -> "SketchRepository":
-        """Reopen a logged store at the d of its first record; a store with no
-        complete record yet opens empty at ``d``, or is refused without one."""
-        try:
-            with open(log_path, "rb") as fh:
-                first = fh.readline()
-            if first.endswith(b"\n") or d is None:
-                d = _parse_record(first, None)[0].d
-        except FileNotFoundError:
-            if d is None:
-                raise ParameterError(f"no sketch store at {log_path}") from None
-        except (ValueError, KeyError, TypeError):
-            raise ParameterError(f"{log_path} does not start with a complete record") from None
-        return cls(d, log_path=log_path)
 
     # -- retrieval ----------------------------------------------------------
 
@@ -233,10 +242,7 @@ class SketchRepository:
         ranks only the probe's hyperplane bucket and additionally reports
         the recall it achieved against brute force on this probe.
         """
-        if as_integer(k) is None:
-            raise ParameterError(f"k must be an integer, got {k!r}")
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
+        _require_k(k)
         if probe.d != self.d:
             raise DimensionMismatchError(f"sketch d={probe.d}, store d={self.d}")
         n = self._n
@@ -274,12 +280,7 @@ class SketchRepository:
         """
         n = self._n
         data = self._vectors[:n]
-        if as_integer(k) is None:
-            raise ParameterError(f"k must be an integer, got {k!r}")
-        if k < 1:
-            raise ParameterError("k must be >= 1")
-        if k > n:
-            raise ParameterError(f"k={k} exceeds repository size {n}")
+        _require_k(k, n)
         keys = [hashlib.blake2b(np.round(row, 9).tobytes(), digest_size=8).hexdigest() for row in data]
         # the first k content-distinct vectors, in content-key order, seed the
         # centroids: each key's first occurrence, as np.unique returns it

@@ -49,6 +49,7 @@ from modsketch.block_random import (
     IdentityMatrix,
     ModsketchError,
     ParameterError,
+    as_integer,
     sample_first_column,
     sample_matrix,
     sample_orthonormal,
@@ -137,8 +138,10 @@ class MatrixRegistry:
         params.require_alignment()
         if mode not in get_args(RegistryMode):
             raise ParameterError(f"unknown registry mode {mode!r}; expected one of {get_args(RegistryMode)}")
+        self.master_seed = as_integer(master_seed)
+        if self.master_seed is None:
+            raise ParameterError(f"master seed must be an integer, got {master_seed!r}")
         self.params = params
-        self.master_seed = master_seed
         self.mode = mode
         self.allow_high_noise = allow_high_noise
         self._cache: dict[str, AnyMatrix] = {}
@@ -189,9 +192,9 @@ class MatrixRegistry:
             return self._cache.setdefault(cache_key, made)
 
     def module_matrix(self, module_id: str, slot: int) -> AnyMatrix:
-        if slot not in (0, 1, 2, 3):
-            raise ParameterError(f"module matrix slot must be 0..3, got {slot}")
-        return self._get(f"m:{module_id}:{slot}")
+        if as_integer(slot) not in (0, 1, 2, 3):
+            raise ParameterError(f"module matrix slot must be 0..3, got {slot!r}")
+        return self._get(f"m:{module_id}:{int(slot)}")
 
     def module_first_column(self, module_id: str) -> AnyMatrix:
         """A matrix whose column 1, products and norms at column 1 are those
@@ -202,9 +205,10 @@ class MatrixRegistry:
         return self._get(f"m:{module_id}:2", first_column=True)
 
     def tuple_matrix(self, position: int, tuple_depth: int) -> AnyMatrix:
-        if position < 1 or tuple_depth < 1:
-            raise ParameterError("tuple position and depth are 1-based")
-        return self._get(f"t:{position}:{tuple_depth}")
+        pos, depth = as_integer(position), as_integer(tuple_depth)
+        if pos is None or depth is None or pos < 1 or depth < 1:
+            raise ParameterError(f"tuple position and depth are 1-based integers, got {position!r}, {tuple_depth!r}")
+        return self._get(f"t:{pos}:{depth}")
 
 
 def _columns(cols: Sequence[int]) -> slice | list[int]:
@@ -244,13 +248,16 @@ def tuple_sketch(sketches: list[Sketch], weights: list[float], tuple_depth: int,
     if len(sketches) != len(weights):
         raise ParameterError("sketches and weights must have equal length")
     total = sum(weights)
-    if any(w < 0 for w in weights) or total > 1.0 + 1e-9:
+    if not all(w >= 0 for w in weights) or total > 1.0 + 1e-9:  # a NaN weight fails w >= 0
         raise ParameterError(f"weights must be nonnegative with sum <= 1, got sum {total}")
     if any(sk.d != registry.d for sk in sketches):
         raise ParameterError("sketch dimension mismatch")
+    modes = {bool(sk.signature_mode) for sk in sketches}
+    if len(modes) > 1:
+        raise ParameterError("sketches mix signature mode and plain mode")
     edges = [(pos, 0, pos - 1, w) for pos, w in enumerate(weights, start=1) if w != 0.0]
     acc = _tuples(edges, np.array([sk.values for sk in sketches]).T, 1, tuple_depth, registry)
-    return Sketch(values=acc[:, 0], kind="tuple", depth=1, erased_prefix=registry.d)
+    return Sketch(values=acc[:, 0], kind="tuple", depth=1, erased_prefix=registry.d, signature_mode=True in modes)
 
 
 def signature_shape(n_cap: int) -> tuple[int, float]:
@@ -304,7 +311,7 @@ def attribute_subsketch(obj: ObjectNode, registry: MatrixRegistry, signature_mod
     """1/2 R_{M,1} x + 1/2 R_{M,2} e_1 (thirds, plus a signature term, when
     signature_mode is on)."""
     block, _ = _attribute_block([obj], registry, signature_mode)
-    return Sketch(values=block[:, 0], kind="attribute", depth=obj.depth, erased_prefix=registry.d)
+    return Sketch(block[:, 0], "attribute", obj.depth, registry.d, signature_mode)
 
 
 def input_tuple_depth(object_depth: int) -> int:
@@ -354,7 +361,7 @@ def object_sketches(net: ModularNetwork, registry: MatrixRegistry, signature_mod
     out = {}
     for objs, block in _sketch_pass(net, registry, signature_mode)[0]:
         for obj, values in zip(objs, block.T.copy()):
-            out[obj.id] = Sketch(values=values, kind="object", depth=obj.depth, erased_prefix=registry.d)
+            out[obj.id] = Sketch(values, "object", obj.depth, registry.d, signature_mode)
     return out
 
 
@@ -448,15 +455,15 @@ def save_sketch(sk: Sketch, path: str, seed_fingerprint: str = "") -> None:
         fh.writelines((header.encode("ascii"), encode_values(sk.values)))
 
 
-def as_integer(value) -> int | None:
-    """value as the int it equals (a numpy integer too); None for a bool, a float or a string."""
-    return int(value) if isinstance(value, (int, np.integer)) and not isinstance(value, bool) else None
-
-
 def sketch_from_metadata(values: np.ndarray, kind, depth, erased_prefix, signature_mode) -> Sketch:
     """The rule of a sketch record, which the store and ``.sketch`` writers
     apply before writing and their readers after reading: finite values, a
-    known kind, integer depth >= 1 and prefix in [1, d], boolean signature mode."""
+    known kind, integer depth >= 1 and prefix in [1, d], boolean signature mode.
+    The values must be a 1-D array of real numbers; a float64 one is kept, not copied."""
+    if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf"):
+        shape = f"{values.ndim}-D {values.dtype}" if isinstance(values, np.ndarray) else type(values).__name__
+        raise ParameterError(f"sketch values must be a 1-D array of real numbers, got {shape}")
+    values = values.astype(np.float64, copy=False)
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))  # the first non-finite value

@@ -215,10 +215,22 @@ def test_repo_query_refuses_a_missing_store_as_cluster_does(tmp_path, capsys):
     save_sketch(Sketch(values=np.arange(8.0), kind="overall", depth=1, erased_prefix=8), str(sk))
     missing = tmp_path / "missing.log"
     query = ["repo", "query", "--store", str(missing), "--sketch", str(sk)]
-    for argv in (query, query + ["--bucketed"], ["repo", "cluster", "--store", str(missing), "--k", "1"]):
+    for argv in (query, ["repo", "cluster", "--store", str(missing), "--k", "1"]):
         assert main(argv) == EXIT_VALIDATION, argv
         assert capsys.readouterr() == ("", f"validation error: no sketch store at {missing}\n")
     assert not missing.exists()
+
+
+def test_repo_query_refuses_a_log_without_a_complete_record_as_cluster_does(tmp_path, capsys):
+    sk = tmp_path / "s.sketch"
+    save_sketch(Sketch(values=np.arange(8.0), kind="overall", depth=1, erased_prefix=8), str(sk))
+    for content in (b"", b'{"id": "torn'):
+        log = tmp_path / "s.log"
+        log.write_bytes(content)
+        for argv in (["query", "--sketch", str(sk)], ["cluster", "--k", "1"]):
+            assert main(["repo", argv[0], "--store", str(log)] + argv[1:]) == EXIT_VALIDATION, argv
+            assert capsys.readouterr() == ("", f"validation error: {log} does not start with a complete record\n")
+        assert log.read_bytes() == content
 
 
 def test_explicit_params_form_writes_the_same_bytes(tmp_path):
@@ -267,7 +279,6 @@ def test_repo_commands_open_the_log_to_append_only_to_insert(tmp_path, monkeypat
         assert main(["repo", "insert", "--store", str(store), "--sketch", str(sk)]) == EXIT_OK
     assert len(closed) == 2 and len(appends) == 2 and all(fh.closed for fh in appends)
     assert main(["repo", "query", "--store", str(store), "--sketch", str(sk), "--k", "1"]) == EXIT_OK
-    assert main(["repo", "query", "--store", str(store), "--sketch", str(sk), "--k", "1", "--bucketed"]) == EXIT_OK
     assert main(["repo", "cluster", "--store", str(store), "--k", "1"]) == EXIT_OK
     assert len(appends) == 2
 

@@ -243,6 +243,22 @@ def test_build_refuses_an_id_the_text_form_cannot_carry(spec, message):
         build_network(spec, d=D)
 
 
+@pytest.mark.parametrize("spec, message", [(two_level_spec(leaf="a\udc80"), "object id 'a\\udc80'"),
+                                           (two_level_spec(leaf_module="m\ud800"), "module id 'm\\ud800'")],
+                         ids=["object", "module"])
+def test_build_refuses_an_id_utf8_cannot_encode(spec, message):
+    with pytest.raises(NetworkValidationError, match=re.escape(f"{message} holds a lone surrogate")):
+        build_network(spec, d=D)
+
+
+def test_save_network_writes_nothing_when_its_text_cannot_be_encoded(tmp_path):
+    net = build_network(two_level_spec(), d=D)
+    net.objects["b"].id = "b\udc80"  # set after build_network, which refuses it
+    with pytest.raises(UnicodeEncodeError):
+        save_network(net, str(tmp_path / "n.txt"))
+    assert not (tmp_path / "n.txt").exists()
+
+
 def test_an_id_with_a_hash_inside_keeps_every_edge(tmp_path):
     net = build_network(two_level_spec(leaf="a#1", leaf_module="m#"), d=D)
     save_network(net, str(tmp_path / "n.txt"))

@@ -31,9 +31,10 @@ from modsketch.network import (
     UnknownFieldError,
     build_network,
     effective_weight,
+    generate_synthetic,
     load_network,
 )
-from modsketch.recovery import RecoveryError, beta_factor, sketch_similarity
+from modsketch.recovery import PathStep, RecoveryError, beta_factor, recover_attributes_by_path, sketch_similarity
 from modsketch.repository import SketchRepository
 from modsketch.sketcher import MatrixRegistry, Sketch, overall_sketch, save_sketch, tuple_sketch
 
@@ -102,6 +103,7 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: learn_dictionary(np.zeros((2, 8)), DLConfig(params=P24)), DimensionMismatchError, "dimension 8"),
         (lambda tmp: beta_factor(2, 0.0), RecoveryError, "must be positive"),
         (lambda tmp: sketch_similarity(sketch(8), sketch(12)), ParameterError, "8 vs 12"),
+        (lambda tmp: SketchRepository(), ParameterError, "a store without a log needs d"),
         (lambda tmp: SketchRepository(8).cluster(k=0), ParameterError, "k must be >= 1"),
         (lambda tmp: SketchRepository(8).cluster(k=2.5), ParameterError, "k must be an integer, got 2.5"),
         (lambda tmp: SketchRepository(8).cluster(k=2.0), ParameterError, "k must be an integer, got 2.0"),
@@ -109,6 +111,28 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: SketchRepository(8).query_similar(sketch(8), k=2.5), ParameterError, "k must be an integer"),
         (lambda tmp: SketchRepository(8).query_similar(sketch(8), k=2.0), ParameterError, "k must be an integer"),
         (lambda tmp: SketchRepository(8).query_similar(sketch(8), k="2"), ParameterError, "k must be an integer"),
+        # integer arguments and numbers a caller can get wrong
+        (lambda tmp: MatrixRegistry(P24, 0).module_matrix("leaf", 1.0), ParameterError, "slot must be 0..3, got 1.0"),
+        (lambda tmp: MatrixRegistry(P24, 0).module_matrix("leaf", True), ParameterError, "slot must be 0..3, got True"),
+        (lambda tmp: MatrixRegistry(P24, 0).tuple_matrix(1.0, 1), ParameterError, "1-based integers, got 1.0, 1"),
+        (lambda tmp: MatrixRegistry(P24, 0).tuple_matrix(1, True), ParameterError, "1-based integers, got 1, True"),
+        (lambda tmp: recover_attributes_by_path(sketch(24), [PathStep(1.0, "leaf")], MatrixRegistry(P24, 0), 1.0),
+         ParameterError, "1-based integers, got 1.0, 1"),
+        (lambda tmp: MatrixRegistry(P24, 7.0), ParameterError, "master seed must be an integer, got 7.0"),
+        (lambda tmp: MatrixRegistry(P24, True), ParameterError, "master seed must be an integer, got True"),
+        (lambda tmp: MatrixRegistry(P24, "7"), ParameterError, "master seed must be an integer, got '7'"),
+        (lambda tmp: measure_noise_profile(("plain",), "both", 30, P24, master_seed=7.0), ParameterError,
+         "master seed must be an integer, got 7.0"),
+        (lambda tmp: generate_synthetic(SyntheticProfile(1, 2, 1), 7.0, 24), ParameterError,
+         "seed must be an integer, got 7.0"),
+        (lambda tmp: tuple_sketch([sketch(24)], [float("nan")], 1, MatrixRegistry(P24, 0, "identity")), ParameterError,
+         "weights must be nonnegative with sum <= 1, got sum nan"),
+        (lambda tmp: tuple_sketch([sketch(24), Sketch(np.zeros(24), "overall", 1, 24, True)], [0.5, 0.5], 1,
+                                  MatrixRegistry(P24, 0, "identity")), ParameterError, "mix signature mode and plain"),
+        (lambda tmp: beta_factor(2.0, 1.0), RecoveryError, "depth must be an integer, got 2.0"),
+        (lambda tmp: beta_factor(True, 1.0), RecoveryError, "depth must be an integer, got True"),
+        (lambda tmp: beta_factor(2, float("inf")), RecoveryError, "positive and finite, got inf"),
+        (lambda tmp: beta_factor(2, float("nan")), RecoveryError, "positive and finite, got nan"),
     ],
     ids=[
         "entry-scale-at-q0", "auto-params-d0", "parity-bit", "codeword-length", "factor-kind", "pairs-per-trial",
@@ -116,8 +140,12 @@ def network_file(tmp_path, old: str, new: str):
         "path-through-a-dangling-edge",
         "weight-scheme", "network-section", "network-attribute-pair",
         "tuple-sketch-d", "overall-sketch-d", "slot-4",
-        "learn-dictionary-width", "beta-weight", "similarity-d", "cluster-k0",
+        "learn-dictionary-width", "beta-weight", "similarity-d", "store-without-d", "cluster-k0",
         "cluster-k-fraction", "cluster-k-float", "cluster-k-str", "query-k-fraction", "query-k-float", "query-k-str",
+        "slot-float", "slot-bool", "tuple-position-float", "tuple-depth-bool", "path-position-float",
+        "master-seed-float", "master-seed-bool", "master-seed-str", "noise-seed-float", "synthetic-seed-float",
+        "tuple-weight-nan", "tuple-modes-mixed", "beta-depth-float", "beta-depth-bool", "beta-weight-inf",
+        "beta-weight-nan",
     ],
 )
 def test_library_refusal(tmp_path, call, error, match):

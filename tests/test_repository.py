@@ -202,7 +202,7 @@ def test_log_replay_keeps_signature_mode(tmp_path):
     repo.insert(signed, "signed")
     # the field is written only when set, so plain records keep their bytes
     assert ["signature_mode" in line for line in log.read_text().splitlines()] == [False, True]
-    again = SketchRepository.from_log(str(log))
+    again = SketchRepository(log_path=str(log))
     assert again.d == D
     modes = {h.entry.id: h.entry.sketch.signature_mode for h in again.query_similar(plain, k=2)}
     assert modes == {"plain": False, "signed": True}
@@ -240,13 +240,46 @@ def test_malformed_record_before_the_end_is_an_error(tmp_path):
         SketchRepository(D, log_path=str(log))
 
 
-def test_from_log_refuses_missing_or_empty_store(tmp_path):
+def test_a_logged_store_opens_at_its_logs_d_whatever_d_is_given(tmp_path):
+    log = tmp_path / "repo.log"
+    rng = np.random.default_rng(9)
+    with SketchRepository(12, log_path=str(log)) as repo:
+        repo.insert(rand_sketch(rng, 12), "e0")
+    for d in (None, 12, D):
+        again = SketchRepository(d, str(log))
+        assert (again.d, len(again)) == (12, 1)
+    before = log.read_bytes()
+    with pytest.raises(DimensionMismatchError, match=f"sketch d={D}, store d=12"):
+        again.insert(rand_sketch(rng), "e1")
+    with pytest.raises(DimensionMismatchError, match=f"sketch d={D}, store d=12"):
+        again.query_similar(rand_sketch(rng), k=1)
+    assert log.read_bytes() == before
+
+
+@pytest.mark.parametrize("content", [None, b"", b'{"id": "e0", "tags"'], ids=["missing", "empty", "torn"])
+def test_d_sizes_a_store_whose_log_holds_no_complete_record(tmp_path, content):
+    log = tmp_path / "repo.log"
+    if content is not None:
+        log.write_bytes(content)
+        # without d such a log is refused, and a torn record is left in place
+        with pytest.raises(ParameterError, match=re.escape(f"{log} does not start with a complete record")):
+            SketchRepository(log_path=str(log))
+        assert log.read_bytes() == content
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        repo = SketchRepository(D, str(log))
+    assert (repo.d, len(repo)) == (D, 0)
+    assert [str(w.message) for w in caught] == ([f"{log}: dropped a torn final record of 19 bytes"] if content else [])
+    assert log.read_bytes() == b"" if content is not None else not log.exists()
+
+
+def test_a_store_without_d_refuses_a_missing_or_empty_log(tmp_path):
     with pytest.raises(ParameterError, match="no sketch store"):
-        SketchRepository.from_log(str(tmp_path / "absent.log"))
+        SketchRepository(log_path=str(tmp_path / "absent.log"))
     empty = tmp_path / "empty.log"
     empty.write_text("")
     with pytest.raises(ParameterError, match="complete record"):
-        SketchRepository.from_log(str(empty))
+        SketchRepository(log_path=str(empty))
 
 
 # -- the log's bytes and its append handle ------------------------------------
@@ -420,7 +453,7 @@ def test_insert_refuses_non_finite_values_before_logging(tmp_path, bad):
             repo.insert(make_sketch(values), "bad")
         assert len(repo) == 1
     assert log.read_bytes() == oracle_record("e0", {}, first)
-    assert len(SketchRepository.from_log(str(log))) == 1
+    assert len(SketchRepository(log_path=str(log))) == 1
     unlogged = SketchRepository(D)
     with pytest.raises(ParameterError, match="sketch values must be finite"):
         unlogged.insert(make_sketch(values))
@@ -633,7 +666,7 @@ def logged_store(tmp_path):
 
 
 def assert_reopens_with_only(log, first):
-    again = SketchRepository.from_log(str(log))
+    again = SketchRepository(log_path=str(log))
     assert len(again) == 1
     (hit,) = again.query_similar(first, k=1)
     assert (hit.entry.id, hit.entry.tags) == ("e0", {"k": "v"})
@@ -672,9 +705,11 @@ def test_insert_refuses_an_id_or_tags_replay_would_refuse(tmp_path, args, messag
         ("erased_prefix", D + 1, f"erased prefix must be an integer in [1, {D}], got {D + 1}"),
         ("erased_prefix", np.float64(3.0), f"erased prefix must be an integer in [1, {D}], got"),
         ("signature_mode", 1, "signature mode must be a boolean, got 1"),
+        ("values", np.ones((D, 2)), "sketch values must be a 1-D array of real numbers, got 2-D float64"),
+        ("values", np.array(["1"] * D), "sketch values must be a 1-D array of real numbers, got 1-D <U1"),
     ],
     ids=["kind-bogus", "depth-0", "depth-float", "depth-bool", "depth-str", "prefix-above-d", "prefix-numpy-float",
-         "signature-int"],
+         "signature-int", "values-2d", "values-str"],
 )
 def test_insert_refuses_a_sketch_replay_would_refuse(tmp_path, field, value, message):
     repo, log, first = logged_store(tmp_path)
@@ -695,7 +730,7 @@ def test_numpy_integer_depth_and_prefix_are_logged_as_their_ints(tmp_path):
     repo.close()
     as_ints = replace(sk, depth=3, erased_prefix=D)
     assert log.read_bytes() == oracle_record("e0", {"k": "v"}, first) + oracle_record("e1", {}, as_ints)
-    hits = SketchRepository.from_log(str(log)).query_similar(make_sketch(np.zeros(D)), k=2)
+    hits = SketchRepository(log_path=str(log)).query_similar(make_sketch(np.zeros(D)), k=2)
     assert [(type(h.entry.sketch.depth), type(h.entry.sketch.erased_prefix)) for h in hits] == [(int, int)] * 2
     assert (hits[1].entry.sketch.depth, hits[1].entry.sketch.erased_prefix) == (3, D)
 
@@ -709,16 +744,16 @@ def test_replay_refuses_what_insert_refuses_with_its_own_message(tmp_path):
                                   ("tags", {"n": 1}, "tags must map strings to strings")]:
         log.write_bytes(good + json.dumps({**bad, field: value}, sort_keys=True).encode() + b"\n")
         with pytest.raises(ParameterError, match=re.escape(f"malformed record at byte {len(good)}: {message}")):
-            SketchRepository.from_log(str(log))
+            SketchRepository(log_path=str(log))
 
 
-def test_from_log_reads_d_from_a_first_record_of_whole_float64s(tmp_path):
+def test_a_first_record_of_part_float64s_is_malformed_at_byte_0(tmp_path):
     repo, log, _ = logged_store(tmp_path)
     repo.close()
     rec = json.loads(log.read_bytes())
     rec["values"] = base64.b64encode(bytes(8 * D + 4)).decode("ascii")
     log.write_text(json.dumps(rec, sort_keys=True) + "\n")
-    with pytest.raises(ParameterError, match="does not start with a complete record"):
-        SketchRepository.from_log(str(log))
-    with pytest.raises(ParameterError, match="does not start with a complete record"):
-        SketchRepository.from_log(str(log), D)
+    message = f"{log}: malformed record at byte 0: sketch payload holds {8 * D + 4} bytes, d={D} needs {8 * D}"
+    for d in (None, D):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            SketchRepository(d, str(log))

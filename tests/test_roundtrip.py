@@ -5,8 +5,8 @@ Whatever the store's ``insert``, ``save_sketch`` or ``build_network`` and
 equal bits.  Whatever a writer refuses, it refuses with a typed error before
 writing a byte.  Most drawn fields are valid; one in ten is of a wrong type
 or range a caller might pass: a bool or a float for an integer, a numpy
-scalar, a non-finite value, an unknown kind, a non-string id or tag, an id
-holding whitespace or starting with '#'.
+scalar, a non-finite value, a 2-D or string array of values, an unknown kind,
+a non-string id or tag, an id holding whitespace or starting with '#'.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ def sketches(draw, d: int) -> Sketch:
     values = np.array(draw(st.lists(finite, min_size=d, max_size=d)), dtype=np.float64)
     if d and draw(st.integers(0, 9)) == 0:
         values[draw(st.integers(0, d - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    values = draw(mostly(st.just(values), st.sampled_from([np.stack([values, values], axis=1), values.astype(str)])))
     kind = draw(mostly(st.sampled_from(KINDS), st.sampled_from(["bogus", "", "Overall"])))
     signature_mode = draw(mostly(st.one_of(st.booleans(), st.sampled_from([np.True_, np.False_])), st.integers(0, 1)))
     return Sketch(values, kind, draw(integers(2**62)), draw(integers(max(d, 1))), signature_mode)

@@ -17,6 +17,7 @@ from modsketch.network import (
     load_network,
     save_network,
 )
+from modsketch.recovery import recover_frequency
 from modsketch.sketcher import (
     DimensionFloorError,
     MatrixRegistry,
@@ -673,13 +674,15 @@ def test_sketch_file_roundtrip(tmp_path):
         ({"depth": 1.0}, "", "sketch depth must be an integer >= 1, got 1.0"),
         ({"erased_prefix": 4}, "", "erased prefix must be an integer in [1, 3], got 4"),
         ({"signature_mode": "no"}, "", "signature mode must be a boolean, got 'no'"),
+        ({"values": np.ones((3, 2))}, "", "sketch values must be a 1-D array of real numbers, got 2-D float64"),
+        ({"values": np.array(["0.5", "1", "0"])}, "", "sketch values must be a 1-D array of real numbers, got 1-D <U3"),
         ({}, "a b", "seed fingerprint 'a b' must be ASCII without whitespace"),
         ({}, "ab\n", "seed fingerprint 'ab\\n' must be ASCII without whitespace"),
         ({}, "\t", "seed fingerprint '\\t' must be ASCII without whitespace"),
         ({}, "séed", "seed fingerprint 'séed' must be ASCII without whitespace"),
     ],
-    ids=["kind-bogus", "nan", "depth-float", "prefix-above-d", "signature-str", "fingerprint-space",
-         "fingerprint-newline", "fingerprint-tab", "fingerprint-non-ascii"],
+    ids=["kind-bogus", "nan", "depth-float", "prefix-above-d", "signature-str", "values-2d", "values-str",
+         "fingerprint-space", "fingerprint-newline", "fingerprint-tab", "fingerprint-non-ascii"],
 )
 def test_save_sketch_refuses_what_load_sketch_would_refuse(tmp_path, change, fingerprint, message):
     good = Sketch(values=np.array([0.5, -0.25, 0.0]), kind="overall", depth=1, erased_prefix=3)
@@ -702,3 +705,34 @@ def test_save_sketch_writes_a_numpy_integer_depth_as_its_int(tmp_path):
     assert (tmp_path / "np.sketch").read_bytes() == (tmp_path / "int.sketch").read_bytes()
     loaded, _ = load_sketch(str(tmp_path / "np.sketch"))
     assert (loaded.depth, loaded.erased_prefix, loaded.signature_mode) == (2, 2, True)
+
+
+def test_public_builders_keep_the_signature_mode():
+    # root -> a (module m) -> b (module leaf): the tuple of a's object sketch
+    # is the overall sketch, bit for bit, and must recover as the overall does
+    params = auto_params(1024, 8)
+    net = build_network({"modules": [{"id": "out", "output": True}, {"id": "m"}, {"id": "leaf"}],
+                         "objects": [{"id": "root", "module": "out"}, {"id": "a", "module": "m", "attributes": [1.0]},
+                                     {"id": "b", "module": "leaf", "attributes": [0.5, 0.1, 0.3]}],
+                         "edges": [("root", "a", 1.0), ("a", "b", 1.0)]}, d=params.d)
+    reg = MatrixRegistry(params, master_seed=3, allow_high_noise=True)
+    overall = overall_sketch(net, reg, signature_mode=True)
+    objects = object_sketches(net, reg, signature_mode=True)
+    assert [sk.signature_mode for sk in objects.values()] == [True, True]
+    assert attribute_subsketch(net.objects["b"], reg, signature_mode=True).signature_mode
+    assert not attribute_subsketch(net.objects["b"], reg).signature_mode
+    rebuilt = tuple_sketch([objects["a"]], [1.0], 1, reg)
+    assert rebuilt.signature_mode and rebuilt.values.tobytes() == overall.values.tobytes()
+    frequency = recover_frequency(overall, "leaf", 3, 1.0, reg).estimate
+    assert recover_frequency(rebuilt, "leaf", 3, 1.0, reg).estimate == frequency
+    assert not tuple_sketch([], [], 1, reg).signature_mode
+
+
+def test_a_numpy_integer_names_the_matrix_its_int_names():
+    reg = MatrixRegistry(PARAMS_SMALL, master_seed=np.int64(7))
+    assert reg.seed_fingerprint() == MatrixRegistry(PARAMS_SMALL, master_seed=7).seed_fingerprint()
+    assert reg.module_matrix("m", np.int64(1)) is reg.module_matrix("m", 1)
+    assert reg.tuple_matrix(np.int32(2), np.uint8(3)) is reg.tuple_matrix(2, 3)
+    assert sorted(reg._cache) == ["m:m:1", "t:2:3"]
+    twin = MatrixRegistry(PARAMS_SMALL, master_seed=7)
+    assert np.array_equal(reg.module_matrix("m", 1).column(1), twin.module_matrix("m", 1).column(1))
