@@ -4,8 +4,9 @@ The package is organized around six building blocks:
 
 ``block_random``
     The block-sparse signed matrix family used everywhere else: the
-    column-signature code, seeded sampling, sparse application, and
-    empirical isometry / desynchronization measurement.
+    column-signature code, seeded sampling, sparse application, and the
+    transparent factor.  ``calibrated`` measures its isometry and
+    desynchronization noise, fits it, and holds the committed constants.
 ``network``
     The communication-graph model: modules, objects with weighted input
     edges and normalized attribute vectors, synthetic generation, and a
@@ -34,13 +35,12 @@ from modsketch.block_random import (
     BlockParams,
     BlockRandomMatrix,
     ModsketchError,
-    NoiseProfile,
     auto_params,
     decode_column_signature,
     encode_column_signature,
-    measure_noise_profile,
     sample_matrix,
 )
+from modsketch.calibrated import NoiseProfile, measure_noise_profile
 from modsketch.dictlearn import (
     DLConfig,
     LearnedDictionary,

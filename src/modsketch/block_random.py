@@ -1,4 +1,4 @@
-"""Block-sparse signed random matrices and their measurable noise behavior.
+"""Block-sparse signed random matrices.
 
 A matrix from the family ``D(b, q, d)`` is d x d and column-block structured:
 each column is split into d/b blocks of b entries, each block is independently
@@ -18,7 +18,7 @@ strong enough coefficient leaves legible signed block patterns behind
 Columns are unit norm in expectation, and the family behaves like a noisy
 rotation: ``<Rx, Rx>`` concentrates on ``<x, x>`` (isometry) and ``<Rx, y>``
 concentrates on zero for independent x, y (desynchronization).
-:func:`measure_noise_profile` measures both deviations empirically.
+:func:`modsketch.calibrated.measure_noise_profile` measures both deviations.
 
 A draw reads one run of raw outputs of its seed's Philox stream (draw format
 v1, see :func:`_draw`).  A matrix keeps that compact draw and assembles it
@@ -38,7 +38,6 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Literal, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,8 +60,6 @@ __all__ = [
     "sample_first_column",
     "sample_orthonormal",
     "transparent",
-    "NoiseProfile",
-    "measure_noise_profile",
 ]
 
 
@@ -120,6 +117,9 @@ class BlockParams:
     n_cap: int
 
     def __post_init__(self) -> None:
+        for name, value in (("b", self.b), ("d", self.d), ("n_cap", self.n_cap)):
+            if as_integer(value) is None:
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.d < 1:
             raise ParameterError(f"d must be positive, got {self.d}")
         if self.n_cap < 2:
@@ -182,10 +182,10 @@ def auto_params(d_request: int, n_cap: int, q: float | None = None) -> BlockPara
     iterated to a fixpoint.  q defaults to :func:`corollary_q` of the final
     dimension.
     """
-    if d_request < 1:
-        raise ParameterError("requested dimension must be positive")
-    if n_cap < 2:
-        raise ParameterError(f"n_cap must be >= 2, got {n_cap}")
+    if as_integer(d_request) is None or d_request < 1:
+        raise ParameterError(f"requested dimension must be an integer >= 1, got {d_request!r}")
+    if as_integer(n_cap) is None or n_cap < 2:
+        raise ParameterError(f"n_cap must be an integer >= 2, got {n_cap!r}")
     d = d_request
     for _ in range(8):
         b = _min_block(d, n_cap)
@@ -642,137 +642,3 @@ def sample_orthonormal(d: int, seed_key: str) -> OrthonormalMatrix:
     qmat, r = np.linalg.qr(g)
     qmat = qmat * np.sign(np.diag(r))[None, :]
     return OrthonormalMatrix(dense=qmat, seed_key=seed_key)
-
-
-# ---------------------------------------------------------------------------
-# Noise measurement
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class NoiseProfile:
-    """Empirical deviation of an expression family from an exact rotation.
-
-    delta_* are high quantiles of |<Ex, Ex> - alpha <x, x>| (isometry) and
-    |<E_L x, E_R y> - alpha <x, y>| (desynchronization) over fresh matrix
-    draws; alpha is the fitted scale/leak factor.
-    """
-
-    delta_iso: float
-    delta_desync: float
-    alpha: float
-
-
-FactorKind = Literal["plain", "transpose", "transparent", "identity"]
-TemplateSpec = Sequence[FactorKind]
-Factors = list[tuple[FactorKind, AnyMatrix | None]]
-
-
-def _draw_factors(
-    spec: TemplateSpec, params: BlockParams, trial: int, side: str, master_seed: int
-) -> Factors:
-    """One fresh matrix per non-identity slot of the template."""
-    return [
-        (kind, None if kind == "identity" else sample_matrix(params, f"noise:{master_seed}:{trial}:{side}:{slot}"))
-        for slot, kind in enumerate(spec)
-    ]
-
-
-def _apply_factors(factors: Factors, x: np.ndarray) -> np.ndarray:
-    """Evaluate the factor product right-to-left on x."""
-    v = x
-    for kind, mat in reversed(factors):
-        if kind == "plain":
-            v = mat.matvec(v)
-        elif kind == "transpose":
-            v = mat.rmatvec(v)
-        elif kind == "transparent":
-            v = transparent(mat, v)
-        elif kind != "identity":
-            raise ParameterError(f"unknown factor kind {kind}")
-    return v
-
-
-def measure_noise_profile(
-    expr_family: TemplateSpec,
-    mode: Literal["isometry", "desynchronization", "both"],
-    trials: int,
-    params: BlockParams,
-    quantile: float = 0.99,
-    master_seed: int = 0,
-    right_family: TemplateSpec | None = None,
-    pairs_per_trial: int = 1,
-) -> NoiseProfile:
-    """Measure the noise profile of an expression template.
-
-    ``expr_family`` names the factor kinds of fresh independent draws, e.g.
-    ``("plain",)`` for a single matrix, ``("transparent",)`` for (I+R)/2, or
-    ``("plain", "plain")`` for a product of two draws.  In desynchronization
-    mode, ``right_family`` (default: none) is applied to the second test
-    vector, so independent-matrices-on-both-sides setups are expressible.
-
-    Each trial draws fresh matrices; ``pairs_per_trial`` fresh unit test
-    vector pairs are derived per trial seed (more pairs stabilize the
-    quantile estimate without extra matrix draws).  alpha is fitted by least
-    squares of the raw statistic on the reference inner product, and delta
-    is the empirical ``quantile`` of the residual.
-    """
-    if trials < 30:
-        raise ParameterError("need at least 30 trials for a stable quantile")
-    if not 0.0 < quantile < 1.0:
-        raise ParameterError("quantile must lie strictly inside (0, 1)")
-    if pairs_per_trial < 1:
-        raise ParameterError("need at least one vector pair per trial")
-    if as_integer(master_seed) is None:
-        raise ParameterError(f"master seed must be an integer, got {master_seed!r}")
-    d = params.d
-
-    n_samples = trials * pairs_per_trial
-    iso_raw = np.empty(n_samples)
-    des_raw = np.empty(n_samples)
-    des_ip = np.empty(n_samples)
-    want_iso = mode in ("isometry", "both")
-    want_des = mode in ("desynchronization", "both")
-
-    pos = 0
-    for trial in range(trials):
-        rng = derive_rng(master_seed, "noise-vectors", trial)
-        left = _draw_factors(expr_family, params, trial, "L", master_seed)
-        right = (
-            _draw_factors(right_family, params, trial, "R", master_seed)
-            if right_family is not None
-            else None
-        )
-        for _pair in range(pairs_per_trial):
-            x = rng.standard_normal(d)
-            x /= np.linalg.norm(x)
-            ex = _apply_factors(left, x)
-            if want_iso:
-                iso_raw[pos] = float(ex @ ex)
-            if want_des:
-                # Correlated second vector so the leak factor alpha is identifiable.
-                rho = rng.uniform(-0.8, 0.8)
-                perp = rng.standard_normal(d)
-                perp -= (perp @ x) * x
-                perp /= np.linalg.norm(perp)
-                y = rho * x + math.sqrt(1.0 - rho * rho) * perp
-                y_side = _apply_factors(right, y) if right is not None else y
-                des_raw[pos] = float(ex @ y_side)
-                des_ip[pos] = rho
-            pos += 1
-
-    def fit(raw: np.ndarray, ip: np.ndarray) -> tuple[float, float]:
-        denom = float(ip @ ip)
-        alpha = float(raw @ ip) / denom if denom > 1e-12 else 0.0
-        resid = np.abs(raw - alpha * ip)
-        return alpha, float(np.quantile(resid, quantile))
-
-    alpha_i = delta_i = 0.0
-    alpha_d = delta_d = 0.0
-    if want_iso:
-        alpha_i, delta_i = fit(iso_raw, np.ones(n_samples))
-    if want_des:
-        alpha_d, delta_d = fit(des_raw, des_ip)
-
-    alpha = alpha_i if want_iso else alpha_d
-    return NoiseProfile(delta_iso=delta_i, delta_desync=delta_d, alpha=alpha)

@@ -31,9 +31,9 @@ from modsketch.block_random import (
     ModsketchError,
     ParameterError,
     auto_params,
-    measure_noise_profile,
     sample_matrix,
 )
+from modsketch.calibrated import fit_delta_law, measure_noise_profile
 from modsketch.dictlearn import (
     DLConfig,
     learn_dictionary,
@@ -192,7 +192,7 @@ def _registry_from_config(cfg: dict, seed: int, default_params: dict) -> MatrixR
 
 
 def cmd_calibrate(args: argparse.Namespace) -> None:
-    """Noise sweep over dimensions; fits delta(d) = c*sqrt(b*log2(N)/d)."""
+    """Noise sweep over dimensions, and the fit of delta(d) to the calibrated law."""
     cfg, seed = _config(args)
     run_id = _optional(cfg, "run_id", "calibrate", "label")
     n_cap = _optional(cfg, "n_cap", 64, int)
@@ -226,21 +226,9 @@ def cmd_calibrate(args: argparse.Namespace) -> None:
         )
         rows.append(_result_row(run_id, seed, params, "alpha_transparent", tprof.alpha))
 
-    def fit(deltas):
-        # free-exponent fit log(delta) = log(c') + e*log(d), plus the
-        # coefficient of the sqrt(b*log2(N)/d) law at e = -1/2
-        logs_d = np.log([d for d, _, _ in deltas])
-        logs_v = np.log([v for _, _, v in deltas])
-        exponent, intercept = np.polyfit(logs_d, logs_v, 1)
-        coeffs = [v / math.sqrt(b * math.log2(n_cap) / d) for d, b, v in deltas]
-        c = float(np.mean(coeffs))
-        preds = [c * math.sqrt(b * math.log2(n_cap) / d) for d, b, _ in deltas]
-        residuals = [v - p for (_, _, v), p in zip(deltas, preds)]
-        return float(exponent), c, residuals
-
     if len(dims) >= 2:
         for name, deltas in (("iso", deltas_iso), ("desync", deltas_des)):
-            exponent, c, residuals = fit(deltas)
+            exponent, c, residuals = fit_delta_law(deltas, n_cap)
             rows.append(_result_row(run_id, seed, None, f"fit_exponent_{name}", exponent))
             rows.append(_result_row(run_id, seed, None, f"fit_c_{name}", c))
             for (d, _, _), r in zip(deltas, residuals):

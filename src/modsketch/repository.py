@@ -128,6 +128,8 @@ class SketchRepository:
         self.log_path = log_path
 
     def _set_dimension(self, d: int | None) -> None:
+        if d is not None and (as_integer(d) is None or d < 1):
+            raise ParameterError(f"store dimension must be an integer >= 1, got {d!r}")
         self.d = d
         self._vectors, self._codes = np.empty((0, d or 0)), np.empty(0, dtype=np.int64)
         self._planes = derive_rng(0, "repository-hyperplanes").standard_normal((len(_PLANE_BITS), d or 0))

@@ -416,6 +416,8 @@ def prototype_b_overall(net: ModularNetwork, registry: MatrixRegistry) -> Sketch
 
 def erase_to_prefix(sk: Sketch, d_prime: int) -> Sketch:
     """Zero all coordinates beyond d_prime and record the surviving prefix."""
+    if as_integer(d_prime) is None:
+        raise ParameterError(f"prefix must be an integer, got {d_prime!r}")
     if not 0 < d_prime <= sk.d:
         raise ParameterError(f"prefix {d_prime} outside (0, {sk.d}]")
     if d_prime >= sk.erased_prefix:

@@ -25,9 +25,9 @@ from modsketch.block_random import (
     auto_params,
     decode_column_signature,
     encode_column_signature,
-    measure_noise_profile,
     sample_matrix,
 )
+from modsketch.calibrated import measure_noise_profile
 from modsketch.dictlearn import DLConfig, learn_dictionary, match_permutation, unroll_network
 from modsketch.network import build_network
 from modsketch.recovery import (

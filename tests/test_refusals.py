@@ -12,12 +12,11 @@ from modsketch.block_random import (
     BlockParams,
     DimensionMismatchError,
     ParameterError,
-    _apply_factors,
     auto_params,
     decode_column_signature,
     encode_column_signature,
-    measure_noise_profile,
 )
+from modsketch.calibrated import measure_noise_profile
 from modsketch.cli import EXIT_CONFIG, EXIT_VALIDATION, ConfigError, build_parser, main
 from modsketch.dictlearn import DLConfig, learn_dictionary
 from modsketch.network import (
@@ -36,7 +35,7 @@ from modsketch.network import (
 )
 from modsketch.recovery import PathStep, RecoveryError, beta_factor, recover_attributes_by_path, sketch_similarity
 from modsketch.repository import SketchRepository
-from modsketch.sketcher import MatrixRegistry, Sketch, overall_sketch, save_sketch, tuple_sketch
+from modsketch.sketcher import MatrixRegistry, Sketch, erase_to_prefix, overall_sketch, save_sketch, tuple_sketch
 
 P8 = BlockParams(b=18, q=0.5, d=8, n_cap=8)
 P24 = BlockParams(b=24, q=0.5, d=24, n_cap=12)
@@ -82,7 +81,8 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: auto_params(0, 6), ParameterError, "requested dimension"),
         (lambda tmp: encode_column_signature(1, 0, 1, P8), ParameterError, "parity bits"),
         (lambda tmp: decode_column_signature(np.ones(5), P8), DimensionMismatchError, "codeword length"),
-        (lambda tmp: _apply_factors([("sideways", None)], np.ones(8)), ParameterError, "unknown factor kind"),
+        (lambda tmp: measure_noise_profile(("sideways",), "both", 30, P24), ParameterError,
+         r"expr_family must be \('plain',\) or \('transparent',\), got \('sideways',\)"),
         (lambda tmp: measure_noise_profile(("plain",), "both", 30, P24, pairs_per_trial=0), ParameterError, "pair"),
         # network
         (lambda tmp: star(root_attrs=[1.0]), OutputModuleError, "pseudo-object"),
@@ -133,6 +133,23 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: beta_factor(True, 1.0), RecoveryError, "depth must be an integer, got True"),
         (lambda tmp: beta_factor(2, float("inf")), RecoveryError, "positive and finite, got inf"),
         (lambda tmp: beta_factor(2, float("nan")), RecoveryError, "positive and finite, got nan"),
+        (lambda tmp: measure_noise_profile(("plain",), "isometri", 30, P24), ParameterError,
+         "mode must be 'isometry' or 'both', got 'isometri'"),
+        (lambda tmp: measure_noise_profile((), "both", 30, P24), ParameterError, r"expr_family .* got \(\)"),
+        (lambda tmp: measure_noise_profile("plain", "both", 30, P24), ParameterError, "expr_family .* got 'plain'"),
+        (lambda tmp: measure_noise_profile(("plain",), "both", 30.5, P24), ParameterError, "trials .* got 30.5"),
+        (lambda tmp: measure_noise_profile(("plain",), "both", 30, P24, pairs_per_trial=1.5), ParameterError,
+         "pair per trial, got 1.5"),
+        (lambda tmp: auto_params(546.0, 8), ParameterError, "requested dimension must be an integer >= 1, got 546.0"),
+        (lambda tmp: auto_params(True, 8), ParameterError, "requested dimension must be an integer >= 1, got True"),
+        (lambda tmp: auto_params(546, 8.0), ParameterError, "n_cap must be an integer >= 2, got 8.0"),
+        (lambda tmp: BlockParams(b=39.0, q=0.5, d=546, n_cap=8), ParameterError, "b must be an integer, got 39.0"),
+        (lambda tmp: BlockParams(b=39, q=0.5, d=546.0, n_cap=8), ParameterError, "d must be an integer, got 546.0"),
+        (lambda tmp: BlockParams(b=39, q=0.5, d=546, n_cap=8.0), ParameterError, "n_cap must be an integer, got 8.0"),
+        (lambda tmp: erase_to_prefix(sketch(24), 2.5), ParameterError, "prefix must be an integer, got 2.5"),
+        (lambda tmp: erase_to_prefix(sketch(24), True), ParameterError, "prefix must be an integer, got True"),
+        (lambda tmp: SketchRepository(-1), ParameterError, "store dimension must be an integer >= 1, got -1"),
+        (lambda tmp: SketchRepository(2.5), ParameterError, "store dimension must be an integer >= 1, got 2.5"),
     ],
     ids=[
         "entry-scale-at-q0", "auto-params-d0", "parity-bit", "codeword-length", "factor-kind", "pairs-per-trial",
@@ -145,7 +162,10 @@ def network_file(tmp_path, old: str, new: str):
         "slot-float", "slot-bool", "tuple-position-float", "tuple-depth-bool", "path-position-float",
         "master-seed-float", "master-seed-bool", "master-seed-str", "noise-seed-float", "synthetic-seed-float",
         "tuple-weight-nan", "tuple-modes-mixed", "beta-depth-float", "beta-depth-bool", "beta-weight-inf",
-        "beta-weight-nan",
+        "beta-weight-nan", "noise-mode-misspelled", "noise-family-empty", "noise-family-str", "noise-trials-float",
+        "noise-pairs-float", "auto-params-d-float", "auto-params-d-bool", "auto-params-n-cap-float",
+        "block-params-b-float", "block-params-d-float", "block-params-n-cap-float", "erase-prefix-float",
+        "erase-prefix-bool", "store-d-negative", "store-d-float",
     ],
 )
 def test_library_refusal(tmp_path, call, error, match):
