@@ -38,6 +38,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,9 +80,17 @@ class CorruptCodewordError(ModsketchError):
     """A column-signature codeword decoded to an out-of-range index."""
 
 
-def as_integer(value) -> int | None:
-    """value as the int it equals (a numpy integer too); None for a bool, a float or a string."""
-    return int(value) if isinstance(value, (int, np.integer)) and not isinstance(value, bool) else None
+def require_integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """value as the int it equals, a numpy integer too.  A bool, a float, a
+    string or an integer outside [low, high] (high only with low) is refused:
+    ``<what> must be an integer[ >= low | in [low, high]], got <value!r>``."""
+    # a plain int, the common case, passes the first test alone
+    if type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        n = int(value)
+        if (low is None or n >= low) and (high is None or n <= high):
+            return n
+    bound = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+    raise ParameterError(f"{what} must be an integer{bound}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +126,8 @@ class BlockParams:
     n_cap: int
 
     def __post_init__(self) -> None:
-        for name, value in (("b", self.b), ("d", self.d), ("n_cap", self.n_cap)):
-            if as_integer(value) is None:
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.d < 1:
-            raise ParameterError(f"d must be positive, got {self.d}")
-        if self.n_cap < 2:
-            raise ParameterError(f"n_cap must be >= 2, got {self.n_cap}")
+        for name, low in (("b", None), ("d", 1), ("n_cap", 2)):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name, low))
         if self.b % 3 != 0:
             raise ParameterError(f"b must be a multiple of 3, got {self.b}")
         floor = _min_block(self.d, self.n_cap)
@@ -131,8 +135,10 @@ class BlockParams:
             raise ParameterError(
                 f"b={self.b} too small for d={self.d}, n_cap={self.n_cap}; need b >= {floor}"
             )
-        if not 0.0 <= self.q <= 1.0:
-            raise ParameterError(f"q must lie in [0, 1], got {self.q}")
+        # q is kept as the float it equals: the draw key spells it with str
+        if isinstance(self.q, bool) or not isinstance(self.q, Real) or not 0.0 <= self.q <= 1.0:
+            raise ParameterError(f"q must be a number in [0, 1], got {self.q!r}")
+        object.__setattr__(self, "q", float(self.q))
 
     @property
     def sub_block(self) -> int:
@@ -182,11 +188,8 @@ def auto_params(d_request: int, n_cap: int, q: float | None = None) -> BlockPara
     iterated to a fixpoint.  q defaults to :func:`corollary_q` of the final
     dimension.
     """
-    if as_integer(d_request) is None or d_request < 1:
-        raise ParameterError(f"requested dimension must be an integer >= 1, got {d_request!r}")
-    if as_integer(n_cap) is None or n_cap < 2:
-        raise ParameterError(f"n_cap must be an integer >= 2, got {n_cap!r}")
-    d = d_request
+    d = d_request = require_integer(d_request, "requested dimension", 1)
+    n_cap = require_integer(n_cap, "n_cap", 2)
     for _ in range(8):
         b = _min_block(d, n_cap)
         d_aligned = ((d + b - 1) // b) * b
@@ -231,8 +234,7 @@ def encode_column_signature(j: int, b_m: int, b_s: int, params: BlockParams) -> 
     Returns a (b/3)-vector over {+-1/sqrt(d*q)}: leading +1, MSB-first sign
     bits of j-1, then b_m, b_s, then +1 padding, all scaled.
     """
-    if not 1 <= j <= params.d:
-        raise ParameterError(f"column index {j} outside [1, {params.d}]")
+    j = require_integer(j, "column index", 1, params.d)
     if b_m not in (-1, 1) or b_s not in (-1, 1):
         raise ParameterError("parity bits must be +1 or -1")
     t = params.index_bits
@@ -379,6 +381,7 @@ class BlockRandomMatrix:
     def column(self, j: int) -> np.ndarray:
         """Dense column j (1-based), equal bit for bit to ``matvec(e_j)``,
         read from the block view."""
+        j = require_integer(j, "column", 1, self.eta.shape[1])
         view = self._view()
         lo, hi = view.indptr[j - 1], view.indptr[j]
         out = np.zeros(self.d)
@@ -399,7 +402,7 @@ class BlockRandomMatrix:
         gives both ends of its range in that sum.
         """
         b = self.params.b
-        full, part = divmod(max(d_prime, 0), b)
+        full, part = divmod(require_integer(d_prime, "prefix", 0, self.d), b)
         counts = b * self.eta[:full].sum(axis=0)
         if part and full < self.params.n_blocks:
             counts += part * self.eta[full]
@@ -432,14 +435,14 @@ class OrthonormalMatrix:
         return self.dense.T @ x
 
     def column(self, j: int) -> np.ndarray:
-        return self.dense[:, j - 1].copy()
+        return self.dense[:, require_integer(j, "column", 1, self.d) - 1].copy()
 
     @property
     def col_sq_norms(self) -> np.ndarray:
         return np.ones(self.d)
 
     def prefix_col_sq_norms(self, d_prime: int) -> np.ndarray:
-        return np.sum(self.dense[:d_prime, :] ** 2, axis=0)
+        return np.sum(self.dense[: require_integer(d_prime, "prefix", 0, self.d), :] ** 2, axis=0)
 
 
 @dataclass
@@ -448,6 +451,9 @@ class IdentityMatrix:
 
     dim: int
     seed_key: str = "identity"
+
+    def __post_init__(self) -> None:
+        self.dim = require_integer(self.dim, "dim", 1)
 
     @property
     def d(self) -> int:
@@ -461,7 +467,7 @@ class IdentityMatrix:
 
     def column(self, j: int) -> np.ndarray:
         col = np.zeros(self.dim)
-        col[j - 1] = 1.0
+        col[require_integer(j, "column", 1, self.dim) - 1] = 1.0
         return col
 
     @property
@@ -469,7 +475,7 @@ class IdentityMatrix:
         return np.ones(self.dim)
 
     def prefix_col_sq_norms(self, d_prime: int) -> np.ndarray:
-        return (np.arange(self.dim) < d_prime).astype(np.float64)
+        return (np.arange(self.dim) < require_integer(d_prime, "prefix", 0, self.dim)).astype(np.float64)
 
 
 AnyMatrix = BlockRandomMatrix | OrthonormalMatrix | IdentityMatrix
@@ -637,6 +643,7 @@ def sample_first_column(params: BlockParams, seed_key: str) -> BlockRandomMatrix
 
 def sample_orthonormal(d: int, seed_key: str) -> OrthonormalMatrix:
     """Haar-random d x d rotation via QR of a Gaussian draw."""
+    d = require_integer(d, "d", 1)
     rng = derive_rng(0, "orthonormal-matrix", seed_key, d)
     g = rng.standard_normal((d, d))
     qmat, r = np.linalg.qr(g)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from modsketch._seeding import derive_rng
-from modsketch.block_random import BlockParams, ParameterError, as_integer, sample_matrix, transparent
+from modsketch.block_random import BlockParams, ParameterError, require_integer, sample_matrix, transparent
 
 __all__ = [
     "DELTA_ISO_COEFF",
@@ -113,15 +113,11 @@ def measure_noise_profile(
         raise ParameterError(f"expr_family must be ('plain',) or ('transparent',), got {expr_family!r}")
     if mode not in ("isometry", "both"):
         raise ParameterError(f"mode must be 'isometry' or 'both', got {mode!r}")
-    n_trials, pairs = as_integer(trials), as_integer(pairs_per_trial)
-    if n_trials is None or n_trials < 30:
-        raise ParameterError(f"need an integer of at least 30 trials for a stable quantile, got {trials!r}")
+    n_trials = require_integer(trials, "trials", 30)  # fewer give no stable quantile
     if not 0.0 < quantile < 1.0:
         raise ParameterError("quantile must lie strictly inside (0, 1)")
-    if pairs is None or pairs < 1:
-        raise ParameterError(f"need an integer of at least one vector pair per trial, got {pairs_per_trial!r}")
-    if as_integer(master_seed) is None:
-        raise ParameterError(f"master seed must be an integer, got {master_seed!r}")
+    pairs = require_integer(pairs_per_trial, "pairs_per_trial", 1)
+    master_seed = require_integer(master_seed, "master seed")
     iso_raw = np.empty(n_trials * pairs)
     des_raw = np.empty(n_trials * pairs)
     des_ip = np.empty(n_trials * pairs)

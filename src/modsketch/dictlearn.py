@@ -40,6 +40,7 @@ import glob
 import math
 import os
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import ClassVar
 
 import numpy as np
@@ -97,8 +98,9 @@ class DLConfig:
     sig_match_eps_factor: ClassVar[float] = 10.0  # match_permutation's signature radius over eps_recover
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps_recover <= 1.0:
-            raise ParameterError(f"eps_recover must lie in (0, 1], got {self.eps_recover}")
+        eps = self.eps_recover
+        if isinstance(eps, bool) or not isinstance(eps, Real) or not 0.0 < eps <= 1.0:
+            raise ParameterError(f"eps_recover must be a number in (0, 1], got {eps!r}")
 
     @property
     def scale(self) -> float:
@@ -267,25 +269,33 @@ def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary
     Every seed block of a dominant column finds the same matching set, so
     each distinct set of a sample is clustered and installed once, in the
     order of its first seed; each seed then writes its own weight, in seed
-    order, so the last seed of a column wins.  Ill-conditioned inputs never
-    fail; they simply yield fewer recovered columns and zero coefficients.
+    order, so the last seed of a column wins.  The samples must be a finite
+    2-D array of width d; an ill-conditioned one never fails, it simply
+    yields fewer recovered columns and zero coefficients.
     """
     p = config.params
     d, b, q, m, n_blocks = p.d, p.b, p.q, p.sub_block, p.n_blocks
-    y = np.ascontiguousarray(np.atleast_2d(np.asarray(samples, dtype=np.float64)))
+    y = np.asarray(samples)
+    if y.ndim != 2 or y.dtype.kind not in "iuf":
+        raise ParameterError(f"samples must be a 2-D array of real numbers, got a {y.ndim}-D {y.dtype} array")
     if y.shape[1] != d:
         raise DimensionMismatchError(f"samples have dimension {y.shape[1]}, expected {d}")
+    y = np.ascontiguousarray(y, dtype=np.float64)
     n_samples = y.shape[0]
     tau2 = config.tau2_value
 
     blocks = y.reshape(n_samples, n_blocks, b)
     abs_blocks = np.abs(blocks)
+    block_max = abs_blocks.max(axis=2)  # NaN or inf exactly where the block holds one
+    finite = np.isfinite(block_max).all(axis=1)
+    if not finite.all():
+        raise ParameterError(f"samples must be finite, sample {int(np.argmin(finite))} is not")
     weights = abs_blocks.sum(axis=2) * math.sqrt(q * d) / b  # |x| of a clean dominated block
     # magnitude window (pre-normalization): every coordinate in [tau1, 2/sqrt(qd)]
     in_window = (
         (weights > 0)
         & (abs_blocks.min(axis=2) >= config.tau1_value)
-        & (abs_blocks.max(axis=2) <= config.upper_value)
+        & (block_max <= config.upper_value)
     )
     del abs_blocks  # as large as the batch, and nothing below reads it
 

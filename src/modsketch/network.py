@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from modsketch._seeding import derive_rng
-from modsketch.block_random import ModsketchError, ParameterError, as_integer
+from modsketch.block_random import ModsketchError, require_integer
 
 __all__ = [
     "NetworkValidationError",
@@ -165,6 +165,9 @@ def build_network(
     output module count), and an id that is empty, holds whitespace or
     starts with '#'.
     """
+    d, n_multiplier = require_integer(d, "d", 1), require_integer(n_multiplier, "n_multiplier", 1)
+    if n_cap is not None:
+        n_cap = require_integer(n_cap, "n_cap")  # the floor below bounds it
     modules: dict[str, Module] = {}
     for mdesc in spec.get("modules", []):
         mod = Module(id=_require_id("module", str(mdesc["id"])), is_output=bool(mdesc.get("output", False)))
@@ -209,8 +212,6 @@ def build_network(
         if total > 1.0 + WEIGHT_TOL:
             raise WeightSumError(f"input weights of {obj.id!r} sum to {total} > 1")
 
-    if n_multiplier < 1:
-        raise NetworkValidationError(f"n_multiplier must be at least 1, got {n_multiplier}")
     floor = n_multiplier * max(len(modules), max(len(objects) - 1, 1))
     if n_cap is not None and n_cap < floor:
         raise NetworkValidationError(f"n_cap={n_cap} below required floor {floor}")
@@ -306,8 +307,10 @@ class SyntheticProfile:
     attr_span: int | None = None  # coordinates the attributes may occupy
 
     def __post_init__(self) -> None:
-        if self.n_modules < 1 or self.depth < 2 or self.fan_in < 1:
-            raise NetworkValidationError("infeasible synthetic profile")
+        for name, low in (("n_modules", 1), ("depth", 2), ("fan_in", 1), ("attr_sparsity", 1)):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name, low))
+        if self.attr_span is not None:
+            object.__setattr__(self, "attr_span", require_integer(self.attr_span, "attr_span", 1))
         if self.n_modules < self.depth - 1:
             raise NetworkValidationError(
                 f"{self.n_modules} modules cannot cover {self.depth - 1} object levels "
@@ -315,19 +318,13 @@ class SyntheticProfile:
             )
         if self.weight_scheme not in ("uniform", "random"):
             raise NetworkValidationError(f"unknown weight scheme {self.weight_scheme!r}")
-        if self.attr_sparsity < 1:
-            raise NetworkValidationError(f"attr_sparsity must be at least 1, got {self.attr_sparsity}")
-        if self.attr_span is not None and self.attr_span < 1:
-            raise NetworkValidationError(f"attr_span must be at least 1 when set, got {self.attr_span}")
         if self.attr_span is not None and self.attr_sparsity > self.attr_span:
             raise NetworkValidationError(f"attr_sparsity {self.attr_sparsity} exceeds attr_span {self.attr_span}")
 
 
 def generate_synthetic(profile: SyntheticProfile, seed: int, d: int) -> ModularNetwork:
     """Deterministically generate a tree-shaped network for experiments."""
-    if as_integer(seed) is None:
-        raise ParameterError(f"seed must be an integer, got {seed!r}")
-    rng = derive_rng(seed, "synthetic-network")
+    rng = derive_rng(require_integer(seed, "seed"), "synthetic-network")
     levels = profile.depth - 1  # object levels below the output
     module_names = [f"m{i}" for i in range(profile.n_modules)]
     # Spread modules over levels round-robin so each level has at least one.

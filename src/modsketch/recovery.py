@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from modsketch.block_random import AnyMatrix, DimensionMismatchError, ModsketchError, ParameterError, as_integer
+from modsketch.block_random import AnyMatrix, DimensionMismatchError, ModsketchError, ParameterError, require_integer
 from modsketch.calibrated import PREDICTED_ERROR_COEFF, delta_desync_fit
 from modsketch.sketcher import MatrixRegistry, Sketch, input_tuple_depth, pair_tuple_depth, signature_shape
 
@@ -90,10 +90,7 @@ class RecoveryReport:
 
 def beta_factor(h: int, w: float, signature_mode: bool = False) -> float:
     """Inverse of the depth-h attribute attenuation, 2^(4h-3)/w."""
-    if as_integer(h) is None:
-        raise RecoveryError(f"depth must be an integer, got {h!r}")
-    if h < 2:
-        raise RecoveryError(f"recoverable objects sit at depth >= 2, got {h}")
+    h = require_integer(h, "depth", 2)  # recoverable objects sit at depth >= 2
     if not 0 < w < math.inf:  # a NaN fails too
         raise RecoveryError(f"effective weight must be positive and finite, got {w!r}")
     coeff = 3.0 if signature_mode else 2.0
@@ -240,7 +237,10 @@ def recover_frequency(
     the report's noise bound scales with the beta used.
     """
     depth_beta = _checked_beta(sk, registry, h, w_star)
-    beta = depth_beta if beta is None else beta
+    if beta is None:
+        beta = depth_beta
+    elif not 0 < beta < math.inf:  # a NaN fails too
+        raise RecoveryError(f"beta must be positive and finite, got {beta!r}")
     real = float(beta * _column_contract(registry.module_first_column(module), sk)[0])
     return _report(
         sk, registry, h, w_star, beta, kind="frequency", estimate=real, module=module,

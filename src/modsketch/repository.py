@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from modsketch._seeding import derive_rng
-from modsketch.block_random import DimensionMismatchError, ParameterError, as_integer
+from modsketch.block_random import DimensionMismatchError, ParameterError, require_integer
 from modsketch.sketcher import Sketch, decode_values, encode_values, sketch_from_metadata
 
 __all__ = ["SketchEntry", "QueryHit", "ClusterResult", "SketchRepository"]
@@ -99,17 +99,6 @@ def _parse_record(line: bytes, d: int | None) -> tuple[Sketch, str, dict]:
     return Sketch(values, rec["kind"], rec["depth"], rec["erased_prefix"], rec.get("signature_mode", False)), eid, tags
 
 
-def _require_k(k, n: int | None = None) -> None:
-    """Refuse a k that is not an integer >= 1, or (given n, as clustering
-    does) above the n entries."""
-    if as_integer(k) is None:
-        raise ParameterError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}" if n is None else "k must be >= 1")
-    if n is not None and k > n:
-        raise ParameterError(f"k={k} exceeds repository size {n}")
-
-
 class SketchRepository:
     """In-memory sketch store with an optional append-only log file."""
 
@@ -128,8 +117,8 @@ class SketchRepository:
         self.log_path = log_path
 
     def _set_dimension(self, d: int | None) -> None:
-        if d is not None and (as_integer(d) is None or d < 1):
-            raise ParameterError(f"store dimension must be an integer >= 1, got {d!r}")
+        if d is not None:
+            d = require_integer(d, "store dimension", 1)
         self.d = d
         self._vectors, self._codes = np.empty((0, d or 0)), np.empty(0, dtype=np.int64)
         self._planes = derive_rng(0, "repository-hyperplanes").standard_normal((len(_PLANE_BITS), d or 0))
@@ -244,7 +233,7 @@ class SketchRepository:
         ranks only the probe's hyperplane bucket and additionally reports
         the recall it achieved against brute force on this probe.
         """
-        _require_k(k)
+        k = require_integer(k, "k", 1)
         if probe.d != self.d:
             raise DimensionMismatchError(f"sketch d={probe.d}, store d={self.d}")
         n = self._n
@@ -282,7 +271,7 @@ class SketchRepository:
         """
         n = self._n
         data = self._vectors[:n]
-        _require_k(k, n)
+        k = require_integer(k, "k", 1, n)
         keys = [hashlib.blake2b(np.round(row, 9).tobytes(), digest_size=8).hexdigest() for row in data]
         # the first k content-distinct vectors, in content-key order, seed the
         # centroids: each key's first occurrence, as np.unique returns it

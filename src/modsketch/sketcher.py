@@ -49,7 +49,7 @@ from modsketch.block_random import (
     IdentityMatrix,
     ModsketchError,
     ParameterError,
-    as_integer,
+    require_integer,
     sample_first_column,
     sample_matrix,
     sample_orthonormal,
@@ -138,9 +138,7 @@ class MatrixRegistry:
         params.require_alignment()
         if mode not in get_args(RegistryMode):
             raise ParameterError(f"unknown registry mode {mode!r}; expected one of {get_args(RegistryMode)}")
-        self.master_seed = as_integer(master_seed)
-        if self.master_seed is None:
-            raise ParameterError(f"master seed must be an integer, got {master_seed!r}")
+        self.master_seed = require_integer(master_seed, "master seed")
         self.params = params
         self.mode = mode
         self.allow_high_noise = allow_high_noise
@@ -192,9 +190,7 @@ class MatrixRegistry:
             return self._cache.setdefault(cache_key, made)
 
     def module_matrix(self, module_id: str, slot: int) -> AnyMatrix:
-        if as_integer(slot) not in (0, 1, 2, 3):
-            raise ParameterError(f"module matrix slot must be 0..3, got {slot!r}")
-        return self._get(f"m:{module_id}:{int(slot)}")
+        return self._get(f"m:{module_id}:{require_integer(slot, 'module matrix slot', 0, 3)}")
 
     def module_first_column(self, module_id: str) -> AnyMatrix:
         """A matrix whose column 1, products and norms at column 1 are those
@@ -205,9 +201,7 @@ class MatrixRegistry:
         return self._get(f"m:{module_id}:2", first_column=True)
 
     def tuple_matrix(self, position: int, tuple_depth: int) -> AnyMatrix:
-        pos, depth = as_integer(position), as_integer(tuple_depth)
-        if pos is None or depth is None or pos < 1 or depth < 1:
-            raise ParameterError(f"tuple position and depth are 1-based integers, got {position!r}, {tuple_depth!r}")
+        pos, depth = require_integer(position, "tuple position", 1), require_integer(tuple_depth, "tuple depth", 1)
         return self._get(f"t:{pos}:{depth}")
 
 
@@ -416,10 +410,7 @@ def prototype_b_overall(net: ModularNetwork, registry: MatrixRegistry) -> Sketch
 
 def erase_to_prefix(sk: Sketch, d_prime: int) -> Sketch:
     """Zero all coordinates beyond d_prime and record the surviving prefix."""
-    if as_integer(d_prime) is None:
-        raise ParameterError(f"prefix must be an integer, got {d_prime!r}")
-    if not 0 < d_prime <= sk.d:
-        raise ParameterError(f"prefix {d_prime} outside (0, {sk.d}]")
+    d_prime = require_integer(d_prime, "prefix", 1, sk.d)
     if d_prime >= sk.erased_prefix:
         # already erased at least this far
         return replace(sk, erased_prefix=min(sk.erased_prefix, d_prime))
@@ -472,14 +463,11 @@ def sketch_from_metadata(values: np.ndarray, kind, depth, erased_prefix, signatu
         raise ParameterError(f"sketch values must be finite, value {i} is {float(values[i])!r}")
     if kind not in get_args(SketchKind):
         raise ParameterError(f"unknown sketch kind {kind!r}")
-    depth_int, prefix_int = as_integer(depth), as_integer(erased_prefix)
-    if depth_int is None or depth_int < 1:
-        raise ParameterError(f"sketch depth must be an integer >= 1, got {depth!r}")
-    if prefix_int is None or not 1 <= prefix_int <= len(values):
-        raise ParameterError(f"erased prefix must be an integer in [1, {len(values)}], got {erased_prefix!r}")
+    depth = require_integer(depth, "sketch depth", 1)
+    erased_prefix = require_integer(erased_prefix, "erased prefix", 1, len(values))
     if not isinstance(signature_mode, (bool, np.bool_)):
         raise ParameterError(f"signature mode must be a boolean, got {signature_mode!r}")
-    return Sketch(values, kind, depth_int, prefix_int, bool(signature_mode))
+    return Sketch(values, kind, depth, erased_prefix, bool(signature_mode))
 
 
 def load_sketch(path: str) -> tuple[Sketch, str]:

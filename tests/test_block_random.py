@@ -31,6 +31,7 @@ from modsketch.block_random import (
     transparent,
 )
 from modsketch.calibrated import measure_noise_profile
+from modsketch.sketcher import MatrixRegistry
 
 # Small parameter set where the code occupies the whole sub-block: d=8 needs
 # ceil(log2 8)+3 = 6 slots and b/3 = 6.
@@ -118,6 +119,17 @@ def test_numpy_integer_params_draw_the_int_params_matrix():
     assert params == auto_params(546, 64)
     want = sample_matrix(auto_params(546, 64), "unit:numpy")
     assert (sample_matrix(params, "unit:numpy").csc != want.csc).nnz == 0
+
+
+def test_an_integer_q_draws_the_float_q_matrix():
+    # q is kept as the float it equals, so params that compare equal key one draw
+    params = BlockParams(b=39, q=1, d=546, n_cap=8)
+    assert type(params.q) is float and params == BlockParams(b=39, q=1.0, d=546, n_cap=8)
+    want = sample_matrix(BlockParams(b=39, q=1.0, d=546, n_cap=8), "k")
+    got = sample_matrix(params, "k")
+    assert got.csc.data.tobytes() == want.csc.data.tobytes() and got.csc.indices.tobytes() == want.csc.indices.tobytes()
+    fingerprints = {MatrixRegistry(BlockParams(b=39, q=q, d=546, n_cap=8), 0).seed_fingerprint() for q in (1, 1.0)}
+    assert len(fingerprints) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -405,10 +405,10 @@ def test_gen_network_too_few_modules_exit_code(tmp_path, capsys):
     # out-of-range attribute fields are named, not a traceback or a silent default
     capsys.readouterr()
     for change, message in (
-        ({"attr_sparsity": -1}, "attr_sparsity must be at least 1"),
-        ({"attr_sparsity": 0}, "attr_sparsity must be at least 1"),
-        ({"attr_span": -2}, "attr_span must be at least 1"),
-        ({"attr_span": 0}, "attr_span must be at least 1"),
+        ({"attr_sparsity": -1}, "attr_sparsity must be an integer >= 1, got -1\n"),
+        ({"attr_sparsity": 0}, "attr_sparsity must be an integer >= 1, got 0\n"),
+        ({"attr_span": -2}, "attr_span must be an integer >= 1, got -2\n"),
+        ({"attr_span": 0}, "attr_span must be an integer >= 1, got 0\n"),
         ({"attr_sparsity": 5, "attr_span": 2}, "attr_sparsity 5 exceeds attr_span 2"),
     ):
         profile = {"n_modules": 2, "depth": 2, "fan_in": 1, **change}
@@ -613,7 +613,7 @@ def test_repo_input_errors_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     for k in ("0", "-1"):
         assert main(["repo", "query", "--store", str(store), "--sketch", str(sk), "--k", k]) == EXIT_VALIDATION
-        assert capsys.readouterr() == ("", f"validation error: k must be >= 1, got {k}\n")
+        assert capsys.readouterr() == ("", f"validation error: k must be an integer >= 1, got {k}\n")
 
 
 def test_missing_input_file_exit_code(tmp_path, capsys):
@@ -728,7 +728,7 @@ def test_malformed_network_numbers_exit_code(tmp_path, capsys):
         ("0:0.6", "-1:0.5", "object 'a' attribute index -1 outside [0, 1014)"),
         ("0:0.6", "-3:0.5 2:0.1", "object 'a' attribute index -3 outside [0, 1014)"),
         ("0:0.6", "0:1e300", "attribute vector is too large to normalize"),
-        ("n_multiplier = 3", "n_multiplier = 0", "n_multiplier must be at least 1, got 0"),
+        ("n_multiplier = 3", "n_multiplier = 0", "n_multiplier must be an integer >= 1, got 0"),
     ):
         net_path.write_text(good.replace(old, new))
         assert main(["sketch", "--config", sk_cfg, "--network", str(net_path), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
@@ -779,7 +779,7 @@ def test_sketch_erase_to_zero_is_range_checked(tmp_path, capsys):
     sketch = ["sketch", "--network", str(net), "--out", str(tmp_path / "s.sketch"), "--config"]
     capsys.readouterr()
     assert main(sketch + [write_json(tmp_path / "sk.json", {"allow_high_noise": True, "erase_to": 0})]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "validation error: prefix 0 outside (0, 1014]\n"
+    assert capsys.readouterr().err == "validation error: prefix must be an integer in [1, 1014], got 0\n"
     assert not (tmp_path / "s.sketch").exists()
     assert main(sketch + [write_json(tmp_path / "sk.json", {"allow_high_noise": True, "erase_to": 1})]) == EXIT_OK
     assert b" erased_prefix=1 " in (tmp_path / "s.sketch").read_bytes().split(b"\n", 1)[0]

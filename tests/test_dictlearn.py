@@ -422,9 +422,11 @@ def plant_batch(name):
         return ys
     if name == "degenerate-rows":
         ys = plant_instance(seed=10, n_samples=30)[2]
-        part_nan = ys[1].copy()
-        part_nan[3 * PLANT.b : 4 * PLANT.b] = np.nan
-        odd = [np.zeros(PLANT.d), np.full(PLANT.d, np.nan), ys[0].copy(), np.full(PLANT.d, np.inf), -ys[0], part_nan]
+        # the learner refuses a non-finite batch, so the huge rows stand in
+        # for the infinite and NaN ones a sketch cannot hold
+        part_huge = ys[1].copy()
+        part_huge[3 * PLANT.b : 4 * PLANT.b] = 1e300
+        odd = [np.zeros(PLANT.d), ys[0].copy(), np.full(PLANT.d, 1e300), -ys[0], part_huge]
         rows = []
         for k, row in enumerate(ys):
             rows += [row] + odd[k : k + 1]

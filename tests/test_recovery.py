@@ -83,7 +83,7 @@ def test_beta_values():
     assert beta_factor(3, 1.0) == 512.0
     assert beta_factor(2, 0.5) == 64.0
     assert beta_factor(2, 1.0, signature_mode=True) == 48.0
-    with pytest.raises(RecoveryError):
+    with pytest.raises(ParameterError, match=r"^depth must be an integer >= 2, got 1$"):
         beta_factor(1, 1.0)
     # 2^(4h-4) leaves float range at h = 257
     assert beta_factor(256, 1.0) == 2.0**1021

@@ -15,10 +15,11 @@ from modsketch.block_random import (
     auto_params,
     decode_column_signature,
     encode_column_signature,
+    sample_matrix,
 )
 from modsketch.calibrated import measure_noise_profile
 from modsketch.cli import EXIT_CONFIG, EXIT_VALIDATION, ConfigError, build_parser, main
-from modsketch.dictlearn import DLConfig, learn_dictionary
+from modsketch.dictlearn import DLConfig, learn_dictionary, unroll_network
 from modsketch.network import (
     DepthConsistencyError,
     ModularNetwork,
@@ -33,7 +34,14 @@ from modsketch.network import (
     generate_synthetic,
     load_network,
 )
-from modsketch.recovery import PathStep, RecoveryError, beta_factor, recover_attributes_by_path, sketch_similarity
+from modsketch.recovery import (
+    PathStep,
+    RecoveryError,
+    beta_factor,
+    recover_attributes_by_path,
+    recover_frequency,
+    sketch_similarity,
+)
 from modsketch.repository import SketchRepository
 from modsketch.sketcher import MatrixRegistry, Sketch, erase_to_prefix, overall_sketch, save_sketch, tuple_sketch
 
@@ -49,7 +57,7 @@ def sketch(d: int) -> Sketch:
     return Sketch(values=np.zeros(d), kind="overall", depth=1, erased_prefix=d)
 
 
-def star(d=24, root_attrs=(), n_cap=None, chained=False):
+def star(d=24, root_attrs=(), n_cap=None, chained=False, n_multiplier=3):
     """root -> a, and a -> b when chained, every object of module "leaf"."""
     objects = [{"id": "root", "module": "out", "attributes": list(root_attrs)}, {"id": "a", "module": "leaf"}]
     edges = [("root", "a", 1.0)]
@@ -57,7 +65,8 @@ def star(d=24, root_attrs=(), n_cap=None, chained=False):
         objects.append({"id": "b", "module": "leaf"})
         edges.append(("a", "b", 1.0))
     modules = [{"id": "out", "output": True}, {"id": "leaf"}]
-    return build_network({"modules": modules, "objects": objects, "edges": edges}, d=d, n_cap=n_cap)
+    return build_network({"modules": modules, "objects": objects, "edges": edges}, d=d, n_multiplier=n_multiplier,
+                         n_cap=n_cap)
 
 
 def dangling() -> ModularNetwork:
@@ -98,26 +107,31 @@ def network_file(tmp_path, old: str, new: str):
         # sketcher
         (lambda tmp: tuple_sketch([sketch(8)], [1.0], 1, MatrixRegistry(P24, 0, "identity")), ParameterError, "dimension"),
         (lambda tmp: overall_sketch(star(d=32), MatrixRegistry(P24, 0, "identity")), ParameterError, "network dimension 32"),
-        (lambda tmp: MatrixRegistry(P24, 0).module_matrix("leaf", 4), ParameterError, "slot must be 0..3"),
+        (lambda tmp: MatrixRegistry(P24, 0).module_matrix("leaf", 4), ParameterError,
+         r"^module matrix slot must be an integer in \[0, 3\], got 4$"),
         # dictlearn, recovery, repository
         (lambda tmp: learn_dictionary(np.zeros((2, 8)), DLConfig(params=P24)), DimensionMismatchError, "dimension 8"),
         (lambda tmp: beta_factor(2, 0.0), RecoveryError, "must be positive"),
         (lambda tmp: sketch_similarity(sketch(8), sketch(12)), ParameterError, "8 vs 12"),
         (lambda tmp: SketchRepository(), ParameterError, "a store without a log needs d"),
-        (lambda tmp: SketchRepository(8).cluster(k=0), ParameterError, "k must be >= 1"),
-        (lambda tmp: SketchRepository(8).cluster(k=2.5), ParameterError, "k must be an integer, got 2.5"),
-        (lambda tmp: SketchRepository(8).cluster(k=2.0), ParameterError, "k must be an integer, got 2.0"),
-        (lambda tmp: SketchRepository(8).cluster(k="2"), ParameterError, "k must be an integer, got '2'"),
+        (lambda tmp: SketchRepository(8).cluster(k=0), ParameterError, r"^k must be an integer in \[1, 0\], got 0$"),
+        (lambda tmp: SketchRepository(8).cluster(k=2.5), ParameterError, r"^k must be an integer in \[1, 0\], got 2\.5$"),
+        (lambda tmp: SketchRepository(8).cluster(k=2.0), ParameterError, r"^k must be an integer in \[1, 0\], got 2\.0$"),
+        (lambda tmp: SketchRepository(8).cluster(k="2"), ParameterError, r"^k must be an integer in \[1, 0\], got '2'$"),
         (lambda tmp: SketchRepository(8).query_similar(sketch(8), k=2.5), ParameterError, "k must be an integer"),
         (lambda tmp: SketchRepository(8).query_similar(sketch(8), k=2.0), ParameterError, "k must be an integer"),
         (lambda tmp: SketchRepository(8).query_similar(sketch(8), k="2"), ParameterError, "k must be an integer"),
         # integer arguments and numbers a caller can get wrong
-        (lambda tmp: MatrixRegistry(P24, 0).module_matrix("leaf", 1.0), ParameterError, "slot must be 0..3, got 1.0"),
-        (lambda tmp: MatrixRegistry(P24, 0).module_matrix("leaf", True), ParameterError, "slot must be 0..3, got True"),
-        (lambda tmp: MatrixRegistry(P24, 0).tuple_matrix(1.0, 1), ParameterError, "1-based integers, got 1.0, 1"),
-        (lambda tmp: MatrixRegistry(P24, 0).tuple_matrix(1, True), ParameterError, "1-based integers, got 1, True"),
+        (lambda tmp: MatrixRegistry(P24, 0).module_matrix("leaf", 1.0), ParameterError,
+         r"^module matrix slot must be an integer in \[0, 3\], got 1\.0$"),
+        (lambda tmp: MatrixRegistry(P24, 0).module_matrix("leaf", True), ParameterError,
+         r"^module matrix slot must be an integer in \[0, 3\], got True$"),
+        (lambda tmp: MatrixRegistry(P24, 0).tuple_matrix(1.0, 1), ParameterError,
+         r"^tuple position must be an integer >= 1, got 1\.0$"),
+        (lambda tmp: MatrixRegistry(P24, 0).tuple_matrix(1, True), ParameterError,
+         r"^tuple depth must be an integer >= 1, got True$"),
         (lambda tmp: recover_attributes_by_path(sketch(24), [PathStep(1.0, "leaf")], MatrixRegistry(P24, 0), 1.0),
-         ParameterError, "1-based integers, got 1.0, 1"),
+         ParameterError, r"^tuple position must be an integer >= 1, got 1\.0$"),
         (lambda tmp: MatrixRegistry(P24, 7.0), ParameterError, "master seed must be an integer, got 7.0"),
         (lambda tmp: MatrixRegistry(P24, True), ParameterError, "master seed must be an integer, got True"),
         (lambda tmp: MatrixRegistry(P24, "7"), ParameterError, "master seed must be an integer, got '7'"),
@@ -129,8 +143,8 @@ def network_file(tmp_path, old: str, new: str):
          "weights must be nonnegative with sum <= 1, got sum nan"),
         (lambda tmp: tuple_sketch([sketch(24), Sketch(np.zeros(24), "overall", 1, 24, True)], [0.5, 0.5], 1,
                                   MatrixRegistry(P24, 0, "identity")), ParameterError, "mix signature mode and plain"),
-        (lambda tmp: beta_factor(2.0, 1.0), RecoveryError, "depth must be an integer, got 2.0"),
-        (lambda tmp: beta_factor(True, 1.0), RecoveryError, "depth must be an integer, got True"),
+        (lambda tmp: beta_factor(2.0, 1.0), ParameterError, r"^depth must be an integer >= 2, got 2\.0$"),
+        (lambda tmp: beta_factor(True, 1.0), ParameterError, r"^depth must be an integer >= 2, got True$"),
         (lambda tmp: beta_factor(2, float("inf")), RecoveryError, "positive and finite, got inf"),
         (lambda tmp: beta_factor(2, float("nan")), RecoveryError, "positive and finite, got nan"),
         (lambda tmp: measure_noise_profile(("plain",), "isometri", 30, P24), ParameterError,
@@ -139,17 +153,50 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: measure_noise_profile("plain", "both", 30, P24), ParameterError, "expr_family .* got 'plain'"),
         (lambda tmp: measure_noise_profile(("plain",), "both", 30.5, P24), ParameterError, "trials .* got 30.5"),
         (lambda tmp: measure_noise_profile(("plain",), "both", 30, P24, pairs_per_trial=1.5), ParameterError,
-         "pair per trial, got 1.5"),
+         r"^pairs_per_trial must be an integer >= 1, got 1\.5$"),
         (lambda tmp: auto_params(546.0, 8), ParameterError, "requested dimension must be an integer >= 1, got 546.0"),
         (lambda tmp: auto_params(True, 8), ParameterError, "requested dimension must be an integer >= 1, got True"),
         (lambda tmp: auto_params(546, 8.0), ParameterError, "n_cap must be an integer >= 2, got 8.0"),
         (lambda tmp: BlockParams(b=39.0, q=0.5, d=546, n_cap=8), ParameterError, "b must be an integer, got 39.0"),
-        (lambda tmp: BlockParams(b=39, q=0.5, d=546.0, n_cap=8), ParameterError, "d must be an integer, got 546.0"),
-        (lambda tmp: BlockParams(b=39, q=0.5, d=546, n_cap=8.0), ParameterError, "n_cap must be an integer, got 8.0"),
-        (lambda tmp: erase_to_prefix(sketch(24), 2.5), ParameterError, "prefix must be an integer, got 2.5"),
-        (lambda tmp: erase_to_prefix(sketch(24), True), ParameterError, "prefix must be an integer, got True"),
+        (lambda tmp: BlockParams(b=39, q=0.5, d=546.0, n_cap=8), ParameterError, r"^d must be an integer >= 1, got 546\.0$"),
+        (lambda tmp: BlockParams(b=39, q=0.5, d=546, n_cap=8.0), ParameterError,
+         r"^n_cap must be an integer >= 2, got 8\.0$"),
+        (lambda tmp: erase_to_prefix(sketch(24), 2.5), ParameterError, r"^prefix must be an integer in \[1, 24\], got 2\.5$"),
+        (lambda tmp: erase_to_prefix(sketch(24), True), ParameterError, r"^prefix must be an integer in \[1, 24\], got True$"),
         (lambda tmp: SketchRepository(-1), ParameterError, "store dimension must be an integer >= 1, got -1"),
         (lambda tmp: SketchRepository(2.5), ParameterError, "store dimension must be an integer >= 1, got 2.5"),
+        # integer arguments the one rule reads since, and numbers and batches
+        (lambda tmp: generate_synthetic(SyntheticProfile(1.5, 2, 1), 0, 24), ParameterError,
+         r"^n_modules must be an integer >= 1, got 1\.5$"),
+        (lambda tmp: SyntheticProfile(2, 2.5, 1), ParameterError, r"^depth must be an integer >= 2, got 2\.5$"),
+        (lambda tmp: SyntheticProfile(1, 2, 1, attr_span=8.5), ParameterError,
+         r"^attr_span must be an integer >= 1, got 8\.5$"),
+        (lambda tmp: star(d=True), ParameterError, r"^d must be an integer >= 1, got True$"),
+        (lambda tmp: star(n_cap="9"), ParameterError, r"^n_cap must be an integer, got '9'$"),
+        (lambda tmp: star(n_cap=8.0), ParameterError, r"^n_cap must be an integer, got 8\.0$"),
+        (lambda tmp: star(n_multiplier=1.5), ParameterError, r"^n_multiplier must be an integer >= 1, got 1\.5$"),
+        (lambda tmp: encode_column_signature(1.5, 1, 1, P8), ParameterError,
+         r"^column index must be an integer in \[1, 8\], got 1\.5$"),
+        (lambda tmp: sample_matrix(P24, "k").column(1.5), ParameterError,
+         r"^column must be an integer in \[1, 24\], got 1\.5$"),
+        (lambda tmp: sample_matrix(P24, "k").column(0), ParameterError, r"^column must be an integer in \[1, 24\], got 0$"),
+        (lambda tmp: sample_matrix(P24, "k").prefix_col_sq_norms(2.5), ParameterError,
+         r"^prefix must be an integer in \[0, 24\], got 2\.5$"),
+        (lambda tmp: BlockParams(b=39, q="0.5", d=546, n_cap=8), ParameterError,
+         r"^q must be a number in \[0, 1\], got '0\.5'$"),
+        (lambda tmp: BlockParams(b=39, q=True, d=546, n_cap=8), ParameterError,
+         r"^q must be a number in \[0, 1\], got True$"),
+        (lambda tmp: auto_params(546, 8, q="0.5"), ParameterError, r"^q must be a number in \[0, 1\], got '0\.5'$"),
+        (lambda tmp: DLConfig(P24, eps_recover="0.1"), ParameterError,
+         r"^eps_recover must be a number in \(0, 1\], got '0\.1'$"),
+        (lambda tmp: recover_frequency(sketch(24), "leaf", 2, 1.0, MatrixRegistry(P24, 0), beta=float("nan")),
+         RecoveryError, r"^beta must be positive and finite, got nan$"),
+        (lambda tmp: learn_dictionary(np.full((2, 24), np.nan), DLConfig(params=P24)), ParameterError,
+         r"^samples must be finite, sample 0 is not$"),
+        (lambda tmp: unroll_network(np.full((2, 24), np.nan), P24, 1.0, 3), ParameterError,
+         r"^samples must be finite, sample 0 is not$"),
+        (lambda tmp: learn_dictionary(np.zeros(24), DLConfig(params=P24)), ParameterError,
+         r"^samples must be a 2-D array of real numbers, got a 1-D float64 array$"),
     ],
     ids=[
         "entry-scale-at-q0", "auto-params-d0", "parity-bit", "codeword-length", "factor-kind", "pairs-per-trial",
@@ -166,6 +213,11 @@ def network_file(tmp_path, old: str, new: str):
         "noise-pairs-float", "auto-params-d-float", "auto-params-d-bool", "auto-params-n-cap-float",
         "block-params-b-float", "block-params-d-float", "block-params-n-cap-float", "erase-prefix-float",
         "erase-prefix-bool", "store-d-negative", "store-d-float",
+        "synthetic-n-modules-float", "synthetic-depth-float", "synthetic-attr-span-float", "network-d-bool",
+        "network-n-cap-str", "network-n-cap-float", "network-n-multiplier-float", "encode-column-float",
+        "column-float", "column-0", "prefix-norms-float", "block-params-q-str", "block-params-q-bool",
+        "auto-params-q-str", "eps-recover-str", "frequency-beta-nan", "learn-dictionary-nan", "unroll-nan",
+        "learn-dictionary-1d",
     ],
 )
 def test_library_refusal(tmp_path, call, error, match):
