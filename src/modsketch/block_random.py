@@ -38,7 +38,6 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,6 +92,16 @@ def require_integer(value, what: str, low: int | None = None, high: int | None =
     raise ParameterError(f"{what} must be an integer{bound}, got {value!r}")
 
 
+def require_real(value, what: str, low: float, high: float, ends: str) -> float:
+    """value as the Python float it equals, an int or a numpy number too but never a bool, if finite and between
+    low and high, each end closed or open as ``ends`` says ("[]", "[)", "(]" or "()"); else a ParameterError."""
+    if type(value) is float or isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        x = float(value) if type(value) is not int or value.bit_length() < 1024 else math.inf  # no float holds it
+        if math.isfinite(x) and (low < x or x == low and ends[0] == "[") and (x < high or x == high and ends[1] == "]"):
+            return x
+    raise ParameterError(f"{what} must be a finite number in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -121,7 +130,7 @@ class BlockParams:
     """
 
     b: int
-    q: float
+    q: float  # kept as the float it equals: the draw key spells it with str
     d: int
     n_cap: int
 
@@ -135,10 +144,7 @@ class BlockParams:
             raise ParameterError(
                 f"b={self.b} too small for d={self.d}, n_cap={self.n_cap}; need b >= {floor}"
             )
-        # q is kept as the float it equals: the draw key spells it with str
-        if isinstance(self.q, bool) or not isinstance(self.q, Real) or not 0.0 <= self.q <= 1.0:
-            raise ParameterError(f"q must be a number in [0, 1], got {self.q!r}")
-        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "q", require_real(self.q, "q", 0, 1, "[]"))
 
     @property
     def sub_block(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from modsketch._seeding import derive_rng
-from modsketch.block_random import BlockParams, ParameterError, require_integer, sample_matrix, transparent
+from modsketch.block_random import BlockParams, ParameterError, require_integer, require_real, sample_matrix, transparent
 
 __all__ = [
     "DELTA_ISO_COEFF",
@@ -114,8 +114,7 @@ def measure_noise_profile(
     if mode not in ("isometry", "both"):
         raise ParameterError(f"mode must be 'isometry' or 'both', got {mode!r}")
     n_trials = require_integer(trials, "trials", 30)  # fewer give no stable quantile
-    if not 0.0 < quantile < 1.0:
-        raise ParameterError("quantile must lie strictly inside (0, 1)")
+    quantile = require_real(quantile, "quantile", 0, 1, "()")
     pairs = require_integer(pairs_per_trial, "pairs_per_trial", 1)
     master_seed = require_integer(master_seed, "master seed")
     iso_raw = np.empty(n_trials * pairs)

@@ -40,12 +40,11 @@ import glob
 import math
 import os
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import ClassVar
 
 import numpy as np
 
-from modsketch.block_random import BlockParams, DimensionMismatchError, ParameterError
+from modsketch.block_random import BlockParams, DimensionMismatchError, ParameterError, require_integer, require_real
 
 __all__ = [
     "DLConfig",
@@ -77,6 +76,8 @@ def default_eps_schedule(eps_final: float, levels: int) -> tuple[float, ...]:
     The analysis only fixes the shape (eps_1 <= ... <= eps_H, polynomially
     related); the committed desk-scale schedule halves per remaining level.
     """
+    eps_final = require_real(eps_final, "eps_final", 0, 1, "(]")
+    levels = require_integer(levels, "levels", 1)
     return tuple(_level_eps(eps_final, levels, h) for h in range(1, levels + 1))
 
 
@@ -98,9 +99,8 @@ class DLConfig:
     sig_match_eps_factor: ClassVar[float] = 10.0  # match_permutation's signature radius over eps_recover
 
     def __post_init__(self) -> None:
-        eps = self.eps_recover
-        if isinstance(eps, bool) or not isinstance(eps, Real) or not 0.0 < eps <= 1.0:
-            raise ParameterError(f"eps_recover must be a number in (0, 1], got {eps!r}")
+        self.eps_recover = require_real(self.eps_recover, "eps_recover", 0, 1, "(]")
+        self.set_floor_frac = require_real(self.set_floor_frac, "set_floor_frac", 0, 1, "[]")
 
     @property
     def scale(self) -> float:
@@ -151,13 +151,14 @@ class LearnedDictionary:
     coefficients: list[dict[tuple[int, int], float]]
 
     def coefficient(self, k: int, i: int, j: int) -> float:
-        return self.coefficients[k].get((i, j), 0.0)
+        k = require_integer(k, "sample", 0, len(self.coefficients) - 1)
+        return self.coefficients[k].get((require_integer(i, "cluster"), require_integer(j, "column")), 0.0)
 
     def recovered_slices(self, k: int) -> dict[int, np.ndarray]:
         """Per-cluster dense coefficient slice of sample k."""
         d = self.config.params.d
         out: dict[int, np.ndarray] = {}
-        for (i, j), val in self.coefficients[k].items():
+        for (i, j), val in self.coefficients[require_integer(k, "sample", 0, len(self.coefficients) - 1)].items():
             if i not in out:
                 out[i] = np.zeros(d)
             out[i][j - 1] = val
@@ -263,6 +264,20 @@ def _parse_matching_sets(z: np.ndarray, set_of_row: np.ndarray, n_sets: int, p: 
     return rows_j[n_rows:], s_x, rounded, np.where(modal_m, scale, -scale)
 
 
+def _require_samples(samples, d: int) -> np.ndarray:
+    """samples as a C-contiguous float64 array, if a finite 2-D array of real numbers of width d."""
+    y = np.asarray(samples)
+    if y.ndim != 2 or y.dtype.kind not in "iuf":
+        raise ParameterError(f"samples must be a 2-D array of real numbers, got a {y.ndim}-D {y.dtype} array")
+    if y.shape[1] != d:
+        raise DimensionMismatchError(f"samples have dimension {y.shape[1]}, expected {d}")
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        raise ParameterError(f"samples must be finite, sample {int(np.argmin(finite))} is not")
+    return y
+
+
 def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary:
     """Scan all blocks of all samples and collect identifiable columns.
 
@@ -275,21 +290,13 @@ def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary
     """
     p = config.params
     d, b, q, m, n_blocks = p.d, p.b, p.q, p.sub_block, p.n_blocks
-    y = np.asarray(samples)
-    if y.ndim != 2 or y.dtype.kind not in "iuf":
-        raise ParameterError(f"samples must be a 2-D array of real numbers, got a {y.ndim}-D {y.dtype} array")
-    if y.shape[1] != d:
-        raise DimensionMismatchError(f"samples have dimension {y.shape[1]}, expected {d}")
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    y = _require_samples(samples, d)
     n_samples = y.shape[0]
     tau2 = config.tau2_value
 
     blocks = y.reshape(n_samples, n_blocks, b)
     abs_blocks = np.abs(blocks)
-    block_max = abs_blocks.max(axis=2)  # NaN or inf exactly where the block holds one
-    finite = np.isfinite(block_max).all(axis=1)
-    if not finite.all():
-        raise ParameterError(f"samples must be finite, sample {int(np.argmin(finite))} is not")
+    block_max = abs_blocks.max(axis=2)
     weights = abs_blocks.sum(axis=2) * math.sqrt(q * d) / b  # |x| of a clean dominated block
     # magnitude window (pre-normalization): every coordinate in [tau1, 2/sqrt(qd)]
     in_window = (
@@ -491,6 +498,9 @@ def classify_recovered_vectors(
     attribute vectors.  Otherwise the survivors are recursable object-sketch
     material.
     """
+    w_goal = require_real(w_goal, "w_goal", 0, math.inf, "()")
+    recursion_budget = require_integer(recursion_budget, "recursion_budget", 1)
+    eps_level = require_real(eps_level, "eps_level", 0, math.inf, "[)")
     labels = ["garbage"] * len(vectors)
     survivors = [
         idx for idx, v in enumerate(vectors) if v.size and float(np.max(np.abs(v))) >= eps_level
@@ -551,13 +561,16 @@ def unroll_network(
     children contain a vector passing the e_1 first-coordinate test, that
     branch terminates as a (module fingerprint, attribute estimate) pair,
     unscaled by the e_1 magnitude; branches whose children all stay below the
-    test are pruned as garbage once no recursable material remains.
+    test are pruned as garbage once no recursable material remains.  The
+    sketches must be a batch :func:`learn_dictionary` takes, checked before
+    any level runs.
     """
-    levels = levels if levels is not None else recursion_budget
+    recursion_budget = require_integer(recursion_budget, "recursion_budget", 1)
+    levels = recursion_budget if levels is None else require_integer(levels, "levels", 1)
+    w_goal = require_real(w_goal, "w_goal", 0, math.inf, "()")
+    eps_final = require_real(eps_final, "eps_final", 0, 1, "(]")
     config = dl_config or DLConfig(params=params, eps_recover=eps_final)
-
-    y = np.atleast_2d(np.asarray(sketches, dtype=np.float64))
-    frames = list(enumerate(y))  # (sample id, vector)
+    frames = list(enumerate(_require_samples(sketches, config.params.d)))  # (sample id, vector)
     modules: dict[int, ModuleRecovery] = {}
     frames_per_level: list[int] = []
 

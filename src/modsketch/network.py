@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from modsketch._seeding import derive_rng
-from modsketch.block_random import ModsketchError, require_integer
+from modsketch.block_random import ModsketchError, ParameterError, require_integer, require_real
 
 __all__ = [
     "NetworkValidationError",
@@ -50,8 +50,8 @@ class CycleError(NetworkValidationError):
     pass
 
 
-class WeightSumError(NetworkValidationError):
-    pass
+class WeightSumError(NetworkValidationError, ParameterError):
+    """Input weights, of an object or of a tuple, summing past 1."""
 
 
 class DepthConsistencyError(NetworkValidationError):
@@ -135,6 +135,14 @@ def _pad_and_normalize(values: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def require_weights(weights, what: str) -> list[float]:
+    """An object's or a tuple's input weights as floats, each in [0, inf), summing to 1 + WEIGHT_TOL at most."""
+    ws = [require_real(w, f"each of the {what}", 0, np.inf, "[)") for w in weights]
+    if sum(ws) > 1.0 + WEIGHT_TOL:
+        raise WeightSumError(f"{what} sum to {sum(ws)} > 1")
+    return ws
+
+
 def _require_id(what: str, ident: str) -> str:
     """ident, refused when the text form cannot carry it: :func:`save_network`
     writes ids as whitespace-separated UTF-8 tokens, and :func:`load_network`
@@ -202,15 +210,11 @@ def build_network(
     for parent, child, weight in spec.get("edges", []):
         if parent not in objects or child not in objects:
             raise NetworkValidationError(f"edge ({parent!r}, {child!r}) names unknown object")
-        w = float(weight)
-        if not w >= 0:  # nan fails too
-            raise WeightSumError(f"edge weight on ({parent!r}, {child!r}) must be nonnegative, got {w}")
-        objects[parent].inputs.append((child, w))
+        objects[parent].inputs.append((child, weight))
 
     for obj in objects.values():
-        total = sum(w for _, w in obj.inputs)
-        if total > 1.0 + WEIGHT_TOL:
-            raise WeightSumError(f"input weights of {obj.id!r} sum to {total} > 1")
+        weights = require_weights([w for _, w in obj.inputs], f"input weights of {obj.id!r}")
+        obj.inputs = [(child, w) for (child, _), w in zip(obj.inputs, weights)]
 
     floor = n_multiplier * max(len(modules), max(len(objects) - 1, 1))
     if n_cap is not None and n_cap < floor:

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from modsketch.block_random import AnyMatrix, DimensionMismatchError, ModsketchError, ParameterError, require_integer
+from modsketch.block_random import AnyMatrix, DimensionMismatchError, ModsketchError, ParameterError
+from modsketch.block_random import require_integer, require_real
 from modsketch.calibrated import PREDICTED_ERROR_COEFF, delta_desync_fit
 from modsketch.sketcher import MatrixRegistry, Sketch, input_tuple_depth, pair_tuple_depth, signature_shape
 
@@ -91,11 +92,9 @@ class RecoveryReport:
 def beta_factor(h: int, w: float, signature_mode: bool = False) -> float:
     """Inverse of the depth-h attribute attenuation, 2^(4h-3)/w."""
     h = require_integer(h, "depth", 2)  # recoverable objects sit at depth >= 2
-    if not 0 < w < math.inf:  # a NaN fails too
-        raise RecoveryError(f"effective weight must be positive and finite, got {w!r}")
-    coeff = 3.0 if signature_mode else 2.0
+    w = require_real(w, "effective weight", 0, math.inf, "()")
     try:
-        beta = math.ldexp(coeff, 4 * h - 4) / w
+        beta = math.ldexp(3.0 if signature_mode else 2.0, 4 * h - 4) / w
     except OverflowError:
         beta = math.inf
     if not math.isfinite(beta):
@@ -161,7 +160,7 @@ def _report(sk: Sketch, registry: MatrixRegistry, h: int, w: float, beta: float,
     return RecoveryReport(
         beta=beta,
         depth=h,
-        weight=w,
+        weight=float(w),  # every report's w has passed beta_factor
         erased_prefix=sk.erased_prefix,
         d=sk.d,
         predicted_error=_noise_bound(beta, h, registry, sk.erased_prefix),
@@ -237,10 +236,7 @@ def recover_frequency(
     the report's noise bound scales with the beta used.
     """
     depth_beta = _checked_beta(sk, registry, h, w_star)
-    if beta is None:
-        beta = depth_beta
-    elif not 0 < beta < math.inf:  # a NaN fails too
-        raise RecoveryError(f"beta must be positive and finite, got {beta!r}")
+    beta = depth_beta if beta is None else require_real(beta, "beta", 0, math.inf, "()")
     real = float(beta * _column_contract(registry.module_first_column(module), sk)[0])
     return _report(
         sk, registry, h, w_star, beta, kind="frequency", estimate=real, module=module,

@@ -56,7 +56,7 @@ from modsketch.block_random import (
     transparent,
 )
 from modsketch.calibrated import delta_iso_fit
-from modsketch.network import ModularNetwork, ObjectNode
+from modsketch.network import ModularNetwork, ObjectNode, require_weights
 
 __all__ = [
     "Sketch",
@@ -241,9 +241,7 @@ def tuple_sketch(sketches: list[Sketch], weights: list[float], tuple_depth: int,
     """Weighted sum of transparent-matrix applications; empty input -> zero."""
     if len(sketches) != len(weights):
         raise ParameterError("sketches and weights must have equal length")
-    total = sum(weights)
-    if not all(w >= 0 for w in weights) or total > 1.0 + 1e-9:  # a NaN weight fails w >= 0
-        raise ParameterError(f"weights must be nonnegative with sum <= 1, got sum {total}")
+    weights = require_weights(weights, "tuple weights")
     if any(sk.d != registry.d for sk in sketches):
         raise ParameterError("sketch dimension mismatch")
     modes = {bool(sk.signature_mode) for sk in sketches}

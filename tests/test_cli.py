@@ -721,8 +721,8 @@ def test_malformed_network_numbers_exit_code(tmp_path, capsys):
         ("n_cap = 6", "n_cap = x", "line 3: n_cap must be an integer, got 'x'"),
         ("n_multiplier = 3", "n_multiplier = 2.5", "line 4: n_multiplier must be an integer, got '2.5'"),
         ("root a 1.0", "root a heavy", "line 12: edge weight must be a number, got 'heavy'"),
-        ("root a 1.0", "root a nan", "edge weight on ('root', 'a') must be nonnegative, got nan"),
-        ("root a 1.0", "root a inf", "input weights of 'root' sum to inf > 1"),
+        ("root a 1.0", "root a nan", "each of the input weights of 'root' must be a finite number in [0, inf), got nan"),
+        ("root a 1.0", "root a inf", "each of the input weights of 'root' must be a finite number in [0, inf), got inf"),
         ("0:0.6", "0:nan", "attribute entries must be finite and nonnegative"),
         ("0:0.6", "0:inf", "attribute entries must be finite and nonnegative"),
         ("0:0.6", "-1:0.5", "object 'a' attribute index -1 outside [0, 1014)"),

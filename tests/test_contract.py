@@ -1,20 +1,28 @@
-"""The integer half of the library's input contract.
+"""The number half of the library's input contract.
 
 Every integer argument the library reads names something: a dimension, a
-count, a seed, a slot, a position or a depth.  The table below lists each one
-that :func:`~modsketch.block_random.require_integer` reads, with a call that
-passes it and the range of values it accepts.  The properties:
+count, a seed, a slot, a position or a depth.  Every real argument is a
+weight, a probability, a tolerance or a quantile.  The tables below list each
+argument that :func:`~modsketch.block_random.require_integer` or
+:func:`~modsketch.block_random.require_real` reads, with a call that passes
+it and the values it accepts.  The properties:
 
-* a bool, a float, a string, or an integer outside the range ends in a
-  :class:`~modsketch.block_random.ModsketchError` subclass, never in a
-  builtin exception;
+* a bool, a string, a non-finite number, or a number outside the range ends
+  in a :class:`~modsketch.block_random.ModsketchError` subclass, never in a
+  builtin exception; an integer argument refuses a float too;
 * a numpy integer gives the same result as the int it equals, bit for bit
-  and type for type, and is refused as that int is.
+  and type for type, and is refused as that int is; a numpy float, or an
+  int, gives a real argument the result of the Python float it equals;
+* every call of either reader in ``src/modsketch`` is reached by a row.
 """
 
 from __future__ import annotations
 
+import ast
+import math
+import traceback
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -30,14 +38,22 @@ from modsketch.block_random import (
     auto_params,
     encode_column_signature,
     require_integer,
+    require_real,
     sample_matrix,
     sample_orthonormal,
 )
 from modsketch.calibrated import measure_noise_profile
+from modsketch.dictlearn import (
+    DLConfig,
+    classify_recovered_vectors,
+    default_eps_schedule,
+    learn_dictionary,
+    unroll_network,
+)
 from modsketch.network import SyntheticProfile, build_network, generate_synthetic
-from modsketch.recovery import beta_factor
+from modsketch.recovery import beta_factor, recover_frequency
 from modsketch.repository import SketchRepository
-from modsketch.sketcher import MatrixRegistry, Sketch, erase_to_prefix, sketch_from_metadata
+from modsketch.sketcher import MatrixRegistry, Sketch, erase_to_prefix, sketch_from_metadata, tuple_sketch
 
 # derandomized, and capped so the module stays within seconds of Tier-1 time
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -63,6 +79,8 @@ def store() -> SketchRepository:
 
 
 STORE = store()
+LEARNED = learn_dictionary(np.zeros((2, 24)), DLConfig(P24))
+IDENTITY_REGISTRY = MatrixRegistry(P24, 0, "identity")
 
 
 @dataclass(frozen=True)
@@ -126,6 +144,66 @@ ARGS = [
     Arg("sketch_from_metadata.depth", lambda v: sketch_from_metadata(np.zeros(24), "overall", v, 24, False), 2, 1),
     Arg("sketch_from_metadata.erased_prefix",
         lambda v: sketch_from_metadata(np.zeros(24), "overall", 1, v, False), 12, 1, 24),
+    # dictlearn
+    Arg("default_eps_schedule.levels", lambda v: default_eps_schedule(0.5, v), 3, 1),
+    Arg("unroll_network.recursion_budget", lambda v: unroll_network(np.zeros((2, 24)), P24, 1.0, v), 3, 1),
+    Arg("unroll_network.levels", lambda v: unroll_network(np.zeros((2, 24)), P24, 1.0, 3, levels=v), 2, 1),
+    Arg("classify_recovered_vectors.recursion_budget",
+        lambda v: classify_recovered_vectors([np.ones(4)], 0.5, v, 0.05), 6, 1),
+    Arg("LearnedDictionary.coefficient.k", lambda v: LEARNED.coefficient(v, 0, 1), 1, 0, 1),
+    Arg("LearnedDictionary.coefficient.i", lambda v: LEARNED.coefficient(0, v, 1), 0),
+    Arg("LearnedDictionary.coefficient.j", lambda v: LEARNED.coefficient(0, 0, v), 1),
+    Arg("LearnedDictionary.recovered_slices.k", lambda v: LEARNED.recovered_slices(v), 1, 0, 1),
+]
+
+
+@dataclass(frozen=True)
+class RealArg:
+    """One real argument: a call that passes ``value`` for it, an accepted
+    value that a float32 holds exactly, an accepted integer (None when the
+    interval holds none), and the interval from low to high, each end closed
+    or open as ``ends`` says."""
+
+    name: str
+    call: Callable
+    valid: float
+    integral: int | None
+    low: float
+    high: float
+    ends: str
+
+    def __repr__(self) -> str:
+        return self.name
+
+    def holds(self, x: float) -> bool:
+        return (self.low < x or x == self.low and self.ends[0] == "[") and (
+            x < self.high or x == self.high and self.ends[1] == "]")
+
+
+INF = math.inf
+REALS = [
+    RealArg("BlockParams.q", lambda v: BlockParams(b=24, q=v, d=24, n_cap=12), 0.5, 1, 0, 1, "[]"),
+    RealArg("auto_params.q", lambda v: auto_params(24, 8, q=v), 0.25, 1, 0, 1, "[]"),
+    RealArg("measure_noise_profile.quantile",
+            lambda v: measure_noise_profile(("plain",), "isometry", 30, P24, quantile=v), 0.5, None, 0, 1, "()"),
+    RealArg("build_network.weight", lambda v: build_network({**SPEC, "edges": [("root", "a", v)]}, d=24),
+            0.5, 1, 0, INF, "[)"),
+    RealArg("tuple_sketch.weights", lambda v: tuple_sketch([SK], [v], 1, IDENTITY_REGISTRY), 0.5, 1, 0, INF, "[)"),
+    RealArg("beta_factor.w", lambda v: beta_factor(3, v), 0.5, 2, 0, INF, "()"),
+    RealArg("recover_frequency.w_star", lambda v: recover_frequency(SK, "m", 2, v, MatrixRegistry(P24, 0)),
+            0.5, 1, 0, INF, "()"),
+    RealArg("recover_frequency.beta", lambda v: recover_frequency(SK, "m", 2, 1.0, MatrixRegistry(P24, 0), beta=v),
+            0.5, 3, 0, INF, "()"),
+    RealArg("DLConfig.eps_recover", lambda v: DLConfig(P24, eps_recover=v), 0.25, 1, 0, 1, "(]"),
+    RealArg("DLConfig.set_floor_frac", lambda v: DLConfig(P24, set_floor_frac=v), 0.5, 0, 0, 1, "[]"),
+    RealArg("default_eps_schedule.eps_final", lambda v: default_eps_schedule(v, 3), 0.5, 1, 0, 1, "(]"),
+    RealArg("unroll_network.w_goal", lambda v: unroll_network(np.zeros((2, 24)), P24, v, 3), 0.5, 1, 0, INF, "()"),
+    RealArg("unroll_network.eps_final", lambda v: unroll_network(np.zeros((2, 24)), P24, 1.0, 3, eps_final=v),
+            0.5, 1, 0, 1, "(]"),
+    RealArg("classify_recovered_vectors.w_goal",
+            lambda v: classify_recovered_vectors([np.ones(4), np.full(4, 0.01)], v, 6, 0.05), 0.5, 1, 0, INF, "()"),
+    RealArg("classify_recovered_vectors.eps_level",
+            lambda v: classify_recovered_vectors([np.ones(4), np.full(4, 0.01)], 0.5, 6, v), 0.0625, 0, 0, INF, "[)"),
 ]
 
 
@@ -211,3 +289,102 @@ def test_integer_arguments_refuse_what_is_not_an_integer_in_range(data):
     value = data.draw(not_accepted(arg))
     with pytest.raises(ModsketchError):
         arg.call(value)
+
+
+def test_the_real_message_shape():
+    assert require_real(np.float32(0.5), "x", 0, 1, "()") == 0.5
+    assert type(require_real(np.int8(1), "x", 0, 1, "[]")) is float
+    for value, low, high, ends, message in (
+        (True, 0, 1, "[]", "x must be a finite number in [0, 1], got True"),
+        ("0.5", 0, 1, "(]", "x must be a finite number in (0, 1], got '0.5'"),
+        (0, 0, INF, "()", "x must be a finite number in (0, inf), got 0"),
+        (math.nan, 0, INF, "[)", "x must be a finite number in [0, inf), got nan"),
+        (np.float64(INF), 0, INF, "[]", "x must be a finite number in [0, inf], got np.float64(inf)"),
+        (10**400 - 1, 0, INF, "[)", f"x must be a finite number in [0, inf), got {10**400 - 1!r}"),
+        (np.False_, 0, 1, "[]", "x must be a finite number in [0, 1], got np.False_"),
+        (None, 0, 1, "[]", "x must be a finite number in [0, 1], got None"),
+    ):
+        with pytest.raises(ParameterError) as info:
+            require_real(value, "x", low, high, ends)
+        assert str(info.value) == message
+
+
+def refused_reals(arg: RealArg) -> list:
+    """A bool, a digit string, NaN, +-inf, each excluded end, and a number
+    on either side of the interval."""
+    ends = [e for e, bracket in ((arg.low, arg.ends[0]), (arg.high, arg.ends[1])) if bracket in "()" and math.isfinite(e)]
+    beyond = [b for b in (arg.low - 1, arg.high + 1) if math.isfinite(b)]
+    return [True, np.True_, str(arg.valid), math.nan, INF, -INF, np.float64(math.nan), *ends, *beyond]
+
+
+@pytest.mark.parametrize("arg", REALS, ids=repr)
+def test_each_real_argument_refuses_a_bool_a_string_a_non_finite_number_and_a_number_outside(arg):
+    arg.call(arg.valid)
+    for value in refused_reals(arg):
+        with pytest.raises(ModsketchError):
+            arg.call(value)
+
+
+@pytest.mark.parametrize("arg", REALS, ids=repr)
+def test_a_numpy_number_acts_as_the_python_float_it_equals(arg):
+    want = digest(arg.call(arg.valid))
+    for kind in (np.float64, np.float32):
+        assert digest(arg.call(kind(arg.valid))) == want, kind
+    if arg.integral is not None:
+        want = digest(arg.call(float(arg.integral)))
+        for value in (arg.integral, np.int64(arg.integral), np.uint8(arg.integral), np.float32(arg.integral)):
+            assert digest(arg.call(value)) == want, repr(value)
+
+
+def not_a_real_in(arg: RealArg) -> st.SearchStrategy:
+    """Values arg must refuse: bools, strings (of numbers too), None, lists,
+    non-finite numbers, ints beyond every float, and numbers outside its
+    interval, as Python or numpy scalars."""
+    outside = st.floats(allow_nan=False).filter(lambda x: not (math.isfinite(x) and arg.holds(x)))
+    return st.one_of(
+        st.sampled_from([True, False, np.True_, np.False_, None, math.nan, np.float32(math.nan), INF, -INF]),
+        st.text(max_size=4),
+        st.floats().map(str),
+        st.lists(st.floats(0, 1), max_size=2),
+        st.integers(min_value=2**1024),
+        outside,
+        outside.map(np.float64),
+        st.integers(-10**6, 10**6).filter(lambda n: not arg.holds(n)),
+        st.integers(-1000, 1000).filter(lambda n: not arg.holds(n)).map(np.int64),
+    )
+
+
+@CONTRACT
+@given(data=st.data())
+def test_real_arguments_refuse_what_is_not_a_finite_number_in_range(data):
+    arg = data.draw(st.sampled_from(REALS))
+    value = data.draw(not_a_real_in(arg))
+    with pytest.raises(ModsketchError):
+        arg.call(value)
+
+
+READERS = ("require_integer", "require_real")
+
+
+def reader_calls() -> set[tuple[str, int, int]]:
+    """(file, line, column) of every call of either reader in the package."""
+    sites = set()
+    for path in Path(require_real.__code__.co_filename).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in READERS:
+                sites.add((path.name, node.lineno, node.col_offset))
+    return sites
+
+
+def reached_call(call: Callable) -> tuple[str, int, int]:
+    """(file, line, column) of the reader call that refuses a bool passed to call."""
+    with pytest.raises(ParameterError) as info:
+        call(True)
+    caller, reader = traceback.extract_tb(info.value.__traceback__)[-2:]
+    assert reader.name in READERS, reader
+    return Path(caller.filename).name, caller.lineno, caller.colno
+
+
+def test_every_call_of_a_reader_has_a_row():
+    reached = {reached_call(arg.call) for arg in ARGS + REALS}
+    assert reader_calls() - reached == set(), "a require_integer or require_real call with no row in ARGS or REALS"

@@ -91,6 +91,12 @@ def test_beta_values():
         beta_factor(257, 1.0)
 
 
+def test_beta_is_a_python_float_of_the_weight_it_is_given():
+    # a float32 weight is read as the float it equals, not kept at float32
+    beta = beta_factor(2, np.float32(0.3))
+    assert type(beta) is float and beta == 32.0 / float(np.float32(0.3)) == 106.66666242811432
+
+
 def test_beta_beyond_float_range_is_an_error():
     # 2^796 / 1e-300 is past the largest float
     with pytest.raises(RecoveryError):

@@ -19,7 +19,13 @@ from modsketch.block_random import (
 )
 from modsketch.calibrated import measure_noise_profile
 from modsketch.cli import EXIT_CONFIG, EXIT_VALIDATION, ConfigError, build_parser, main
-from modsketch.dictlearn import DLConfig, learn_dictionary, unroll_network
+from modsketch.dictlearn import (
+    DLConfig,
+    classify_recovered_vectors,
+    default_eps_schedule,
+    learn_dictionary,
+    unroll_network,
+)
 from modsketch.network import (
     DepthConsistencyError,
     ModularNetwork,
@@ -36,7 +42,6 @@ from modsketch.network import (
 )
 from modsketch.recovery import (
     PathStep,
-    RecoveryError,
     beta_factor,
     recover_attributes_by_path,
     recover_frequency,
@@ -57,10 +62,10 @@ def sketch(d: int) -> Sketch:
     return Sketch(values=np.zeros(d), kind="overall", depth=1, erased_prefix=d)
 
 
-def star(d=24, root_attrs=(), n_cap=None, chained=False, n_multiplier=3):
-    """root -> a, and a -> b when chained, every object of module "leaf"."""
+def star(d=24, root_attrs=(), n_cap=None, chained=False, n_multiplier=3, weight=1.0):
+    """root -> a at weight, and a -> b when chained, every object of module "leaf"."""
     objects = [{"id": "root", "module": "out", "attributes": list(root_attrs)}, {"id": "a", "module": "leaf"}]
-    edges = [("root", "a", 1.0)]
+    edges = [("root", "a", weight)]
     if chained:
         objects.append({"id": "b", "module": "leaf"})
         edges.append(("a", "b", 1.0))
@@ -111,7 +116,7 @@ def network_file(tmp_path, old: str, new: str):
          r"^module matrix slot must be an integer in \[0, 3\], got 4$"),
         # dictlearn, recovery, repository
         (lambda tmp: learn_dictionary(np.zeros((2, 8)), DLConfig(params=P24)), DimensionMismatchError, "dimension 8"),
-        (lambda tmp: beta_factor(2, 0.0), RecoveryError, "must be positive"),
+        (lambda tmp: beta_factor(2, 0.0), ParameterError, r"^effective weight must be a finite number in \(0, inf\), got 0\.0$"),
         (lambda tmp: sketch_similarity(sketch(8), sketch(12)), ParameterError, "8 vs 12"),
         (lambda tmp: SketchRepository(), ParameterError, "a store without a log needs d"),
         (lambda tmp: SketchRepository(8).cluster(k=0), ParameterError, r"^k must be an integer in \[1, 0\], got 0$"),
@@ -140,13 +145,15 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: generate_synthetic(SyntheticProfile(1, 2, 1), 7.0, 24), ParameterError,
          "seed must be an integer, got 7.0"),
         (lambda tmp: tuple_sketch([sketch(24)], [float("nan")], 1, MatrixRegistry(P24, 0, "identity")), ParameterError,
-         "weights must be nonnegative with sum <= 1, got sum nan"),
+         r"^each of the tuple weights must be a finite number in \[0, inf\), got nan$"),
         (lambda tmp: tuple_sketch([sketch(24), Sketch(np.zeros(24), "overall", 1, 24, True)], [0.5, 0.5], 1,
                                   MatrixRegistry(P24, 0, "identity")), ParameterError, "mix signature mode and plain"),
         (lambda tmp: beta_factor(2.0, 1.0), ParameterError, r"^depth must be an integer >= 2, got 2\.0$"),
         (lambda tmp: beta_factor(True, 1.0), ParameterError, r"^depth must be an integer >= 2, got True$"),
-        (lambda tmp: beta_factor(2, float("inf")), RecoveryError, "positive and finite, got inf"),
-        (lambda tmp: beta_factor(2, float("nan")), RecoveryError, "positive and finite, got nan"),
+        (lambda tmp: beta_factor(2, float("inf")), ParameterError,
+         r"^effective weight must be a finite number in \(0, inf\), got inf$"),
+        (lambda tmp: beta_factor(2, float("nan")), ParameterError,
+         r"^effective weight must be a finite number in \(0, inf\), got nan$"),
         (lambda tmp: measure_noise_profile(("plain",), "isometri", 30, P24), ParameterError,
          "mode must be 'isometry' or 'both', got 'isometri'"),
         (lambda tmp: measure_noise_profile((), "both", 30, P24), ParameterError, r"expr_family .* got \(\)"),
@@ -183,20 +190,73 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: sample_matrix(P24, "k").prefix_col_sq_norms(2.5), ParameterError,
          r"^prefix must be an integer in \[0, 24\], got 2\.5$"),
         (lambda tmp: BlockParams(b=39, q="0.5", d=546, n_cap=8), ParameterError,
-         r"^q must be a number in \[0, 1\], got '0\.5'$"),
+         r"^q must be a finite number in \[0, 1\], got '0\.5'$"),
         (lambda tmp: BlockParams(b=39, q=True, d=546, n_cap=8), ParameterError,
-         r"^q must be a number in \[0, 1\], got True$"),
-        (lambda tmp: auto_params(546, 8, q="0.5"), ParameterError, r"^q must be a number in \[0, 1\], got '0\.5'$"),
+         r"^q must be a finite number in \[0, 1\], got True$"),
+        (lambda tmp: auto_params(546, 8, q="0.5"), ParameterError,
+         r"^q must be a finite number in \[0, 1\], got '0\.5'$"),
         (lambda tmp: DLConfig(P24, eps_recover="0.1"), ParameterError,
-         r"^eps_recover must be a number in \(0, 1\], got '0\.1'$"),
+         r"^eps_recover must be a finite number in \(0, 1\], got '0\.1'$"),
         (lambda tmp: recover_frequency(sketch(24), "leaf", 2, 1.0, MatrixRegistry(P24, 0), beta=float("nan")),
-         RecoveryError, r"^beta must be positive and finite, got nan$"),
+         ParameterError, r"^beta must be a finite number in \(0, inf\), got nan$"),
         (lambda tmp: learn_dictionary(np.full((2, 24), np.nan), DLConfig(params=P24)), ParameterError,
          r"^samples must be finite, sample 0 is not$"),
         (lambda tmp: unroll_network(np.full((2, 24), np.nan), P24, 1.0, 3), ParameterError,
          r"^samples must be finite, sample 0 is not$"),
         (lambda tmp: learn_dictionary(np.zeros(24), DLConfig(params=P24)), ParameterError,
          r"^samples must be a 2-D array of real numbers, got a 1-D float64 array$"),
+        # real arguments the one rule reads, and the integer ones it had not reached
+        (lambda tmp: beta_factor(2, "1.0"), ParameterError,
+         r"^effective weight must be a finite number in \(0, inf\), got '1\.0'$"),
+        (lambda tmp: beta_factor(2, True), ParameterError,
+         r"^effective weight must be a finite number in \(0, inf\), got True$"),
+        (lambda tmp: recover_frequency(sketch(24), "leaf", 2, 1.0, MatrixRegistry(P24, 0), beta="2"), ParameterError,
+         r"^beta must be a finite number in \(0, inf\), got '2'$"),
+        (lambda tmp: recover_frequency(sketch(24), "leaf", 2, "1", MatrixRegistry(P24, 0)), ParameterError,
+         r"^effective weight must be a finite number in \(0, inf\), got '1'$"),
+        (lambda tmp: tuple_sketch([sketch(24)], ["0.5"], 1, MatrixRegistry(P24, 0, "identity")), ParameterError,
+         r"^each of the tuple weights must be a finite number in \[0, inf\), got '0\.5'$"),
+        (lambda tmp: tuple_sketch([sketch(24)], [True], 1, MatrixRegistry(P24, 0, "identity")), ParameterError,
+         r"^each of the tuple weights must be a finite number in \[0, inf\), got True$"),
+        (lambda tmp: tuple_sketch([sketch(24)] * 2, [0.7, 0.5], 1, MatrixRegistry(P24, 0, "identity")), ParameterError,
+         r"^tuple weights sum to 1\.2 > 1$"),
+        (lambda tmp: star(weight="0.5"), ParameterError,
+         r"^each of the input weights of 'root' must be a finite number in \[0, inf\), got '0\.5'$"),
+        (lambda tmp: star(weight=True), ParameterError,
+         r"^each of the input weights of 'root' must be a finite number in \[0, inf\), got True$"),
+        (lambda tmp: star(weight=[1]), ParameterError,
+         r"^each of the input weights of 'root' must be a finite number in \[0, inf\), got \[1\]$"),
+        (lambda tmp: measure_noise_profile(("plain",), "both", 30, P24, quantile="0.9"), ParameterError,
+         r"^quantile must be a finite number in \(0, 1\), got '0\.9'$"),
+        (lambda tmp: default_eps_schedule(float("nan"), 2), ParameterError,
+         r"^eps_final must be a finite number in \(0, 1\], got nan$"),
+        (lambda tmp: default_eps_schedule("0.1", 2), ParameterError,
+         r"^eps_final must be a finite number in \(0, 1\], got '0\.1'$"),
+        (lambda tmp: unroll_network(np.zeros((2, 24)), P24, float("nan"), 3), ParameterError,
+         r"^w_goal must be a finite number in \(0, inf\), got nan$"),
+        (lambda tmp: unroll_network(np.zeros((2, 24)), P24, "1", 3), ParameterError,
+         r"^w_goal must be a finite number in \(0, inf\), got '1'$"),
+        (lambda tmp: unroll_network(np.zeros((2, 24)), P24, 1.0, 3, eps_final="x", dl_config=DLConfig(P24)),
+         ParameterError, r"^eps_final must be a finite number in \(0, 1\], got 'x'$"),
+        (lambda tmp: DLConfig(P24, set_floor_frac=float("nan")), ParameterError,
+         r"^set_floor_frac must be a finite number in \[0, 1\], got nan$"),
+        (lambda tmp: classify_recovered_vectors([np.ones(4)], "1", 3, 0.1), ParameterError,
+         r"^w_goal must be a finite number in \(0, inf\), got '1'$"),
+        (lambda tmp: classify_recovered_vectors([np.ones(4)], 1.0, 3, float("nan")), ParameterError,
+         r"^eps_level must be a finite number in \[0, inf\), got nan$"),
+        (lambda tmp: default_eps_schedule(0.1, 2.5), ParameterError, r"^levels must be an integer >= 1, got 2\.5$"),
+        (lambda tmp: unroll_network(np.zeros((2, 24)), P24, 1.0, 3, levels=2.5), ParameterError,
+         r"^levels must be an integer >= 1, got 2\.5$"),
+        (lambda tmp: unroll_network(np.zeros((2, 24)), P24, 1.0, 2.5), ParameterError,
+         r"^recursion_budget must be an integer >= 1, got 2\.5$"),
+        (lambda tmp: learn_dictionary(np.zeros((2, 24)), DLConfig(P24)).coefficient(0.5, 0, 1), ParameterError,
+         r"^sample must be an integer in \[0, 1\], got 0\.5$"),
+        (lambda tmp: unroll_network(np.zeros(24), P24, 1.0, 3), ParameterError,
+         r"^samples must be a 2-D array of real numbers, got a 1-D float64 array$"),
+        (lambda tmp: unroll_network(np.zeros((2, 8)), P24, 1.0, 3), DimensionMismatchError,
+         r"^samples have dimension 8, expected 24$"),
+        (lambda tmp: unroll_network(np.zeros((2, 24), dtype=bool), P24, 1.0, 3), ParameterError,
+         r"^samples must be a 2-D array of real numbers, got a 2-D bool array$"),
     ],
     ids=[
         "entry-scale-at-q0", "auto-params-d0", "parity-bit", "codeword-length", "factor-kind", "pairs-per-trial",
@@ -218,6 +278,12 @@ def network_file(tmp_path, old: str, new: str):
         "column-float", "column-0", "prefix-norms-float", "block-params-q-str", "block-params-q-bool",
         "auto-params-q-str", "eps-recover-str", "frequency-beta-nan", "learn-dictionary-nan", "unroll-nan",
         "learn-dictionary-1d",
+        "beta-weight-str", "beta-weight-bool", "frequency-beta-str", "frequency-w-star-str", "tuple-weight-str",
+        "tuple-weight-bool", "tuple-weight-sum", "network-weight-str", "network-weight-bool", "network-weight-list",
+        "noise-quantile-str", "eps-schedule-nan", "eps-schedule-str", "unroll-w-goal-nan", "unroll-w-goal-str",
+        "unroll-eps-final-str", "set-floor-frac-nan", "classify-w-goal-str", "classify-eps-level-nan",
+        "eps-schedule-levels-float", "unroll-levels-float", "unroll-budget-float", "coefficient-k-float",
+        "unroll-1d", "unroll-width", "unroll-bool",
     ],
 )
 def test_library_refusal(tmp_path, call, error, match):
