@@ -71,7 +71,7 @@ class ParameterError(ModsketchError):
     """Invalid block parameters or operation arguments."""
 
 
-class DimensionMismatchError(ModsketchError):
+class DimensionMismatchError(ParameterError):
     """Vector/matrix dimensions do not agree."""
 
 
@@ -100,6 +100,25 @@ def require_real(value, what: str, low: float, high: float, ends: str) -> float:
         if math.isfinite(x) and (low < x or x == low and ends[0] == "[") and (x < high or x == high and ends[1] == "]"):
             return x
     raise ParameterError(f"{what} must be a finite number in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+
+
+def require_array(value, what: str, ndim: int, width: int | None = None) -> np.ndarray:
+    """value as a float64 array, a float64 ndarray not copied, if an ndarray, list or tuple of real numbers (no
+    bool) with ndim axes, a last axis width long when width is given and every entry finite; else a ParameterError
+    naming what: ``must be a <ndim>-D array of real numbers``, ``must have width`` or ``must be finite``."""
+    try:
+        array = np.asarray(value) if isinstance(value, (np.ndarray, list, tuple)) else None
+    except ValueError:  # a ragged list
+        array = None
+    if array is None or array.ndim != ndim or array.dtype.kind not in "iuf":
+        got = type(value).__name__ if array is None else f"{array.ndim}-D {array.dtype}"
+        raise ParameterError(f"{what} must be a {ndim}-D array of real numbers, got {got}")
+    if width is not None and array.shape[-1] != width:
+        raise DimensionMismatchError(f"{what} must have width {width}, got {array.shape[-1]}")
+    if not np.isfinite(array).all():  # the one pass over the entries of a finite array
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(array))[0])  # the first non-finite value
+        raise ParameterError(f"{what} must be finite, value {at[0] if ndim == 1 else at} is {float(array[at])!r}")
+    return array.astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +276,7 @@ def decode_column_signature(z: np.ndarray, params: BlockParams) -> tuple[int, in
     Returns (column index, b_m).  A decoded index beyond d signals a
     corrupted codeword.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (params.sub_block,):
-        raise DimensionMismatchError(
-            f"codeword length {z.shape} != sub-block {params.sub_block}"
-        )
+    z = require_array(z, "codeword", 1, params.sub_block)
     if z[0] < 0:
         z = -z
     t = params.index_bits
@@ -282,8 +297,12 @@ def decode_column_signature(z: np.ndarray, params: BlockParams) -> tuple[int, in
 
 
 def _require_length(x: np.ndarray, n: int) -> None:
-    """Refuse a product input whose first axis is not n long."""
-    if x.shape[:1] != (n,):
+    """Refuse a product input that is not a 1-D or 2-D array of real numbers whose first axis is n long.  It is
+    not scanned for non-finite entries, which every product would pay: the sketch pass builds what it multiplies."""
+    if not (isinstance(x, np.ndarray) and x.ndim in (1, 2) and x.dtype.kind in "iuf"):
+        got = f"{x.ndim}-D {x.dtype}" if isinstance(x, np.ndarray) else type(x).__name__
+        raise ParameterError(f"a product input must be a 1-D or 2-D array of real numbers, got {got}")
+    if x.shape[0] != n:
         raise DimensionMismatchError(f"input of shape {x.shape} for a product needing length {n}")
 
 

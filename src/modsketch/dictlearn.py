@@ -44,7 +44,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from modsketch.block_random import BlockParams, DimensionMismatchError, ParameterError, require_integer, require_real
+from modsketch.block_random import BlockParams, DimensionMismatchError, require_array, require_integer, require_real
 
 __all__ = [
     "DLConfig",
@@ -264,20 +264,6 @@ def _parse_matching_sets(z: np.ndarray, set_of_row: np.ndarray, n_sets: int, p: 
     return rows_j[n_rows:], s_x, rounded, np.where(modal_m, scale, -scale)
 
 
-def _require_samples(samples, d: int) -> np.ndarray:
-    """samples as a C-contiguous float64 array, if a finite 2-D array of real numbers of width d."""
-    y = np.asarray(samples)
-    if y.ndim != 2 or y.dtype.kind not in "iuf":
-        raise ParameterError(f"samples must be a 2-D array of real numbers, got a {y.ndim}-D {y.dtype} array")
-    if y.shape[1] != d:
-        raise DimensionMismatchError(f"samples have dimension {y.shape[1]}, expected {d}")
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    finite = np.isfinite(y).all(axis=1)
-    if not finite.all():
-        raise ParameterError(f"samples must be finite, sample {int(np.argmin(finite))} is not")
-    return y
-
-
 def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary:
     """Scan all blocks of all samples and collect identifiable columns.
 
@@ -290,7 +276,7 @@ def learn_dictionary(samples: np.ndarray, config: DLConfig) -> LearnedDictionary
     """
     p = config.params
     d, b, q, m, n_blocks = p.d, p.b, p.q, p.sub_block, p.n_blocks
-    y = _require_samples(samples, d)
+    y = np.ascontiguousarray(require_array(samples, "samples", 2, d))
     n_samples = y.shape[0]
     tau2 = config.tau2_value
 
@@ -501,6 +487,7 @@ def classify_recovered_vectors(
     w_goal = require_real(w_goal, "w_goal", 0, math.inf, "()")
     recursion_budget = require_integer(recursion_budget, "recursion_budget", 1)
     eps_level = require_real(eps_level, "eps_level", 0, math.inf, "[)")
+    vectors = [require_array(v, "each recovered vector", 1) for v in vectors]
     labels = ["garbage"] * len(vectors)
     survivors = [
         idx for idx, v in enumerate(vectors) if v.size and float(np.max(np.abs(v))) >= eps_level
@@ -570,7 +557,7 @@ def unroll_network(
     w_goal = require_real(w_goal, "w_goal", 0, math.inf, "()")
     eps_final = require_real(eps_final, "eps_final", 0, 1, "(]")
     config = dl_config or DLConfig(params=params, eps_recover=eps_final)
-    frames = list(enumerate(_require_samples(sketches, config.params.d)))  # (sample id, vector)
+    frames = list(enumerate(require_array(sketches, "samples", 2, config.params.d)))  # (sample id, vector)
     modules: dict[int, ModuleRecovery] = {}
     frames_per_level: list[int] = []
 

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from modsketch._seeding import derive_rng
-from modsketch.block_random import ModsketchError, ParameterError, require_integer, require_real
+from modsketch.block_random import ModsketchError, ParameterError, require_array, require_integer, require_real
 
 __all__ = [
     "NetworkValidationError",
@@ -117,9 +117,10 @@ class ModularNetwork:
 # ---------------------------------------------------------------------------
 
 
-def _pad_and_normalize(values: np.ndarray, d: int) -> np.ndarray:
-    if not np.all(np.isfinite(values) & (values >= -WEIGHT_TOL)):
-        raise NetworkValidationError("attribute entries must be finite and nonnegative")
+def _pad_and_normalize(values, d: int, what: str) -> np.ndarray:
+    values = require_array(values, what, 1)
+    if not np.all(values >= -WEIGHT_TOL):
+        raise NetworkValidationError(f"{what} must be nonnegative")
     if len(values) > d:
         raise NetworkValidationError(
             f"attribute vector of length {len(values)} exceeds sketch dimension {d}"
@@ -195,7 +196,7 @@ def build_network(
         producer = str(odesc["module"])
         if producer not in modules:
             raise NetworkValidationError(f"object {oid!r} names unknown module {producer!r}")
-        attrs = _pad_and_normalize(np.asarray(odesc.get("attributes", []), dtype=np.float64), d)
+        attrs = _pad_and_normalize(odesc.get("attributes", []), d, f"attributes of {oid!r}")
         objects[oid] = ObjectNode(id=oid, producer=producer, attributes=attrs)
 
     out_objects = [o for o in objects.values() if modules[o.producer].is_output]

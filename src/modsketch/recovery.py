@@ -28,10 +28,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from modsketch.block_random import AnyMatrix, DimensionMismatchError, ModsketchError, ParameterError
-from modsketch.block_random import require_integer, require_real
+from modsketch.block_random import AnyMatrix, ModsketchError, ParameterError, require_integer, require_real
 from modsketch.calibrated import PREDICTED_ERROR_COEFF, delta_desync_fit
 from modsketch.sketcher import MatrixRegistry, Sketch, input_tuple_depth, pair_tuple_depth, signature_shape
+from modsketch.sketcher import require_sketch
 
 __all__ = [
     "RecoveryError",
@@ -142,17 +142,15 @@ def _column_contract(mat: AnyMatrix, sk: Sketch) -> np.ndarray:
     return out
 
 
-def _checked_beta(sk: Sketch, registry: MatrixRegistry, h: int, w: float) -> float:
-    """The beta of a depth-h, weight-w query on sk, in the sketch's own mode,
-    once sk is known to fit the registry: the same d, and a surviving prefix
-    of at least one block."""
-    if sk.d != registry.d:
-        raise DimensionMismatchError(f"sketch d={sk.d}, registry d={registry.d}")
+def _checked_beta(sk: Sketch, registry: MatrixRegistry, h: int, w: float) -> tuple[Sketch, float]:
+    """sk by the sketch rule at the registry's d, with a surviving prefix of at least one block, and the beta
+    of a depth-h, weight-w query on it, in the sketch's own mode."""
+    sk = require_sketch(sk, registry.d, "registry")
     if sk.erased_prefix < registry.params.b:
         raise RecoveryError(
             f"surviving prefix {sk.erased_prefix} shorter than one block ({registry.params.b})"
         )
-    return beta_factor(h, w, sk.signature_mode)
+    return sk, beta_factor(h, w, sk.signature_mode)
 
 
 def _report(sk: Sketch, registry: MatrixRegistry, h: int, w: float, beta: float, **fields) -> RecoveryReport:
@@ -176,7 +174,7 @@ def recover_attributes_unique(
     The caller asserts uniqueness (several objects of the module would
     superpose); the estimate is beta * normalized R_{M,1}^T contraction.
     """
-    beta = _checked_beta(sk, registry, h, w)
+    sk, beta = _checked_beta(sk, registry, h, w)
     est = beta * _column_contract(registry.module_matrix(module, 1), sk)
     return _report(sk, registry, h, w, beta, kind="attributes_unique", estimate=est, module=module)
 
@@ -203,7 +201,7 @@ def recover_attributes_by_path(
     if not path:
         raise RecoveryError("path must contain at least one step")
     h = len(path) + 1
-    beta = _checked_beta(sk, registry, h, w)
+    sk, beta = _checked_beta(sk, registry, h, w)
     v = sk.values
     for parent_depth, step in enumerate(path, start=1):
         # descend from a depth-k object into its child at depth k+1
@@ -235,7 +233,7 @@ def recover_frequency(
     ``beta`` to override the depth scaling (the flat prototype uses 4/w);
     the report's noise bound scales with the beta used.
     """
-    depth_beta = _checked_beta(sk, registry, h, w_star)
+    sk, depth_beta = _checked_beta(sk, registry, h, w_star)
     beta = depth_beta if beta is None else require_real(beta, "beta", 0, math.inf, "()")
     real = float(beta * _column_contract(registry.module_first_column(module), sk)[0])
     return _report(
@@ -279,9 +277,9 @@ def recover_signature(
     only when the residual stays below it, so a too-noisy sketch yields
     no-match rather than a wrong signature.
     """
+    sk, beta = _checked_beta(sk, registry, h, w)
     if not sk.signature_mode:
         raise ModeMismatchError("sketch was not built with the signature extension")
-    beta = _checked_beta(sk, registry, h, w)
     est = beta * _column_contract(registry.module_matrix(module, 3), sk)
     level = signature_shape(registry.params.n_cap)[1]
     quantized = np.where(est >= level / 2.0, level, 0.0)
@@ -296,8 +294,8 @@ def recover_signature(
 def sketch_similarity(a: Sketch, b: Sketch) -> float:
     """Plain inner product; unrelated sketches sit near zero, shared
     same-module objects push it up."""
-    if a.d != b.d:
-        raise ParameterError(f"sketch dimensions differ: {a.d} vs {b.d}")
+    a = require_sketch(a)
+    b = require_sketch(b, a.d, "first sketch")
     if a.erased_prefix != b.erased_prefix:
         raise ParameterError("sketches have different surviving prefixes")
     return float(a.values @ b.values)

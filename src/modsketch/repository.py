@@ -26,7 +26,7 @@ handle holds the file it opened: a log removed or replaced under an open
 store keeps receiving that store's appends until it is closed.  An append
 that fails cuts the log back to its length before the record, so a later
 insert starts on a clean line.  Insert and replay check a record by one rule
-(``sketch_from_metadata``, a string id, string tags), so ``insert`` refuses,
+(``require_sketch``, a string id, string tags), so ``insert`` refuses,
 before logging a byte, any record replay would refuse.
 """
 
@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from modsketch._seeding import derive_rng
-from modsketch.block_random import DimensionMismatchError, ParameterError, require_integer
-from modsketch.sketcher import Sketch, decode_values, encode_values, sketch_from_metadata
+from modsketch.block_random import ParameterError, require_integer
+from modsketch.sketcher import Sketch, decode_values, encode_values, require_sketch
 
 __all__ = ["SketchEntry", "QueryHit", "ClusterResult", "SketchRepository"]
 
@@ -90,12 +90,11 @@ def _log_line(eid: str, tags: dict, sketch: Sketch) -> bytes:
     return b"".join((head[:-1], b', "values": "', base64.b64encode(encode_values(sketch.values)), b'"}\n'))
 
 
-def _parse_record(line: bytes, d: int | None) -> tuple[Sketch, str, dict]:
-    """A log line's sketch, id and tags, unchecked; d=None reads d from the
-    payload, which must then hold whole float64s."""
+def _parse_record(line: bytes) -> tuple[Sketch, str, dict]:
+    """A log line's sketch, id and tags, unchecked; d is read from the payload, which must hold whole float64s."""
     rec = json.loads(line)
     tags, eid, payload = rec["tags"], rec["id"], base64.b64decode(rec["values"])
-    values = decode_values(payload, len(payload) // 8 if d is None else d)
+    values = decode_values(payload, len(payload) // 8)
     return Sketch(values, rec["kind"], rec["depth"], rec["erased_prefix"], rec.get("signature_mode", False)), eid, tags
 
 
@@ -132,15 +131,11 @@ class SketchRepository:
     def _insert(self, sketch: Sketch, eid: str, tags: dict) -> str:
         """Log and store a record once it passes the rule replay reads it by;
         the caller holds the write lock, or replays a store not yet shared."""
-        if sketch.d != self.d:
-            raise DimensionMismatchError(f"sketch d={sketch.d}, store d={self.d}")
+        sketch = require_sketch(sketch, self.d, "store")
         if not (isinstance(tags, Mapping) and all(isinstance(k, str) and isinstance(v, str) for k, v in tags.items())):
             raise ParameterError(f"tags must map strings to strings, got {tags!r}")
         if not isinstance(eid, str):
             raise ParameterError(f"id must be a string, got {eid!r}")
-        sketch = sketch_from_metadata(
-            sketch.values, sketch.kind, sketch.depth, sketch.erased_prefix, sketch.signature_mode
-        )
         tags, n = dict(tags), self._n
         if self.log_path:
             self._append(_log_line(eid, tags, sketch))
@@ -202,12 +197,16 @@ class SketchRepository:
         line.  A malformed line anywhere else is an error.
         """
         complete = 0
-        with open(path, "rb") as fh:
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise ParameterError(f"cannot read sketch store {path}: {exc.strerror}") from None
+        with fh:
             for line in fh:
                 if not line.endswith(b"\n"):
                     break
                 try:
-                    sketch, eid, tags = _parse_record(line, self.d if complete else None)
+                    sketch, eid, tags = _parse_record(line)
                     if not complete:
                         self._set_dimension(sketch.d)
                     self._insert(sketch, eid, tags)
@@ -234,8 +233,7 @@ class SketchRepository:
         the recall it achieved against brute force on this probe.
         """
         k = require_integer(k, "k", 1)
-        if probe.d != self.d:
-            raise DimensionMismatchError(f"sketch d={probe.d}, store d={self.d}")
+        probe = require_sketch(probe, self.d, "store")
         n = self._n
         vectors, codes, meta = self._vectors, self._codes, self._meta
         if not n:

@@ -46,9 +46,11 @@ from modsketch._seeding import derive_rng
 from modsketch.block_random import (
     AnyMatrix,
     BlockParams,
+    DimensionMismatchError,
     IdentityMatrix,
     ModsketchError,
     ParameterError,
+    require_array,
     require_integer,
     sample_first_column,
     sample_matrix,
@@ -242,8 +244,7 @@ def tuple_sketch(sketches: list[Sketch], weights: list[float], tuple_depth: int,
     if len(sketches) != len(weights):
         raise ParameterError("sketches and weights must have equal length")
     weights = require_weights(weights, "tuple weights")
-    if any(sk.d != registry.d for sk in sketches):
-        raise ParameterError("sketch dimension mismatch")
+    sketches = [require_sketch(sk, registry.d, "registry") for sk in sketches]
     modes = {bool(sk.signature_mode) for sk in sketches}
     if len(modes) > 1:
         raise ParameterError("sketches mix signature mode and plain mode")
@@ -360,7 +361,7 @@ def object_sketches(net: ModularNetwork, registry: MatrixRegistry, signature_mod
 def overall_sketch(net: ModularNetwork, registry: MatrixRegistry, signature_mode: bool = False) -> Sketch:
     """Input tuple of the output pseudo-object."""
     if net.d != registry.d:
-        raise ParameterError(f"network dimension {net.d} != registry dimension {registry.d}")
+        raise DimensionMismatchError(f"network dimension {net.d} != registry dimension {registry.d}")
     registry.check_dimension_floor(net.recursion_budget)
     root_input = _sketch_pass(net, registry, signature_mode)[1]
     return Sketch(root_input[:, 0].copy(), "overall", 1, registry.d, signature_mode)
@@ -408,10 +409,10 @@ def prototype_b_overall(net: ModularNetwork, registry: MatrixRegistry) -> Sketch
 
 def erase_to_prefix(sk: Sketch, d_prime: int) -> Sketch:
     """Zero all coordinates beyond d_prime and record the surviving prefix."""
+    sk = require_sketch(sk)
     d_prime = require_integer(d_prime, "prefix", 1, sk.d)
-    if d_prime >= sk.erased_prefix:
-        # already erased at least this far
-        return replace(sk, erased_prefix=min(sk.erased_prefix, d_prime))
+    if d_prime >= sk.erased_prefix:  # already erased at least this far
+        return sk
     values = sk.values.copy()
     values[d_prime:] = 0.0
     return replace(sk, values=values, erased_prefix=d_prime)
@@ -434,9 +435,9 @@ def decode_values(payload: bytes, d: int) -> np.ndarray:
 
 def save_sketch(sk: Sketch, path: str, seed_fingerprint: str = "") -> None:
     """Header line + little-endian float64 payload.  Refuses, before opening
-    the file, a sketch :func:`sketch_from_metadata` refuses and a fingerprint
+    the file, a sketch :func:`require_sketch` refuses and a fingerprint
     with whitespace or a non-ASCII character, which the header cannot carry."""
-    sk = sketch_from_metadata(sk.values, sk.kind, sk.depth, sk.erased_prefix, sk.signature_mode)
+    sk = require_sketch(sk)
     seed = seed_fingerprint or "unknown"
     if not (isinstance(seed, str) and seed.isascii() and seed.split() == [seed]):
         raise ParameterError(f"seed fingerprint {seed_fingerprint!r} must be ASCII without whitespace")
@@ -446,26 +447,25 @@ def save_sketch(sk: Sketch, path: str, seed_fingerprint: str = "") -> None:
         fh.writelines((header.encode("ascii"), encode_values(sk.values)))
 
 
-def sketch_from_metadata(values: np.ndarray, kind, depth, erased_prefix, signature_mode) -> Sketch:
-    """The rule of a sketch record, which the store and ``.sketch`` writers
-    apply before writing and their readers after reading: finite values, a
-    known kind, integer depth >= 1 and prefix in [1, d], boolean signature mode.
-    The values must be a 1-D array of real numbers; a float64 one is kept, not copied."""
-    if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf"):
-        shape = f"{values.ndim}-D {values.dtype}" if isinstance(values, np.ndarray) else type(values).__name__
-        raise ParameterError(f"sketch values must be a 1-D array of real numbers, got {shape}")
-    values = values.astype(np.float64, copy=False)
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))  # the first non-finite value
-        raise ParameterError(f"sketch values must be finite, value {i} is {float(values[i])!r}")
-    if kind not in get_args(SketchKind):
-        raise ParameterError(f"unknown sketch kind {kind!r}")
-    depth = require_integer(depth, "sketch depth", 1)
-    erased_prefix = require_integer(erased_prefix, "erased prefix", 1, len(values))
-    if not isinstance(signature_mode, (bool, np.bool_)):
-        raise ParameterError(f"signature mode must be a boolean, got {signature_mode!r}")
-    return Sketch(values, kind, depth, erased_prefix, bool(signature_mode))
+def require_sketch(sk, d: int | None = None, whose: str = "") -> Sketch:
+    """sk by the one sketch rule, which writers apply before writing, readers after reading and every public
+    function that takes a sketch on entry: a :class:`Sketch` of 1-D array values that ``require_array`` reads, a
+    known kind, integer depth >= 1 and prefix in [1, d], boolean signature mode.  Given d, another dimension is
+    refused before the rest, as ``sketch d=<n>, <whose> d=<d>``."""
+    if not isinstance(sk, Sketch):
+        raise ParameterError(f"expected a Sketch, got {type(sk).__name__}")
+    values = require_array(sk.values, "sketch values", 1)
+    if not isinstance(sk.values, np.ndarray):  # a Sketch holds an ndarray; a list is refused, not converted
+        raise ParameterError(f"sketch values must be a 1-D array of real numbers, got {type(sk.values).__name__}")
+    if d is not None and len(values) != d:
+        raise DimensionMismatchError(f"sketch d={len(values)}, {whose} d={d}")
+    if not (isinstance(sk.kind, str) and sk.kind in get_args(SketchKind)):
+        raise ParameterError(f"unknown sketch kind {sk.kind!r}")
+    depth = require_integer(sk.depth, "sketch depth", 1)
+    erased_prefix = require_integer(sk.erased_prefix, "erased prefix", 1, len(values))
+    if not isinstance(sk.signature_mode, (bool, np.bool_)):
+        raise ParameterError(f"signature mode must be a boolean, got {sk.signature_mode!r}")
+    return Sketch(values, sk.kind, depth, erased_prefix, bool(sk.signature_mode))
 
 
 def load_sketch(path: str) -> tuple[Sketch, str]:
@@ -485,10 +485,11 @@ def load_sketch(path: str) -> tuple[Sketch, str]:
             # a missing field, a token without "=", or a non-integer value
             raise ParameterError(f"{path}: malformed sketch header ({exc!r})") from None
         values = decode_values(fh.read(), d)
-    return sketch_from_metadata(values, kind, depth, erased_prefix, {"0": False, "1": True}.get(sig, sig)), seed
+    return require_sketch(Sketch(values, kind, depth, erased_prefix, {"0": False, "1": True}.get(sig, sig))), seed
 
 
 def export_sketch_csv(sk: Sketch, path: str) -> None:
+    sk = require_sketch(sk)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,value\n")
         for i, v in enumerate(sk.values):

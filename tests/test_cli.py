@@ -676,9 +676,12 @@ def test_path_the_os_refuses_exit_code(tmp_path, capsys, command):
     config = command == "recover-config-a-dir"
     assert main(argv) == (EXIT_CONFIG if config else EXIT_VALIDATION)
     err = capsys.readouterr().err
-    prefix = f"config error: cannot read config file {path}: " if config else f"file error: {path}: "
-    reason = ("No such file or directory", "Not a directory", "File exists", "Is a directory")
-    assert err.startswith(prefix) and err.rstrip("\n").endswith(reason) and err.count("\n") == 1, err
+    if command.endswith("-store-a-dir"):  # replay opens a store's log as load_sketch opens a file
+        assert err == f"validation error: cannot read sketch store {path}: Is a directory\n", err
+    else:
+        prefix = f"config error: cannot read config file {path}: " if config else f"file error: {path}: "
+        reason = ("No such file or directory", "Not a directory", "File exists", "Is a directory")
+        assert err.startswith(prefix) and err.rstrip("\n").endswith(reason) and err.count("\n") == 1, err
     assert not (tmp_path / "nodir").exists()
 
 
@@ -723,8 +726,8 @@ def test_malformed_network_numbers_exit_code(tmp_path, capsys):
         ("root a 1.0", "root a heavy", "line 12: edge weight must be a number, got 'heavy'"),
         ("root a 1.0", "root a nan", "each of the input weights of 'root' must be a finite number in [0, inf), got nan"),
         ("root a 1.0", "root a inf", "each of the input weights of 'root' must be a finite number in [0, inf), got inf"),
-        ("0:0.6", "0:nan", "attribute entries must be finite and nonnegative"),
-        ("0:0.6", "0:inf", "attribute entries must be finite and nonnegative"),
+        ("0:0.6", "0:nan", "attributes of 'a' must be finite, value 0 is nan"),
+        ("0:0.6", "0:inf", "attributes of 'a' must be finite, value 0 is inf"),
         ("0:0.6", "-1:0.5", "object 'a' attribute index -1 outside [0, 1014)"),
         ("0:0.6", "-3:0.5 2:0.1", "object 'a' attribute index -3 outside [0, 1014)"),
         ("0:0.6", "0:1e300", "attribute vector is too large to normalize"),

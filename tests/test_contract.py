@@ -1,11 +1,15 @@
-"""The number half of the library's input contract.
+"""The library's input contract: numbers, arrays and sketches.
 
 Every integer argument the library reads names something: a dimension, a
 count, a seed, a slot, a position or a depth.  Every real argument is a
-weight, a probability, a tolerance or a quantile.  The tables below list each
-argument that :func:`~modsketch.block_random.require_integer` or
-:func:`~modsketch.block_random.require_real` reads, with a call that passes
-it and the values it accepts.  The properties:
+weight, a probability, a tolerance or a quantile.  Every array argument is a
+batch of samples, a vector or a codeword, and every sketch argument is a
+:class:`~modsketch.sketcher.Sketch`.  The tables below list each argument
+that :func:`~modsketch.block_random.require_integer`,
+:func:`~modsketch.block_random.require_real`,
+:func:`~modsketch.block_random.require_array` or
+:func:`~modsketch.sketcher.require_sketch` reads, with a call that passes it
+and the values it accepts.  The properties:
 
 * a bool, a string, a non-finite number, or a number outside the range ends
   in a :class:`~modsketch.block_random.ModsketchError` subclass, never in a
@@ -13,7 +17,16 @@ it and the values it accepts.  The properties:
 * a numpy integer gives the same result as the int it equals, bit for bit
   and type for type, and is refused as that int is; a numpy float, or an
   int, gives a real argument the result of the Python float it equals;
-* every call of either reader in ``src/modsketch`` is reached by a row.
+* an array argument refuses a non-finite entry, another number of axes or
+  another width, a bool, string, object or complex array, and anything that
+  is not an array, list or tuple; a list or a tuple gives the result of the
+  array it equals;
+* a sketch argument refuses a NaN value, 2-D, list and string values, an
+  unknown kind, a non-boolean mode, a prefix outside [1, d], another d (with
+  the ``sketch d=...`` message) and anything that is not a sketch, and the
+  refusal writes no file;
+* every call of any of the four readers in ``src/modsketch`` is reached by
+  a row.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from __future__ import annotations
 import ast
 import math
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -32,11 +45,14 @@ from hypothesis import strategies as st
 
 from modsketch.block_random import (
     BlockParams,
+    DimensionMismatchError,
     IdentityMatrix,
     ModsketchError,
     ParameterError,
     auto_params,
+    decode_column_signature,
     encode_column_signature,
+    require_array,
     require_integer,
     require_real,
     sample_matrix,
@@ -51,9 +67,28 @@ from modsketch.dictlearn import (
     unroll_network,
 )
 from modsketch.network import SyntheticProfile, build_network, generate_synthetic
-from modsketch.recovery import beta_factor, recover_frequency
+from modsketch.recovery import (
+    PathStep,
+    beta_factor,
+    recover_attributes_by_path,
+    recover_attributes_unique,
+    recover_frequency,
+    recover_mean_attributes,
+    recover_signature,
+    recover_summed_attributes,
+    sketch_similarity,
+)
 from modsketch.repository import SketchRepository
-from modsketch.sketcher import MatrixRegistry, Sketch, erase_to_prefix, sketch_from_metadata, tuple_sketch
+from modsketch.sketcher import (
+    MatrixRegistry,
+    Sketch,
+    erase_to_prefix,
+    export_sketch_csv,
+    load_sketch,
+    require_sketch,
+    save_sketch,
+    tuple_sketch,
+)
 
 # derandomized, and capped so the module stays within seconds of Tier-1 time
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -81,6 +116,7 @@ def store() -> SketchRepository:
 STORE = store()
 LEARNED = learn_dictionary(np.zeros((2, 24)), DLConfig(P24))
 IDENTITY_REGISTRY = MatrixRegistry(P24, 0, "identity")
+REGISTRY = MatrixRegistry(P24, 0)
 
 
 @dataclass(frozen=True)
@@ -141,9 +177,8 @@ ARGS = [
     Arg("MatrixRegistry.tuple_matrix.position", lambda v: MatrixRegistry(P24, 0).tuple_matrix(v, 1), 2, 1),
     Arg("MatrixRegistry.tuple_matrix.depth", lambda v: MatrixRegistry(P24, 0).tuple_matrix(1, v), 3, 1),
     Arg("erase_to_prefix.d_prime", lambda v: erase_to_prefix(SK, v), 12, 1, 24),
-    Arg("sketch_from_metadata.depth", lambda v: sketch_from_metadata(np.zeros(24), "overall", v, 24, False), 2, 1),
-    Arg("sketch_from_metadata.erased_prefix",
-        lambda v: sketch_from_metadata(np.zeros(24), "overall", 1, v, False), 12, 1, 24),
+    Arg("Sketch.depth", lambda v: require_sketch(Sketch(np.zeros(24), "overall", v, 24, False)), 2, 1),
+    Arg("Sketch.erased_prefix", lambda v: require_sketch(Sketch(np.zeros(24), "overall", 1, v, False)), 12, 1, 24),
     # dictlearn
     Arg("default_eps_schedule.levels", lambda v: default_eps_schedule(0.5, v), 3, 1),
     Arg("unroll_network.recursion_budget", lambda v: unroll_network(np.zeros((2, 24)), P24, 1.0, v), 3, 1),
@@ -363,11 +398,196 @@ def test_real_arguments_refuse_what_is_not_a_finite_number_in_range(data):
         arg.call(value)
 
 
-READERS = ("require_integer", "require_real")
+ROOT, LEAF = SPEC["objects"]
+
+
+@dataclass(frozen=True)
+class ArrayArg:
+    """One array argument: a call that passes ``value`` for it, an accepted
+    value, its number of axes and the width of its last axis (None: any),
+    and whether a list or tuple is read as the array it equals."""
+
+    name: str
+    call: Callable
+    valid: np.ndarray
+    ndim: int
+    width: int | None = None
+    sequences: bool = True
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+ARRAYS = [
+    ArrayArg("decode_column_signature.z", lambda v: decode_column_signature(v, P24),
+             encode_column_signature(5, 1, -1, P24), 1, P24.sub_block),
+    ArrayArg("build_network.attributes", lambda v: build_network({**SPEC, "objects": [ROOT, {**LEAF, "attributes": v}]}, 24),
+             np.array([0.6, 0.3]), 1),
+    ArrayArg("learn_dictionary.samples", lambda v: learn_dictionary(v, DLConfig(P24)), np.eye(2, 24), 2, 24),
+    ArrayArg("unroll_network.sketches", lambda v: unroll_network(v, P24, 1.0, 3), np.eye(2, 24), 2, 24),
+    ArrayArg("classify_recovered_vectors.vectors", lambda v: classify_recovered_vectors([np.ones(4), v], 0.5, 6, 0.05),
+             np.full(4, 0.01), 1),
+    # a Sketch holds an array, so its values take no list (the sketch table checks that)
+    ArrayArg("Sketch.values", lambda v: require_sketch(Sketch(v, "overall", 1, 3)), np.arange(3.0), 1, sequences=False),
+]
+
+
+def test_the_array_message_shape():
+    x = np.arange(3.0)
+    assert require_array(x, "x", 1) is x
+    assert digest(require_array([1, 2], "x", 1)) == digest(np.array([1.0, 2.0]))
+    for value, ndim, width, error, message in (
+        ("abc", 1, None, ParameterError, "x must be a 1-D array of real numbers, got str"),
+        (None, 1, None, ParameterError, "x must be a 1-D array of real numbers, got NoneType"),
+        ([[1.0], [1.0, 2.0]], 2, None, ParameterError, "x must be a 2-D array of real numbers, got list"),
+        (np.ones((2, 2)), 1, None, ParameterError, "x must be a 1-D array of real numbers, got 2-D float64"),
+        (np.array([True]), 1, None, ParameterError, "x must be a 1-D array of real numbers, got 1-D bool"),
+        (np.ones(3), 1, 4, DimensionMismatchError, "x must have width 4, got 3"),
+        (np.array([0.0, np.inf]), 1, None, ParameterError, "x must be finite, value 1 is inf"),
+        (np.array([[0.0, 1.0], [np.nan, 0.0]]), 2, None, ParameterError, "x must be finite, value (1, 0) is nan"),
+    ):
+        with pytest.raises(error) as info:
+            require_array(value, "x", ndim, width)
+        assert str(info.value) == message
+
+
+def refused_arrays(arg: ArrayArg) -> list:
+    """A NaN, an inf and a -inf entry, a bool, a string, a complex and an
+    object array of valid shape, one axis more and one fewer, another width,
+    a ragged list, a list holding NaN, and values that are no arrays."""
+    nan, inf, neg = (arg.valid.astype(float) for _ in range(3))
+    nan.flat[-1], inf.flat[0], neg.flat[0] = math.nan, INF, -INF
+    wrong = [nan, inf, neg, arg.valid.astype(bool), arg.valid.astype(str), arg.valid.astype(complex),
+             arg.valid.astype(object), arg.valid[..., None], arg.valid.reshape(-1)[0], nan.tolist(),
+             [[0.5], [0.5, 0.5]], None, True, 0.5, "0.5", {"a": 1.0}]
+    if arg.ndim == 2:
+        wrong.append(arg.valid[0])
+    if arg.width is not None:
+        wrong += [arg.valid[..., 1:], np.concatenate([arg.valid, arg.valid[..., :1]], axis=-1)]
+    return wrong
+
+
+@pytest.mark.parametrize("arg", ARRAYS, ids=repr)
+def test_each_array_argument_refuses_a_non_finite_entry_another_shape_and_what_is_no_real_array(arg):
+    arg.call(arg.valid)
+    for value in refused_arrays(arg):
+        with pytest.raises(ModsketchError):
+            arg.call(value)
+
+
+@pytest.mark.parametrize("arg", [a for a in ARRAYS if a.sequences], ids=repr)
+def test_a_list_or_a_tuple_acts_as_the_array_it_equals(arg):
+    want = digest(arg.call(arg.valid))
+    assert digest(arg.call(arg.valid.tolist())) == want
+    assert digest(arg.call(tuple(arg.valid.tolist()))) == want
+
+
+def not_an_array_for(arg: ArrayArg) -> st.SearchStrategy:
+    """Values arg must refuse: its valid array with one entry made NaN or
+    +-inf, or reshaped to another number of axes or width, or cast to a
+    dtype that is not real; or a scalar, a string or None."""
+    def poisoned(data: tuple[int, float]) -> np.ndarray:
+        out = arg.valid.astype(float)
+        out.flat[data[0] % out.size] = data[1]
+        return out
+
+    shapes = st.lists(st.integers(1, 4), min_size=0, max_size=3).filter(
+        lambda shape: len(shape) != arg.ndim or arg.width is not None and shape[-1] != arg.width)
+    return st.one_of(
+        st.tuples(st.integers(0, 10**6), st.sampled_from([math.nan, INF, -INF])).map(poisoned),
+        shapes.map(np.ones),
+        st.sampled_from([bool, str, complex, object]).map(arg.valid.astype),
+        st.sampled_from([None, True, 0.5, "x", math.nan]),
+        st.sampled_from([math.nan, INF, -INF]).map(lambda x: [0.5, x]),
+    )
+
+
+@CONTRACT
+@given(data=st.data())
+def test_array_arguments_refuse_what_is_not_a_finite_real_array_of_their_shape(data):
+    arg = data.draw(st.sampled_from(ARRAYS))
+    value = data.draw(not_an_array_for(arg))
+    with pytest.raises(ModsketchError):
+        arg.call(value)
+
+
+@dataclass(frozen=True)
+class SketchArg:
+    """One sketch argument: a call that passes ``sk`` for it and may write
+    under ``tmp``, an accepted sketch of d=24, and whether the call holds a
+    dimension that another d is refused against."""
+
+    name: str
+    call: Callable
+    valid: Sketch = field(default_factory=lambda: SK)
+    has_d: bool = True
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+SKETCHES = [
+    SketchArg("recover_attributes_unique.sk", lambda sk, tmp: recover_attributes_unique(sk, "a", 2, 1.0, REGISTRY)),
+    SketchArg("recover_attributes_by_path.sk",
+              lambda sk, tmp: recover_attributes_by_path(sk, [PathStep(1, "a")], REGISTRY, 1.0)),
+    SketchArg("recover_frequency.sk", lambda sk, tmp: recover_frequency(sk, "a", 2, 1.0, REGISTRY)),
+    SketchArg("recover_summed_attributes.sk", lambda sk, tmp: recover_summed_attributes(sk, "a", 2, 1.0, REGISTRY)),
+    SketchArg("recover_mean_attributes.sk", lambda sk, tmp: recover_mean_attributes(sk, "a", 2, 1.0, REGISTRY)),
+    SketchArg("recover_signature.sk", lambda sk, tmp: recover_signature(sk, "a", 2, 1.0, REGISTRY),
+              replace(SK, signature_mode=True)),
+    SketchArg("sketch_similarity.a", lambda sk, tmp: sketch_similarity(sk, SK)),
+    SketchArg("sketch_similarity.b", lambda sk, tmp: sketch_similarity(SK, sk)),
+    SketchArg("tuple_sketch.sketches", lambda sk, tmp: tuple_sketch([sk], [1.0], 1, IDENTITY_REGISTRY)),
+    SketchArg("erase_to_prefix.sk", lambda sk, tmp: erase_to_prefix(sk, 12), has_d=False),
+    SketchArg("save_sketch.sk", lambda sk, tmp: save_sketch(sk, str(tmp / "s.sketch")), has_d=False),
+    SketchArg("export_sketch_csv.sk", lambda sk, tmp: export_sketch_csv(sk, str(tmp / "s.csv")), has_d=False),
+    SketchArg("SketchRepository.insert.sketch", lambda sk, tmp: SketchRepository(24, str(tmp / "s.log")).insert(sk)),
+    SketchArg("SketchRepository.query_similar.probe", lambda sk, tmp: STORE.query_similar(sk, 2)),
+]
+
+
+def refused_sketches(valid: Sketch) -> list:
+    """valid with a NaN value, 2-D, list or string values, an unknown kind, a
+    non-boolean mode or a prefix outside [1, d]; and no sketches at all."""
+    nan = valid.values.copy()
+    nan[3] = math.nan
+    return [
+        *(replace(valid, values=v) for v in (nan, np.zeros((24, 2)), valid.values.tolist(), np.array(["0"] * 24))),
+        replace(valid, kind="bogus"), replace(valid, kind=None), replace(valid, kind=np.array(["tuple", "input"])),
+        replace(valid, signature_mode="yes"), replace(valid, signature_mode=1),
+        replace(valid, erased_prefix=0), replace(valid, erased_prefix=25),
+        valid.values, None, True, {"values": valid.values},
+    ]
+
+
+@pytest.mark.parametrize("arg", SKETCHES, ids=repr)
+def test_each_sketch_argument_refuses_what_a_writer_refuses(tmp_path, arg):
+    arg.call(arg.valid, tmp_path)
+    for path in tmp_path.iterdir():
+        path.unlink()
+    for value in refused_sketches(arg.valid):
+        with pytest.raises(ModsketchError):
+            arg.call(value, tmp_path)
+        assert not any(tmp_path.iterdir()), value
+    if arg.has_d:
+        other_d = replace(arg.valid, values=np.zeros(12), erased_prefix=12)
+        with pytest.raises(DimensionMismatchError, match=r"^sketch d=\d+, [a-z ]+ d=\d+$"):
+            arg.call(other_d, tmp_path)
+
+
+def raw_sketch_file(tmp: Path, sig) -> str:
+    """A .sketch file whose header carries ``sig=<sig>``, as no writer would write it."""
+    path = tmp / "raw.sketch"
+    path.write_bytes(f"modsketch-sketch v1 d=2 kind=overall depth=1 erased_prefix=2 sig={sig} seed=x\n".encode()
+                     + bytes(16))
+    return str(path)
+
+
+READERS = ("require_integer", "require_real", "require_array", "require_sketch")
 
 
 def reader_calls() -> set[tuple[str, int, int]]:
-    """(file, line, column) of every call of either reader in the package."""
+    """(file, line, column) of every call of a reader in the package."""
     sites = set()
     for path in Path(require_real.__code__.co_filename).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -385,6 +605,9 @@ def reached_call(call: Callable) -> tuple[str, int, int]:
     return Path(caller.filename).name, caller.lineno, caller.colno
 
 
-def test_every_call_of_a_reader_has_a_row():
-    reached = {reached_call(arg.call) for arg in ARGS + REALS}
-    assert reader_calls() - reached == set(), "a require_integer or require_real call with no row in ARGS or REALS"
+def test_every_call_of_a_reader_has_a_row(tmp_path):
+    calls = [arg.call for arg in ARGS + REALS + ARRAYS]
+    calls += [lambda v, arg=arg: arg.call(v, tmp_path) for arg in SKETCHES]
+    calls.append(lambda v: load_sketch(raw_sketch_file(tmp_path, v)))
+    reached = {reached_call(call) for call in calls}
+    assert reader_calls() - reached == set(), "a reader call with no row in ARGS, REALS, ARRAYS or SKETCHES"

@@ -8,14 +8,18 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from modsketch.block_random import (
     BlockParams,
     DimensionMismatchError,
+    IdentityMatrix,
     ParameterError,
     auto_params,
     decode_column_signature,
     encode_column_signature,
     sample_matrix,
+    sample_orthonormal,
 )
 from modsketch.calibrated import measure_noise_profile
 from modsketch.cli import EXIT_CONFIG, EXIT_VALIDATION, ConfigError, build_parser, main
@@ -44,11 +48,20 @@ from modsketch.recovery import (
     PathStep,
     beta_factor,
     recover_attributes_by_path,
+    recover_attributes_unique,
     recover_frequency,
     sketch_similarity,
 )
 from modsketch.repository import SketchRepository
-from modsketch.sketcher import MatrixRegistry, Sketch, erase_to_prefix, overall_sketch, save_sketch, tuple_sketch
+from modsketch.sketcher import (
+    MatrixRegistry,
+    Sketch,
+    erase_to_prefix,
+    export_sketch_csv,
+    overall_sketch,
+    save_sketch,
+    tuple_sketch,
+)
 
 P8 = BlockParams(b=18, q=0.5, d=8, n_cap=8)
 P24 = BlockParams(b=24, q=0.5, d=24, n_cap=12)
@@ -58,13 +71,28 @@ NETWORK_TEXT = (
 )
 
 
-def sketch(d: int) -> Sketch:
-    return Sketch(values=np.zeros(d), kind="overall", depth=1, erased_prefix=d)
+def sketch(d: int, **change) -> Sketch:
+    return replace(Sketch(values=np.zeros(d), kind="overall", depth=1, erased_prefix=d), **change)
 
 
-def star(d=24, root_attrs=(), n_cap=None, chained=False, n_multiplier=3, weight=1.0):
+def with_nan(d: int = 24) -> Sketch:
+    """A sketch whose value 5 is NaN."""
+    values = np.zeros(d)
+    values[5] = np.nan
+    return sketch(d, values=values)
+
+
+def store_of_three() -> SketchRepository:
+    repo = SketchRepository(24)
+    for i in range(3):
+        repo.insert(sketch(24, values=np.arange(24.0) * i), f"e{i}")
+    return repo
+
+
+def star(d=24, root_attrs=(), n_cap=None, chained=False, n_multiplier=3, weight=1.0, leaf_attrs=()):
     """root -> a at weight, and a -> b when chained, every object of module "leaf"."""
-    objects = [{"id": "root", "module": "out", "attributes": list(root_attrs)}, {"id": "a", "module": "leaf"}]
+    objects = [{"id": "root", "module": "out", "attributes": list(root_attrs)},
+               {"id": "a", "module": "leaf", "attributes": leaf_attrs}]
     edges = [("root", "a", weight)]
     if chained:
         objects.append({"id": "b", "module": "leaf"})
@@ -94,7 +122,8 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: BlockParams(b=18, q=0.0, d=8, n_cap=8).entry_scale, ParameterError, "q = 0"),
         (lambda tmp: auto_params(0, 6), ParameterError, "requested dimension"),
         (lambda tmp: encode_column_signature(1, 0, 1, P8), ParameterError, "parity bits"),
-        (lambda tmp: decode_column_signature(np.ones(5), P8), DimensionMismatchError, "codeword length"),
+        (lambda tmp: decode_column_signature(np.ones(5), P8), DimensionMismatchError,
+         r"^codeword must have width 6, got 5$"),
         (lambda tmp: measure_noise_profile(("sideways",), "both", 30, P24), ParameterError,
          r"expr_family must be \('plain',\) or \('transparent',\), got \('sideways',\)"),
         (lambda tmp: measure_noise_profile(("plain",), "both", 30, P24, pairs_per_trial=0), ParameterError, "pair"),
@@ -110,14 +139,17 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: load_network(network_file(tmp, "[edges]", "[links]")), UnknownFieldError, r"section \[links\]"),
         (lambda tmp: load_network(network_file(tmp, "0:0.6", "0:x")), UnknownFieldError, "bad attribute pair '0:x'"),
         # sketcher
-        (lambda tmp: tuple_sketch([sketch(8)], [1.0], 1, MatrixRegistry(P24, 0, "identity")), ParameterError, "dimension"),
+        (lambda tmp: tuple_sketch([sketch(8)], [1.0], 1, MatrixRegistry(P24, 0, "identity")), DimensionMismatchError,
+         r"^sketch d=8, registry d=24$"),
         (lambda tmp: overall_sketch(star(d=32), MatrixRegistry(P24, 0, "identity")), ParameterError, "network dimension 32"),
         (lambda tmp: MatrixRegistry(P24, 0).module_matrix("leaf", 4), ParameterError,
          r"^module matrix slot must be an integer in \[0, 3\], got 4$"),
         # dictlearn, recovery, repository
-        (lambda tmp: learn_dictionary(np.zeros((2, 8)), DLConfig(params=P24)), DimensionMismatchError, "dimension 8"),
+        (lambda tmp: learn_dictionary(np.zeros((2, 8)), DLConfig(params=P24)), DimensionMismatchError,
+         r"^samples must have width 24, got 8$"),
         (lambda tmp: beta_factor(2, 0.0), ParameterError, r"^effective weight must be a finite number in \(0, inf\), got 0\.0$"),
-        (lambda tmp: sketch_similarity(sketch(8), sketch(12)), ParameterError, "8 vs 12"),
+        (lambda tmp: sketch_similarity(sketch(8), sketch(12)), DimensionMismatchError,
+         r"^sketch d=12, first sketch d=8$"),
         (lambda tmp: SketchRepository(), ParameterError, "a store without a log needs d"),
         (lambda tmp: SketchRepository(8).cluster(k=0), ParameterError, r"^k must be an integer in \[1, 0\], got 0$"),
         (lambda tmp: SketchRepository(8).cluster(k=2.5), ParameterError, r"^k must be an integer in \[1, 0\], got 2\.5$"),
@@ -200,11 +232,11 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: recover_frequency(sketch(24), "leaf", 2, 1.0, MatrixRegistry(P24, 0), beta=float("nan")),
          ParameterError, r"^beta must be a finite number in \(0, inf\), got nan$"),
         (lambda tmp: learn_dictionary(np.full((2, 24), np.nan), DLConfig(params=P24)), ParameterError,
-         r"^samples must be finite, sample 0 is not$"),
+         r"^samples must be finite, value \(0, 0\) is nan$"),
         (lambda tmp: unroll_network(np.full((2, 24), np.nan), P24, 1.0, 3), ParameterError,
-         r"^samples must be finite, sample 0 is not$"),
+         r"^samples must be finite, value \(0, 0\) is nan$"),
         (lambda tmp: learn_dictionary(np.zeros(24), DLConfig(params=P24)), ParameterError,
-         r"^samples must be a 2-D array of real numbers, got a 1-D float64 array$"),
+         r"^samples must be a 2-D array of real numbers, got 1-D float64$"),
         # real arguments the one rule reads, and the integer ones it had not reached
         (lambda tmp: beta_factor(2, "1.0"), ParameterError,
          r"^effective weight must be a finite number in \(0, inf\), got '1\.0'$"),
@@ -252,11 +284,55 @@ def network_file(tmp_path, old: str, new: str):
         (lambda tmp: learn_dictionary(np.zeros((2, 24)), DLConfig(P24)).coefficient(0.5, 0, 1), ParameterError,
          r"^sample must be an integer in \[0, 1\], got 0\.5$"),
         (lambda tmp: unroll_network(np.zeros(24), P24, 1.0, 3), ParameterError,
-         r"^samples must be a 2-D array of real numbers, got a 1-D float64 array$"),
+         r"^samples must be a 2-D array of real numbers, got 1-D float64$"),
         (lambda tmp: unroll_network(np.zeros((2, 8)), P24, 1.0, 3), DimensionMismatchError,
-         r"^samples have dimension 8, expected 24$"),
+         r"^samples must have width 24, got 8$"),
         (lambda tmp: unroll_network(np.zeros((2, 24), dtype=bool), P24, 1.0, 3), ParameterError,
-         r"^samples must be a 2-D array of real numbers, got a 2-D bool array$"),
+         r"^samples must be a 2-D array of real numbers, got 2-D bool$"),
+        # sketch consumers read the sketch rule the writers apply
+        (lambda tmp: store_of_three().query_similar(with_nan(), 3), ParameterError,
+         r"^sketch values must be finite, value 5 is nan$"),
+        (lambda tmp: store_of_three().query_similar(sketch(24, values=[0.0] * 24), 3), ParameterError,
+         r"^sketch values must be a 1-D array of real numbers, got list$"),
+        (lambda tmp: recover_attributes_unique(with_nan(), "leaf", 2, 1.0, MatrixRegistry(P24, 0)), ParameterError,
+         r"^sketch values must be finite, value 5 is nan$"),
+        (lambda tmp: recover_attributes_by_path(with_nan(), [PathStep(1, "leaf")], MatrixRegistry(P24, 0), 1.0),
+         ParameterError, r"^sketch values must be finite, value 5 is nan$"),
+        (lambda tmp: recover_frequency(with_nan(), "leaf", 2, 1.0, MatrixRegistry(P24, 0)), ParameterError,
+         r"^sketch values must be finite, value 5 is nan$"),
+        (lambda tmp: recover_frequency(sketch(24, signature_mode="yes"), "leaf", 2, 1.0, MatrixRegistry(P24, 0)),
+         ParameterError, r"^signature mode must be a boolean, got 'yes'$"),
+        (lambda tmp: recover_frequency(sketch(24, erased_prefix=29), "leaf", 2, 1.0, MatrixRegistry(P24, 0)),
+         ParameterError, r"^erased prefix must be an integer in \[1, 24\], got 29$"),
+        (lambda tmp: recover_frequency(sketch(24, kind="bogus"), "leaf", 2, 1.0, MatrixRegistry(P24, 0)),
+         ParameterError, r"^unknown sketch kind 'bogus'$"),
+        (lambda tmp: recover_frequency(sketch(24, values=[0.0] * 24), "leaf", 2, 1.0, MatrixRegistry(P24, 0)),
+         ParameterError, r"^sketch values must be a 1-D array of real numbers, got list$"),
+        (lambda tmp: erase_to_prefix(sketch(24, erased_prefix=0), 12), ParameterError,
+         r"^erased prefix must be an integer in \[1, 24\], got 0$"),
+        (lambda tmp: sketch_similarity(sketch(24), with_nan()), ParameterError,
+         r"^sketch values must be finite, value 5 is nan$"),
+        (lambda tmp: tuple_sketch([with_nan()], [1.0], 1, MatrixRegistry(P24, 0, "identity")), ParameterError,
+         r"^sketch values must be finite, value 5 is nan$"),
+        (lambda tmp: export_sketch_csv(with_nan(), str(tmp / "s.csv")), ParameterError,
+         r"^sketch values must be finite, value 5 is nan$"),
+        # array arguments, and a store whose log is a directory
+        (lambda tmp: star(leaf_attrs="abc"), ParameterError,
+         r"^attributes of 'a' must be a 1-D array of real numbers, got str$"),
+        (lambda tmp: star(leaf_attrs=[[1.0, 0.5]]), ParameterError,
+         r"^attributes of 'a' must be a 1-D array of real numbers, got 2-D float64$"),
+        (lambda tmp: star(leaf_attrs=1.0), ParameterError,
+         r"^attributes of 'a' must be a 1-D array of real numbers, got float$"),
+        (lambda tmp: star(leaf_attrs=[0.5, -1.0]), NetworkValidationError, r"^attributes of 'a' must be nonnegative$"),
+        (lambda tmp: decode_column_signature("abc", P8), ParameterError,
+         r"^codeword must be a 1-D array of real numbers, got str$"),
+        (lambda tmp: decode_column_signature(np.full(6, np.nan), P8), ParameterError,
+         r"^codeword must be finite, value 0 is nan$"),
+        (lambda tmp: classify_recovered_vectors([np.ones((2, 2))], 1.0, 3, 0.1), ParameterError,
+         r"^each recovered vector must be a 1-D array of real numbers, got 2-D float64$"),
+        (lambda tmp: classify_recovered_vectors([np.ones(4), np.array([1.0, np.nan])], 1.0, 3, 0.1), ParameterError,
+         r"^each recovered vector must be finite, value 1 is nan$"),
+        (lambda tmp: SketchRepository(8, str(tmp)), ParameterError, r"^cannot read sketch store .*: Is a directory$"),
     ],
     ids=[
         "entry-scale-at-q0", "auto-params-d0", "parity-bit", "codeword-length", "factor-kind", "pairs-per-trial",
@@ -284,11 +360,31 @@ def network_file(tmp_path, old: str, new: str):
         "unroll-eps-final-str", "set-floor-frac-nan", "classify-w-goal-str", "classify-eps-level-nan",
         "eps-schedule-levels-float", "unroll-levels-float", "unroll-budget-float", "coefficient-k-float",
         "unroll-1d", "unroll-width", "unroll-bool",
+        "query-probe-nan", "query-probe-list", "recover-unique-nan", "recover-path-nan", "recover-frequency-nan",
+        "recover-mode-str", "recover-prefix-above-d", "recover-kind-bogus", "recover-values-list",
+        "erase-sketch-prefix-0", "similarity-nan", "tuple-sketch-nan", "export-csv-nan",
+        "network-attributes-str", "network-attributes-2d", "network-attributes-float",
+        "network-attributes-negative", "decode-str", "decode-nan",
+        "classify-2d", "classify-nan", "store-a-dir",
     ],
 )
 def test_library_refusal(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("matrix", [sample_matrix(P24, "k"), sample_orthonormal(24, "k"), IdentityMatrix(24)],
+                         ids=["block-random", "orthonormal", "identity"])
+@pytest.mark.parametrize("product", ["matvec", "rmatvec"])
+@pytest.mark.parametrize(
+    "x, got", [([0.0] * 24, "list"), (np.zeros((24, 2, 2)), "3-D float64"), (np.array(["1"] * 24), "1-D <U1")],
+    ids=["list", "3d", "str"],
+)
+def test_product_refusal(matrix, product, x, got):
+    # shape and type only: products never scan their input for NaN
+    message = f"^a product input must be a 1-D or 2-D array of real numbers, got {got}$"
+    with pytest.raises(ParameterError, match=message):
+        getattr(matrix, product)(x)
 
 
 LD_PARAMS = {"b": 45, "q": 0.5, "d": 1440, "n_cap": 6}

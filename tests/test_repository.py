@@ -741,7 +741,8 @@ def test_replay_refuses_what_insert_refuses_with_its_own_message(tmp_path):
     good = log.read_bytes()
     bad = json.loads(good)
     for field, value, message in [("kind", "bogus", "unknown sketch kind 'bogus'"), ("id", 7, "id must be a string"),
-                                  ("tags", {"n": 1}, "tags must map strings to strings")]:
+                                  ("tags", {"n": 1}, "tags must map strings to strings"),
+                                  ("values", base64.b64encode(bytes(96)).decode("ascii"), f"sketch d=12, store d={D}")]:
         log.write_bytes(good + json.dumps({**bad, field: value}, sort_keys=True).encode() + b"\n")
         with pytest.raises(ParameterError, match=re.escape(f"malformed record at byte {len(good)}: {message}")):
             SketchRepository(log_path=str(log))
